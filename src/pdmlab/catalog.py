@@ -20,7 +20,7 @@ from .conformal import (
     combo_to_op,
     decompose_in_basis,
     expected_metric_bracket,
-    op_coordinates,
+    span_columns,
     verify_structure,
     _pair_of,
 )
@@ -154,14 +154,14 @@ def entry(eid: int) -> CatalogEntry:
 
 
 def killing_params_for(combo) -> KillingParams:
-    coords = op_coordinates(combo_to_op(combo))
-    return KillingParams(
-        lam=(coords["lam1"], coords["lam2"], coords["lam3"]),
-        mu_rot=(coords["mu1"], coords["mu2"], coords["mu3"]),
-        omega=coords["omega"],
-        nu=(coords["nu1"], coords["nu2"], coords["nu3"]),
-        c0=coords["c0"],
-    )
+    (column,) = span_columns([combo_to_op(combo)])
+    return _killing_params(column)
+
+
+def _killing_params(column) -> KillingParams:
+    """Killing parameters of a span_columns column (COORD_NAMES order)."""
+    return KillingParams(lam=tuple(column[0:3]), mu_rot=tuple(column[3:6]),
+                         omega=column[6], nu=tuple(column[7:10]), c0=column[10])
 
 
 def _check_residual(rep, name, residual, policy, label, confirm_numeric):
@@ -183,9 +183,10 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
     h = PDMHamiltonian(row.f, row.V)
     confirm = not row.rational
     all_ok = True
-    for combo in row.integrals:
-        p = killing_params_for(combo)
-        r1, r2 = reduced_determining(h, p)
+    ops = [combo_to_op(c) for c in row.integrals]
+    cols = span_columns(ops)
+    for combo, op, col in zip(row.integrals, ops, cols):
+        r1, r2 = reduced_determining(h, _killing_params(col))
         lbl = f"entry{row.id}{tag}/{combo}"
         ok1 = _check_residual(rep, f"{combo} :: flow equation{tag}", r1, policy,
                               lbl + "/de-f", confirm)
@@ -193,13 +194,12 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
                               lbl + "/de-V", confirm)
         all_ok = all_ok and ok1 and ok2
         if row.rational:
-            comm = commute_hq(h, combo_to_op(combo))
+            comm = commute_hq(h, op)
             ok3 = comm.is_zero()
             rep.add(Check(f"{combo} :: [H,Q] = 0{tag}",
                           "proved" if ok3 else "failed", "symbolic"))
             all_ok = all_ok and ok3
     # closure of the integral span
-    ops = [combo_to_op(c) for c in row.integrals]
     closed = True
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
@@ -207,7 +207,7 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
             if comm.is_zero():
                 continue
             try:
-                decompose_in_basis(comm, ops)
+                decompose_in_basis(comm, cols)
             except DecompositionFailure:
                 closed = False
     rep.add(Check(f"integral set closes under commutation{tag}",

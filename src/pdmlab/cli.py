@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .report import ReportDocument
-from .symkernel import ZeroTestPolicy, parse_sexpr, to_sexpr, normalize
+from .symkernel import ExprError, ZeroTestPolicy, parse_sexpr, to_sexpr, normalize
 from .symkernel.sexpr import ParseError
 
 
@@ -194,13 +194,16 @@ def _cmd_transform(args) -> int:
 def _cmd_expr(args) -> int:
     try:
         e = parse_sexpr(args.expression)
+        out = e if args.action == "parse" else normalize(e)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    if args.action == "parse":
-        print(to_sexpr(e))
-    else:
-        print(to_sexpr(normalize(e)))
+    except (ExprError, ArithmeticError) as err:
+        # the kernel rejects the input: a zero to a negative power, a root
+        # it cannot rationalize, ...
+        print(f"expression error: {err}", file=sys.stderr)
+        return 2
+    print(to_sexpr(out))
     return 0
 
 

@@ -236,12 +236,17 @@ def op_coordinates(q: FirstOrderOp):
     return coords
 
 
-def _solve_linear(columns, target):
-    """Solve sum_j c_j * columns[j] == target over expressions.
+def span_columns(ops) -> list:
+    """Coordinate column (in COORD_NAMES order) of each operator: one
+    op_coordinates call per operator.  Raises DecompositionFailure."""
+    return [[c[name] for name in COORD_NAMES] for c in map(op_coordinates, ops)]
 
-    Entries are constant expressions (rationals, parameters, cos/sin atoms).
-    Returns the coefficient list (free variables set to zero) or None when
-    inconsistent.
+
+def _row_reduce(columns, target):
+    """Gauss-Jordan elimination of the augmented matrix [columns | target].
+
+    Entries are constant expressions (rationals, parameters, cos/sin atoms);
+    a rational pivot is preferred.  Returns (rows, pivot columns).
     """
     nrows = len(target)
     ncols = len(columns)
@@ -272,27 +277,22 @@ def _solve_linear(columns, target):
         r += 1
         if r == nrows:
             break
-    for k in range(r, nrows):
-        if not is_provably_zero(rows[k][ncols]):
-            return None
-    sol = [NUM_ZERO] * ncols
-    for rowi, col in enumerate(piv_cols):
-        sol[col] = rows[rowi][ncols]
-    return sol
+    return rows, piv_cols
 
 
-def decompose_in_basis(q: FirstOrderOp, basis_ops):
-    """Expand q over a list of operators (constant coefficients allowed to
-    involve declared parameters).  Raises DecompositionFailure."""
-    cols = []
-    for op in basis_ops:
-        coords = op_coordinates(op)
-        cols.append([coords[name] for name in COORD_NAMES])
+def decompose_in_basis(q: FirstOrderOp, columns):
+    """Expand q over a basis given by its span_columns (constant
+    coefficients allowed to involve declared parameters).  Returns the
+    coefficient list, free variables set to zero.  Raises
+    DecompositionFailure."""
     coords_q = op_coordinates(q)
-    target = [coords_q[name] for name in COORD_NAMES]
-    sol = _solve_linear(cols, target)
-    if sol is None:
+    rows, piv_cols = _row_reduce(columns, [coords_q[name] for name in COORD_NAMES])
+    ncols = len(columns)
+    if any(not is_provably_zero(row[ncols]) for row in rows[len(piv_cols):]):
         raise DecompositionFailure("commutator is not in the span of the basis")
+    sol = [NUM_ZERO] * ncols
+    for row, col in zip(rows, piv_cols):
+        sol[col] = row[ncols]
     return sol
 
 
@@ -447,7 +447,7 @@ def verify_structure(basis, table, report_id: str, title: str = "") -> Verificat
                               detail=_combo_text(expected)))
             else:
                 try:
-                    sol = decompose_in_basis(comm, [ops[g] for g in basis])
+                    sol = decompose_in_basis(comm, span_columns([ops[g] for g in basis]))
                     got = " + ".join(
                         f"({to_sexpr(normalize(c))})*{g}"
                         for c, g in zip(sol, basis)
@@ -636,8 +636,8 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
     irregular = "verbatim irregular" in spec.note
     ops = [combo_to_op(b) for b in spec.basis]
     # rank of the spanning set (duplicated elements are surfaced, not hidden)
-    cols = [[op_coordinates(op)[name] for name in COORD_NAMES] for op in ops]
-    rank = _column_rank(cols)
+    cols = span_columns(ops)
+    rank = len(_row_reduce(cols, [NUM_ZERO] * len(COORD_NAMES))[1])
     if rank != len(ops) or len(ops) != spec.dimension:
         rep.add(annotation(
             "rank",
@@ -651,7 +651,7 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
                 rep.add(Check(name, "proved", "symbolic", "0"))
                 continue
             try:
-                sol = decompose_in_basis(comm, ops)
+                sol = decompose_in_basis(comm, cols)
             except DecompositionFailure:
                 if irregular:
                     rep.add(annotation(
@@ -669,31 +669,6 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
             ) or "0"
             rep.add(Check(name, "proved", "symbolic", text))
     return rep
-
-
-def _column_rank(cols) -> int:
-    if not cols:
-        return 0
-    n = len(cols[0])
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    rank = 0
-    for col in range(len(cols)):
-        piv = None
-        for k in range(rank, n):
-            if not is_provably_zero(rows[k][col]):
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [normalize(mul(inv, v)) for v in rows[rank]]
-        for k in range(n):
-            if k != rank and not is_provably_zero(rows[k][col]):
-                f = rows[k][col]
-                rows[k] = [normalize(a - mul(f, b)) for a, b in zip(rows[k], rows[rank])]
-        rank += 1
-    return rank
 
 
 def verify_subalgebras() -> list:

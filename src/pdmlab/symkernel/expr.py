@@ -12,6 +12,7 @@ constant folding).  Canonical forms are produced by
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -295,17 +296,29 @@ def pow_(base, exponent) -> Expr:
     return Pow(base, exponent)
 
 
+def _iroot(n: int, q: int) -> int:
+    """floor(n ** (1/q)) for n >= 0, in exact integer arithmetic."""
+    if q == 2:
+        return math.isqrt(n)
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // q)  # an upper bound; Newton descends from it
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_root(c: GRat, q: int):
     """Exact q-th root of a nonnegative rational, or None."""
     if not c.is_rational() or c.re < 0:
         return None
     fr = c.re
-    rn = round(fr.numerator ** (1.0 / q))
-    rd = round(fr.denominator ** (1.0 / q))
-    for n in (rn - 1, rn, rn + 1):
-        for d in (rd - 1, rd, rd + 1):
-            if n >= 0 and d > 0 and Fraction(n) ** q == fr * d**q:
-                return GRat(Fraction(n, d))
+    n = _iroot(fr.numerator, q)
+    d = _iroot(fr.denominator, q)
+    if n**q == fr.numerator and d**q == fr.denominator:
+        return GRat(Fraction(n, d))
     return None
 
 

@@ -119,7 +119,10 @@ def _parse(tokens, k):
 
 def _parse_atom(tok: str, off: int) -> Expr:
     if _RATIONAL.match(tok):
-        return Num(Fraction(tok))
+        try:
+            return Num(Fraction(tok))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {tok!r} at offset {off}") from None
     if tok == "i":
         return Num(GRat(0, 1))
     if tok in VAR_NAMES:

@@ -8,6 +8,13 @@ Tier 2 (numeric): seeded random sampling of coordinates, parameters and
 abstract-derivative symbols, with a scale-relative tolerance.  Sampling is
 deterministic given (seed, label), so parallel verification stays
 reproducible.
+
+Screen, then prove: is_zero first evaluates the expression as given, before
+any expansion, at the first SCREEN_POINTS points of the numeric stream.  A
+value above tolerance at every one of them shows the expression is nonzero
+(Schwartz 1980), so the verdict is NonZero at the numeric tier without the
+symbolic pass.  Every other expression goes through both tiers as before:
+`symbolic` still means an exact proof of zero.
 """
 
 from __future__ import annotations
@@ -229,6 +236,48 @@ def _assignment(e_params, e_abstract, policy: ZeroTestPolicy, rng: random.Random
     return point, params, absvals
 
 
+# Compact-tree points evaluated before any expansion; a residual that
+# exceeds tol at all of them is nonzero without a symbolic pass.
+SCREEN_POINTS = 3
+
+
+def _samples(e: Expr, policy: ZeroTestPolicy, label: str):
+    """The seeded sampling loop shared by the screen and the numeric tier.
+
+    Yields one item per attempt, in the order of policy.rng(label): None
+    when the point is rejected (a domain error, an arithmetic overflow or a
+    non-finite value), else (rel, value, assignment) with rel the
+    scale-relative residual.  Stops after points * max_attempt_factor
+    attempts.
+    """
+    names = free_params(e)
+    symbols = abstract_symbols(e)
+    rng = policy.rng(label)
+    for _ in range(policy.points * policy.max_attempt_factor):
+        assignment = _assignment(names, symbols, policy, rng)
+        point, params, absvals = assignment
+        scale = _Scale()
+        try:
+            v = _eval(e, tuple(float(c) for c in point), params, absvals, scale)
+        except ArithmeticError:
+            yield None
+            continue
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            yield None
+            continue
+        yield abs(v) / (1.0 + scale.value), v, assignment
+
+
+def _nonzero(sample) -> NonZero:
+    _, v, (point, params, absvals) = sample
+    witness = {"point": tuple(str(c) for c in point)}
+    if params:
+        witness["params"] = params
+    if absvals:
+        witness["abstract"] = absvals
+    return NonZero(witness=witness, value=v)
+
+
 def numeric_sample(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str = "",
                    normalize_first: bool = True):
     """Force the numeric tier: returns NumericZero, NonZero or Inconclusive.
@@ -238,43 +287,42 @@ def numeric_sample(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str 
     proved identities on an independent route.
     """
     ne = raw_form(e)[1] if normalize_first else e
-    names = free_params(ne)
-    symbols = abstract_symbols(ne)
-    rng = policy.rng(label)
     tested = 0
-    max_rel = 0.0
-    worst = None  # (relative residual, witness, value)
-    attempts = 0
-    while tested < policy.points and attempts < policy.points * policy.max_attempt_factor:
-        attempts += 1
-        point, params, absvals = _assignment(names, symbols, policy, rng)
-        scale = _Scale()
-        try:
-            v = _eval(ne, tuple(float(c) for c in point), params, absvals, scale)
-        except EvalDomainError:
-            continue
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+    worst = None  # the sample with the largest relative residual
+    for sample in _samples(ne, policy, label):
+        if sample is None:
             continue
         tested += 1
-        rel = abs(v) / (1.0 + scale.value)
-        if rel > max_rel:
-            max_rel = rel
-            witness = {"point": tuple(str(c) for c in point)}
-            if params:
-                witness["params"] = params
-            if absvals:
-                witness["abstract"] = absvals
-            worst = (rel, witness, v)
+        if sample[0] > (worst[0] if worst else 0.0):
+            worst = sample
+        if tested == policy.points:
+            break
     if tested == 0:
         return Inconclusive("no sample point was evaluable; resample with another policy")
+    max_rel = worst[0] if worst else 0.0
     if max_rel > policy.tol:
-        return NonZero(witness=worst[1], value=worst[2])
+        return _nonzero(worst)
     return NumericZero(points_tested=tested, max_residual=max_rel)
 
 
 def is_zero(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str = ""):
-    """Certify e == 0: exact when normalization reaches the zero node,
-    probabilistic otherwise."""
+    """Certify e == 0: screen, then prove, then sample.
+
+    The screen evaluates e as given (no expansion) at the first
+    SCREEN_POINTS points of the numeric tier's stream.  When every one is
+    evaluable and exceeds tol, e is NonZero with the worst of them as the
+    witness.  Otherwise normalization decides: the zero node is ProvedZero
+    (an exact proof), anything else goes to the numeric tier's full sample
+    of the expanded tree.
+    """
+    worst = None
+    for n, sample in enumerate(_samples(e, policy, label), 1):
+        if sample is None or sample[0] <= policy.tol:
+            break
+        if worst is None or sample[0] > worst[0]:
+            worst = sample
+        if n == SCREEN_POINTS:
+            return _nonzero(worst)
     proved, tree = raw_form(e)
     if proved:
         return ProvedZero()

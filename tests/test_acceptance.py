@@ -59,8 +59,11 @@ def test_criterion_3_catalog():
 
     ok = True
     details = []
+    summary = {"proved": 0, "numeric": 0, "failed": 0, "annotated": 0}
     for eid in sorted(load_catalog()):
         rep = verify_entry(eid)
+        for k, v in rep.counts().items():
+            summary[k] += v
         if not rep.passed:
             ok = False
             details.append(f"entry {eid} failed")
@@ -87,6 +90,10 @@ def test_criterion_3_catalog():
             if not variant or any(c.failed for c in variant):
                 ok = False
                 details.append(f"entry {eid} variant")
+    # a screen that turned a proof into a witness would move these counts
+    if summary != {"proved": 175, "numeric": 43, "failed": 0, "annotated": 18}:
+        ok = False
+        details.append(f"summary {summary}")
     elapsed = time.perf_counter() - t0
     _report("3 (catalog)", ok and elapsed < 60.0, elapsed, "; ".join(details))
 

@@ -158,6 +158,18 @@ class TestExprCommand:
     def test_parse_error(self, capsys):
         assert main(["expr", "parse", "((("]) == 2
 
+    @pytest.mark.parametrize("text, code, stdout", [
+        ("(^ x1 1/0)", 2, ""),
+        ("(^ 0 -1)", 2, ""),
+        ("(^ (+ x1 (^ x2 1/3)) -1)", 2, ""),
+        ("(^ 1" + "0" * 400 + " 1/2)", 0, "1" + "0" * 200 + "\n"),
+    ], ids=["zero-denominator", "zero-inverse", "cube-root-denominator", "sqrt-10^400"])
+    def test_kernel_input_exit_codes(self, text, code, stdout, capsys):
+        assert main(["expr", "normalize", text]) == code
+        out, err = capsys.readouterr()
+        assert out == stdout
+        assert len(err.splitlines()) == (1 if code == 2 else 0)
+
 
 class TestReportContract:
     def test_json_validates_against_schema(self, tmp_path, capsys):

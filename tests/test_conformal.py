@@ -18,6 +18,7 @@ from pdmlab.conformal import (
     load_subalgebras,
     op_coordinates,
     parse_combo,
+    span_columns,
     subalgebra_closure,
     verify_c3,
     verify_iso_roundtrip,
@@ -116,7 +117,7 @@ class TestCombos:
     def test_decompose_roundtrip(self):
         basis = [generator(g) for g in ("M43", "M21", "M04")]
         target = basis[0].scale(as_expr(Fraction(2, 3))) + basis[2].scale(as_expr(-1))
-        sol = decompose_in_basis(target, basis)
+        sol = decompose_in_basis(target, span_columns(basis))
         assert is_provably_zero(sol[0] - Fraction(2, 3))
         assert is_provably_zero(sol[1])
         assert is_provably_zero(sol[2] + 1)
@@ -154,6 +155,30 @@ class TestSubalgebras:
         spec = next(s for s in load_subalgebras() if s.id == "m2.5")
         rep = subalgebra_closure(spec)
         assert rep.passed
+
+    def test_coordinates_once_per_basis_element(self, monkeypatch):
+        # the basis columns serve the rank and every bracket's decomposition;
+        # only each nonzero bracket adds a call, for its own coordinates
+        import pdmlab.conformal as conformal
+        from pdmlab.diffop import commute_qq
+
+        spec = next(s for s in load_subalgebras() if s.id == "m2.5")
+        ops = [combo_to_op(b) for b in spec.basis]
+        nonzero = sum(
+            not commute_qq(ops[i], ops[j]).is_zero()
+            for i in range(len(ops)) for j in range(i + 1, len(ops))
+        )
+        calls = []
+        original = conformal.op_coordinates
+
+        def counting(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(conformal, "op_coordinates", counting)
+        assert subalgebra_closure(spec).passed
+        assert nonzero > 0
+        assert len(calls) == len(ops) + nonzero
 
 
 class TestTransforms:

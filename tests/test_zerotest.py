@@ -12,6 +12,7 @@ from pdmlab.symkernel import (
     arctan,
     cos,
     evaluate,
+    exp,
     is_zero,
     ln,
     numeric_sample,
@@ -21,6 +22,7 @@ from pdmlab.symkernel import (
     x1,
     x2,
 )
+from pdmlab.symkernel import zerotest
 from pdmlab.symkernel.expr import NUM_ZERO
 
 
@@ -54,6 +56,56 @@ class TestTiers:
         e = ln(-(x1**2) - 1)
         st = is_zero(e)
         assert isinstance(st, Inconclusive)
+
+
+def _row3_potential_residual():
+    from pdmlab.catalog import entry, killing_params_for
+    from pdmlab.diffop import PDMHamiltonian, reduced_determining
+
+    row = entry(3)
+    (combo,) = row.integrals
+    return reduced_determining(PDMHamiltonian(row.f, row.V), killing_params_for(combo))[1]
+
+
+class TestScreen:
+    def test_nonzero_residual_needs_no_expansion(self, monkeypatch):
+        # row 3's verbatim potential equation expands to ~192k nodes; the
+        # compact tree alone shows it is nonzero
+        residual = _row3_potential_residual()
+
+        def no_expansion(e):
+            raise AssertionError("raw_form called on a screened residual")
+
+        monkeypatch.setattr(zerotest, "raw_form", no_expansion)
+        st = is_zero(residual, label="entry3/M43+alpha*M21/de-V")
+        assert isinstance(st, NonZero)
+        assert abs(st.value) > 0
+
+    def test_screen_witness_is_deterministic(self):
+        residual = _row3_potential_residual()
+        a = is_zero(residual, label="entry3/de-V")
+        b = is_zero(residual, label="entry3/de-V")
+        assert isinstance(a, NonZero)
+        assert a.witness == b.witness
+        assert a.value == b.value
+
+    def test_screen_witness_comes_from_the_first_points(self):
+        pol = ZeroTestPolicy()
+        st = is_zero(x1, pol, "w")
+        rng = pol.rng("w")
+        firsts = [str(pol.sample_coord(rng)) for _ in range(3 * zerotest.SCREEN_POINTS)]
+        assert st.witness["point"] in {tuple(firsts[3 * k:3 * k + 3])
+                                       for k in range(zerotest.SCREEN_POINTS)}
+
+    def test_planted_zero_with_sqrt_and_exp_atoms_is_proved(self):
+        # P*Q/R - expand(Q*P)/R, with a sqrt atom in P and an exp atom in Q
+        s, t = sqrt(x1**2 + 1), exp(x2)
+        P = 3 * s * x2 - 2 * x1 + 1
+        Q = t * x1 + 5 * x2**2
+        R = x2**2 + 2
+        QP = (3 * x1 * x2 * s * t - 2 * x1**2 * t + x1 * t
+              + 15 * x2**3 * s - 10 * x1 * x2**2 + 5 * x2**2)
+        assert isinstance(is_zero(P * Q / R - QP / R), ProvedZero)
 
 
 class TestDeterminism:
