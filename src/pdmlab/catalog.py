@@ -16,6 +16,8 @@ from importlib import resources
 
 from .conformal import (
     DecompositionFailure,
+    SO4_METRIC,
+    SO13_METRIC,
     bracket_inner,
     combo_to_op,
     decompose_in_basis,
@@ -235,7 +237,7 @@ def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verificat
             "variant", "a variant encoding is shipped but the verbatim row passes"))
     # structure-constant cross-checks for the two six-integral rows
     if eid in (16, 17):
-        metric = {1: 1, 2: 1, 3: 1, 4: 1} if eid == 16 else {0: -1, 1: 1, 2: 1, 3: 1}
+        metric = SO4_METRIC if eid == 16 else SO13_METRIC
 
         def table(a, b):
             return expected_metric_bracket(_pair_of(a), _pair_of(b), metric, bracket_inner)
@@ -249,15 +251,8 @@ def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verificat
     return rep
 
 
-def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY, jobs: int = 1) -> list:
-    ids = sorted(load_catalog())
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reps = list(pool.map(lambda i: verify_entry(i, policy), ids))
-        return reps
-    return [verify_entry(i, policy) for i in ids]
+def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY) -> list:
+    return [verify_entry(i, policy) for i in sorted(load_catalog())]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ def _policy_from(args) -> ZeroTestPolicy:
     return ZeroTestPolicy(points=args.points, tol=args.tol, seed=args.seed)
 
 
-def _document(args, policy: ZeroTestPolicy) -> ReportDocument:
+def _document(policy: ZeroTestPolicy) -> ReportDocument:
     return ReportDocument(
-        seed=policy.seed,
-        policy={"points": policy.points, "tol": policy.tol, "jobs": args.jobs},
+        seed=policy.seed, policy={"points": policy.points, "tol": policy.tol}
     )
 
 
@@ -50,11 +49,11 @@ def _cmd_catalog(args) -> int:
             print(f"    V = {V}")
             print(f"    integrals: {', '.join(row.integrals)}")
         return 0
-    doc = _document(args, policy)
+    doc = _document(policy)
     if args.entry is not None:
         doc.add(catalog.verify_entry(args.entry, policy))
     else:
-        for rep in catalog.verify_all(policy, jobs=args.jobs):
+        for rep in catalog.verify_all(policy):
             doc.add(rep)
         if args.worked:
             for name in catalog.WORKED_FAMILIES:
@@ -66,7 +65,7 @@ def _cmd_algebra(args) -> int:
     from . import conformal
 
     policy = _policy_from(args)
-    doc = _document(args, policy)
+    doc = _document(policy)
     if args.subalgebras:
         for rep in conformal.verify_subalgebras():
             doc.add(rep)
@@ -128,7 +127,7 @@ def _cmd_casimir(args) -> int:
     from . import casimir
 
     policy = _policy_from(args)
-    doc = _document(args, policy)
+    doc = _document(policy)
     doc.add(casimir.verify_casimir_identity(args.system))
     doc.add(casimir.verify_casimir_centrality(args.system))
     if args.system == "so4":
@@ -194,16 +193,16 @@ def _cmd_transform(args) -> int:
 def _cmd_expr(args) -> int:
     try:
         e = parse_sexpr(args.expression)
-        out = e if args.action == "parse" else normalize(e)
+        text = to_sexpr(e if args.action == "parse" else normalize(e))
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (ExprError, ArithmeticError) as err:
+    except (ExprError, ArithmeticError, RecursionError) as err:
         # the kernel rejects the input: a zero to a negative power, a root
-        # it cannot rationalize, ...
+        # it cannot rationalize, nesting deeper than the interpreter allows
         print(f"expression error: {err}", file=sys.stderr)
         return 2
-    print(to_sexpr(out))
+    print(text)
     return 0
 
 
@@ -221,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample points per numeric zero test")
     common.add_argument("--tol", type=float, default=1e-9,
                         help="relative tolerance of the numeric tier")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for --all verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cat = sub.add_parser("catalog", parents=[common],

@@ -21,6 +21,7 @@ from .diffop import (
     SecondOrderOp,
     commute_qq,
     eps,
+    hamiltonian_to_op,
     killing_to_op,
 )
 from .report import Check, VerificationReport, annotation
@@ -187,14 +188,6 @@ def combo_to_op(combo) -> FirstOrderOp:
     return out
 
 
-def combo_str(combo) -> str:
-    parts = []
-    for coeff, gid in combo:
-        c = normalize(coeff)
-        parts.append(f"{to_sexpr(c)}*{gid}")
-    return " + ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # coordinates in the 11-dimensional operator span
 # ---------------------------------------------------------------------------
@@ -354,17 +347,14 @@ def expected_c3(a: str, b: str):
 
 
 SO14_METRIC = {0: 1, 1: -1, 2: -1, 3: -1, 4: -1}
-SO4_INDICES = (1, 2, 3, 4)
-SO13_INDICES = (0, 1, 2, 3)
+SO4_METRIC = {1: 1, 2: 1, 3: 1, 4: 1}
+SO13_METRIC = {0: -1, 1: 1, 2: 1, 3: 1}
 
 
-def _m_name(a: int, b: int):
-    """Canonical name and sign: M(a,b) with a<b flipped to a>b convention of
-    the shipped id strings (both orders are accepted; we emit 'Mab')."""
-    return f"M{a}{b}", 1
-
-
-def _metric_bracket(pair1, pair2, metric, pattern):
+def expected_metric_bracket(pair1, pair2, metric, pattern):
+    """Expected [M(pair1), M(pair2)] as [(coeff, gid), ...]: the terms of a
+    bracket pattern (bracket_outer or bracket_inner) weighted by the
+    diagonal metric."""
     (mu, nu), (lam, sig) = pair1, pair2
     I = num(0, 1)
     out = []
@@ -399,10 +389,6 @@ def bracket_inner(mu, nu, lam, sig):
         ((mu, sig), (nu, lam), -1),
         ((nu, lam), (mu, sig), -1),
     )
-
-
-def expected_metric_bracket(pair1, pair2, metric, pattern=bracket_outer):
-    return _metric_bracket(pair1, pair2, metric, pattern)
 
 
 def so14_basis():
@@ -487,20 +473,16 @@ def verify_so14() -> VerificationReport:
 
 
 def verify_so4() -> VerificationReport:
-    metric = {1: 1, 2: 1, 3: 1, 4: 1}
-
     def table(a, b):
-        return expected_metric_bracket(_pair_of(a), _pair_of(b), metric, bracket_inner)
+        return expected_metric_bracket(_pair_of(a), _pair_of(b), SO4_METRIC, bracket_inner)
 
     return verify_structure(so4_basis(), table, "algebra.so4",
                             "six integrals of the compact realization vs Kronecker table")
 
 
 def verify_so13() -> VerificationReport:
-    metric = {0: -1, 1: 1, 2: 1, 3: 1}
-
     def table(a, b):
-        return expected_metric_bracket(_pair_of(a), _pair_of(b), metric, bracket_inner)
+        return expected_metric_bracket(_pair_of(a), _pair_of(b), SO13_METRIC, bracket_inner)
 
     rep = verify_structure(so13_basis(), table, "algebra.so13",
                            "six integrals of the Lorentz realization vs metric table")
@@ -812,7 +794,7 @@ def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
     if t.kind == "inversion_conjugation":
         if not (is_rational_in_x(normalize(h.f)) and is_rational_in_x(normalize(h.V))):
             raise FormError("inversion conjugation requires f and V rational in x")
-    H2 = conjugate_second_order(hamiltonian_to_op_local(h), t)
+    H2 = conjugate_second_order(hamiltonian_to_op(h), t)
     f2 = normalize(mul(-1, H2.A[0][0]))
     for a in range(3):
         for b in range(3):
@@ -829,12 +811,6 @@ def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
             obstruction=residual,
         )
     return PDMHamiltonian(f2, normalize(mul(-1, H2.C)))
-
-
-def hamiltonian_to_op_local(h: PDMHamiltonian) -> SecondOrderOp:
-    from .diffop import hamiltonian_to_op
-
-    return hamiltonian_to_op(h)
 
 
 def find_inversion_weight(h: PDMHamiltonian, lo: int = -3, hi: int = 3):

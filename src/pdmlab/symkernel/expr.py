@@ -402,14 +402,6 @@ def abstract_symbols(e: Expr) -> set:
     return {n.symbol for n in walk(e) if isinstance(n, AbsApp)}
 
 
-def contains_abstract(e: Expr) -> bool:
-    return any(isinstance(n, AbsApp) for n in walk(e))
-
-
-def contains_transcendental(e: Expr) -> bool:
-    return any(isinstance(n, App) for n in walk(e))
-
-
 def is_rational_in_x(e: Expr) -> bool:
     """True if the tree uses only constants, variables, parameters and
     integer-power rational operations."""

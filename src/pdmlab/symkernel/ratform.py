@@ -510,14 +510,6 @@ def p_mul(a: dict, b: dict) -> dict:
 DEN_ONE: tuple = ()
 
 
-def _p_sig(p: dict):
-    return tuple(sorted(((m, c) for m, c in p.items()), key=lambda kv: m_key(kv[0])))
-
-
-def den_key(den: tuple):
-    return tuple(sorted(((_p_sig(f), e) for f, e in den)))
-
-
 def den_mul(a: tuple, b: tuple) -> tuple:
     if not a:
         return b
@@ -670,10 +662,6 @@ def rf_add(a: RF, b: RF) -> RF:
     return rf_make(
         p_add(_mul_factors(a.num, extra_a), _mul_factors(b.num, extra_b)), lcm
     )
-
-
-def rf_neg(a: RF) -> RF:
-    return RF(p_neg(a.num), a.den)
 
 
 def rf_mul(a: RF, b: RF) -> RF:

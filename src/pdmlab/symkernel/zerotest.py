@@ -6,8 +6,7 @@ symbols this happens coefficient-wise by construction of the normal form.
 
 Tier 2 (numeric): seeded random sampling of coordinates, parameters and
 abstract-derivative symbols, with a scale-relative tolerance.  Sampling is
-deterministic given (seed, label), so parallel verification stays
-reproducible.
+deterministic given (seed, label).
 
 Screen, then prove: is_zero first evaluates the expression as given, before
 any expansion, at the first SCREEN_POINTS points of the numeric stream.  A

@@ -8,7 +8,6 @@ from pdmlab.catalog import (
     entry,
     killing_params_for,
     load_catalog,
-    verify_all,
     verify_entry,
     verify_worked_family,
 )
@@ -108,11 +107,6 @@ class TestVerification:
             rep = verify_entry(eid, FAST)
             assert rep.passed, eid
             assert not any(c.extra.get("verbatim_failure") for c in rep.checks), eid
-
-    def test_verify_all_parallel_matches_serial(self):
-        serial = [r.passed for r in verify_all(FAST)]
-        parallel = [r.passed for r in verify_all(FAST, jobs=4)]
-        assert serial == parallel == [True] * 18
 
 
 class TestClosure:

@@ -30,7 +30,7 @@ class TestCatalogCommand:
     def test_verify_all_json(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _ = run_cli(
-            ["catalog", "verify", "--all", "--jobs", "4", "--json", str(out_path)],
+            ["catalog", "verify", "--all", "--json", str(out_path)],
             capsys,
         )
         assert code == 0
@@ -43,8 +43,7 @@ class TestCatalogCommand:
     def test_verify_all_with_worked_families(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, _ = run_cli(
-            ["catalog", "verify", "--all", "--worked", "--jobs", "4",
-             "--json", str(out_path)],
+            ["catalog", "verify", "--all", "--worked", "--json", str(out_path)],
             capsys,
         )
         assert code == 0
@@ -158,14 +157,17 @@ class TestExprCommand:
     def test_parse_error(self, capsys):
         assert main(["expr", "parse", "((("]) == 2
 
-    @pytest.mark.parametrize("text, code, stdout", [
-        ("(^ x1 1/0)", 2, ""),
-        ("(^ 0 -1)", 2, ""),
-        ("(^ (+ x1 (^ x2 1/3)) -1)", 2, ""),
-        ("(^ 1" + "0" * 400 + " 1/2)", 0, "1" + "0" * 200 + "\n"),
-    ], ids=["zero-denominator", "zero-inverse", "cube-root-denominator", "sqrt-10^400"])
-    def test_kernel_input_exit_codes(self, text, code, stdout, capsys):
-        assert main(["expr", "normalize", text]) == code
+    @pytest.mark.parametrize("action, text, code, stdout", [
+        ("normalize", "(^ x1 1/0)", 2, ""),
+        ("normalize", "(^ 0 -1)", 2, ""),
+        ("normalize", "(^ (+ x1 (^ x2 1/3)) -1)", 2, ""),
+        ("normalize", "(^ 1" + "0" * 400 + " 1/2)", 0, "1" + "0" * 200 + "\n"),
+        ("parse", "(+ 1 " * 1000 + "x1" + ")" * 1000, 2, ""),
+        ("normalize", "(exp " * 600 + "x1" + ")" * 600, 2, ""),
+    ], ids=["zero-denominator", "zero-inverse", "cube-root-denominator", "sqrt-10^400",
+            "deep-sum", "deep-exp"])
+    def test_kernel_input_exit_codes(self, action, text, code, stdout, capsys):
+        assert main(["expr", action, text]) == code
         out, err = capsys.readouterr()
         assert out == stdout
         assert len(err.splitlines()) == (1 if code == 2 else 0)

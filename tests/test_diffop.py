@@ -1,13 +1,20 @@
 """Operators, commutators, Killing construction and determining equations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from pdmlab.diffop import (
     KillingParams,
     PDMHamiltonian,
+    _first_form,
+    _from_first_form,
+    _from_second_form,
+    _product,
+    _second_form,
     commute_hq,
     commute_qq,
+    commute_second_first,
     compose_first_order,
     conformal_killing_residuals,
     expected_determining,
@@ -274,7 +281,65 @@ class TestDetermining:
         r1, _ = reduced_determining(h, p)
         assert is_zero(r1).tier == "symbolic"
 
-    def test_third_order_cancellation_asserted(self):
-        # the cancellation is structural; the assertion path stays silent
+    def test_boost_commutes_with_quartic_profile(self):
         h = PDMHamiltonian(MU * R2**2, 6 * MU * R2)
         assert commute_hq(h, op_K(3)).is_zero()
+
+
+def full_commutator(left: dict, right: dict) -> dict:
+    """L*R - R*L from both full products, the S = alpha terms included."""
+    lr, rl = _product(left, right), _product(right, left)
+    return {key: lr.get(key, NUM_ZERO) - rl.get(key, NUM_ZERO) for key in lr.keys() | rl.keys()}
+
+
+def assert_top_order_cancels(full: dict, order: int):
+    top = [v for key, v in full.items() if len(key) == order]
+    assert top, "no top-order terms: the check would be vacuous"
+    assert all(is_provably_zero(v) for v in top)
+
+
+class TestTopOrderCancellation:
+    """The commutator rule never forms the top-order terms; here the full
+    products form them, and they must cancel."""
+
+    def check_second_first(self, s, q):
+        full = full_commutator(_second_form(s), _first_form(q))
+        assert_top_order_cancels(full, 3)
+        delta = _from_second_form(full) - commute_second_first(s, q)
+        for key, v in delta.slots():
+            assert is_provably_zero(v), key
+
+    def test_catalog_hamiltonians(self):
+        from pdmlab.catalog import load_catalog
+        from pdmlab.conformal import combo_to_op
+
+        checked = 0
+        for row in load_catalog().values():
+            for enc in [row] + ([row.variant()] if row.has_variant else []):
+                if not enc.rational:
+                    continue
+                s = hamiltonian_to_op(PDMHamiltonian(enc.f, enc.V))
+                for combo in enc.integrals:
+                    self.check_second_first(s, combo_to_op(combo))
+                    checked += 1
+        assert checked > 0
+
+    def test_casimir_c1(self):
+        from pdmlab.casimir import build_casimirs
+        from pdmlab.conformal import generator, so4_basis, so13_basis
+
+        for tag, basis in (("so4", so4_basis()), ("so13", so13_basis())):
+            c1 = build_casimirs(tag).C1
+            for gid in basis:
+                self.check_second_first(c1, generator(gid))
+
+    def test_conformal_pairs(self):
+        from pdmlab.conformal import PJDK, generator
+
+        pairs = list(itertools.combinations(PJDK, 2))
+        assert len(pairs) == 45
+        for a, b in pairs:
+            qa, qb = generator(a), generator(b)
+            full = full_commutator(_first_form(qa), _first_form(qb))
+            assert_top_order_cancels(full, 2)
+            assert (_from_first_form(full) - commute_qq(qa, qb)).is_zero(), (a, b)
