@@ -197,7 +197,7 @@ def _cmd_expr(args) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except (ExprError, ArithmeticError, RecursionError) as err:
+    except (ExprError, ArithmeticError) as err:
         # the kernel rejects the input: a zero to a negative power, a root
         # it cannot rationalize, nesting deeper than the interpreter allows
         print(f"expression error: {err}", file=sys.stderr)

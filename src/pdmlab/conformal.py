@@ -8,6 +8,7 @@ the factory, with per-row deltas reported instead of silently adopted.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +81,13 @@ def normalize_gen_id(gid: str) -> str:
 
 def generator(gid) -> FirstOrderOp:
     """Exact (xi, eta) realization of a generator id like 'P1', 'D', 'M43'."""
-    gid = normalize_gen_id(gid)
+    return _generator(normalize_gen_id(gid))
+
+
+# FirstOrderOp is frozen, so one shared object per id is safe; the cache holds
+# at most the 30 valid ids.
+@functools.cache
+def _generator(gid: str) -> FirstOrderOp:
     if gid[0] == "P":
         nu = [0, 0, 0]
         nu[int(gid[1]) - 1] = 1

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 
@@ -449,6 +448,10 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
     so13: signed integral of phi^2 (r^2-1)^3 on (0,1); the integrand behaves
     like (1-r^2)^(2-2k) near r=1 and vanishes at both ends for k < 1.
     """
+    # imported here: scipy.integrate costs every importer of this module
+    # about a third of a second, and only this function uses it
+    from scipy.integrate import quad
+
     if sol.system == "so4":
         from .symkernel import evaluate
 

@@ -11,6 +11,11 @@ trees and a vanishing expression normalizes to the literal zero node.
 Intermediate arithmetic keeps fractions raw (only cheap divisibility-based
 cancellation); the full gcd/content/unit canonicalization runs once per
 normalize() call.
+
+Nearly every numerator/denominator gcd is 1, so `p_gcd` first tries to prove
+that with univariate images modulo a prime (`_coprime_certified`) and runs
+the pseudo-remainder sequence only when the images cannot decide.  The proof
+is exact, not probabilistic; it is spelled out in `_coprime_certified`.
 """
 
 from __future__ import annotations
@@ -375,8 +380,105 @@ def _u_content(coeffs) -> dict:
     return g if g else P_ONE
 
 
+# F_p for the coprimality check: p = 2^62 - 87 is prime with p = 1 (mod 4),
+# and _S^2 = -1 (mod p), so i -> _S maps Z[i] onto F_p as a ring.
+_P = 4611686018427387817
+_S = 120863620846201794
+_MASK64 = (1 << 64) - 1
+
+
+def _point_value(k: int) -> int:
+    """Fixed nonzero value in F_p of the k-th atom in _skey order.
+
+    The rank goes through the SplitMix64 finalizer, so the values satisfy no
+    small multiplicative relation.  Values in arithmetic progression would:
+    (k + 1) * c gives v1^2 = v0 * v3, so a leading coefficient such as
+    x1^2 - a*x3 would vanish and send a coprime pair to the PRS.
+    """
+    z = (k + 1) * 0x9E3779B97F4A7C15 & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return (z ^ (z >> 31)) % _P or 1
+
+
+def _image_mod_p(p: dict, x: Expr, point: dict) -> list:
+    """Coefficient list over F_p (index = degree in x) of a Gaussian-integer
+    polynomial, every atom but x evaluated at point."""
+    out: dict = {}
+    for m, c in p.items():
+        v = (c.re.numerator + _S * c.im.numerator) % _P
+        d = 0
+        for atom, e in m:
+            if atom == x:
+                d = e
+            else:
+                v = v * pow(point[atom], e, _P) % _P
+        out[d] = (out.get(d, 0) + v) % _P
+    return [out.get(d, 0) for d in range(max(out) + 1)]
+
+
+def _gcd_degree_mod_p(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over F_p; both lists have a nonzero last entry."""
+    while g:
+        inv = pow(g[-1], -1, _P)
+        f = list(f)
+        while len(f) >= len(g):
+            q = f[-1] * inv % _P
+            shift = len(f) - len(g)
+            for k in range(len(g) - 1):
+                f[shift + k] = (f[shift + k] - q * g[k]) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_certified(a: dict, b: dict) -> bool:
+    """True only when gcd(a, b) is a constant; False means "undecided".
+
+    a and b are scaled to Gaussian-integer coefficients and mapped to F_p
+    (i -> _S).  For each atom x they share, every other atom is set to a fixed
+    nonzero value, and the two univariate images count only when each keeps
+    the x-degree of its polynomial.  True requires a gcd of degree 0 for
+    every shared x.
+
+    Why True is a proof, in the PRS's own model (atoms are free variables):
+    let g = gcd(a, b), primitive over Z[i].  By Gauss's lemma a = g*h in
+    Z[i][atoms], and reduction mod p followed by evaluation is a ring
+    homomorphism.  The x-leading coefficient of g divides that of a, whose
+    image is nonzero, so the image of g keeps deg_x g and divides both
+    images.  A degree-0 image gcd therefore gives deg_x g = 0.  g can only
+    contain atoms shared by a and b, so g is constant.  An unlucky prime or
+    point only makes the check return False.
+    """
+    atoms_a = p_atoms(a)
+    atoms_b = p_atoms(b)
+    common = atoms_a & atoms_b
+    ordered = sorted(atoms_a | atoms_b, key=_skey)
+    point = {atom: _point_value(k) for k, atom in enumerate(ordered)}
+    _, ca = content_normalize(list(a.values()))
+    _, cb = content_normalize(list(b.values()))
+    a = dict(zip(a, ca))
+    b = dict(zip(b, cb))
+    for x in common:
+        fa = _image_mod_p(a, x, point)
+        fb = _image_mod_p(b, x, point)
+        # each list is as long as the x-degree of its polynomial + 1
+        if not fa[-1] or not fb[-1]:
+            return False
+        if _gcd_degree_mod_p(fa, fb) != 0:
+            return False
+    return True
+
+
 def p_gcd(a: dict, b: dict) -> dict:
-    """Canonical gcd over Q(i); atoms are treated as independent variables."""
+    """Canonical gcd over Q(i); atoms are treated as independent variables.
+
+    `_p_gcd_core` first asks `_coprime_certified` whether univariate images
+    mod p prove the gcd constant; when they do not (a common factor, or an
+    unlucky prime or point), the pseudo-remainder sequence decides, as the
+    single fallback."""
     if not a:
         return p_canonical(b)
     if not b:
@@ -401,6 +503,8 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
         return a
     if len(a) == 1 or len(b) == 1:
         return P_ONE  # monomial content already removed
+    if _coprime_certified(a, b):
+        return P_ONE
     if p_divexact(a, b) is not None:
         return b
     if p_divexact(b, a) is not None:
@@ -855,7 +959,10 @@ def normalize(e: Expr) -> Expr:
     got = _NORM_CACHE.get(e)
     if got is not None:
         return got
-    out = rf_to_expr(rf_canon(to_rf(e)))
+    try:
+        out = rf_to_expr(rf_canon(to_rf(e)))
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     _NORM_CACHE[e] = out
     _NORM_CACHE[out] = out
     return out

@@ -47,24 +47,28 @@ def _num_str(v: GRat) -> str:
 
 
 def to_sexpr(e: Expr) -> str:
-    if isinstance(e, Num):
-        return _num_str(e.val)
-    if isinstance(e, (Var, Param)):
-        return e.name
-    if isinstance(e, Add):
-        return "(+ " + " ".join(to_sexpr(t) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(* " + " ".join(to_sexpr(f) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        return f"(^ {to_sexpr(e.base)} {_frac_str(e.exponent)})"
-    if isinstance(e, App):
-        return f"({e.fn} {to_sexpr(e.arg)})"
-    if isinstance(e, AbsApp):
-        core = "(" + e.name + " " + " ".join(to_sexpr(a) for a in e.args) + ")"
-        for k, cnt in enumerate(e.dcounts):
-            for _ in range(cnt):
-                core = f"(D{k + 1} {core})"
-        return core
+    try:
+        if isinstance(e, Num):
+            return _num_str(e.val)
+        if isinstance(e, (Var, Param)):
+            return e.name
+        if isinstance(e, Add):
+            return "(+ " + " ".join(to_sexpr(t) for t in e.terms) + ")"
+        if isinstance(e, Mul):
+            return "(* " + " ".join(to_sexpr(f) for f in e.factors) + ")"
+        if isinstance(e, Pow):
+            return f"(^ {to_sexpr(e.base)} {_frac_str(e.exponent)})"
+        if isinstance(e, App):
+            return f"({e.fn} {to_sexpr(e.arg)})"
+        if isinstance(e, AbsApp):
+            core = "(" + e.name + " " + " ".join(to_sexpr(a) for a in e.args) + ")"
+            for k, cnt in enumerate(e.dcounts):
+                for _ in range(cnt):
+                    core = f"(D{k + 1} {core})"
+            return core
+    except RecursionError:
+        # the innermost frame converts it; outer frames pass the ExprError on
+        raise ExprError("expression nested too deeply") from None
     raise ExprError(f"cannot serialize {type(e).__name__}")
 
 
@@ -89,7 +93,10 @@ def parse_sexpr(text: str) -> Expr:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    expr, rest = _parse(tokens, 0)
+    try:
+        expr, rest = _parse(tokens, 0)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if rest != len(tokens):
         raise ParseError(f"trailing input at offset {tokens[rest][1]}")
     return expr

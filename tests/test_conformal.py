@@ -65,6 +65,23 @@ class TestGenerators:
             with pytest.raises(ValueError):
                 generator(bad)
 
+    def test_one_realization_per_generator(self, monkeypatch):
+        # verify_so14 uses the ten P/J/D/K generators behind its M(mu,nu)
+        # basis, each many times
+        import pdmlab.conformal as conformal
+
+        calls = []
+        original = conformal.killing_to_op
+
+        def counting(params):
+            calls.append(params)
+            return original(params)
+
+        conformal._generator.cache_clear()
+        monkeypatch.setattr(conformal, "killing_to_op", counting)
+        assert verify_so14().passed
+        assert len(calls) == len(set(calls)) == 10
+
 
 class TestStructure:
     def test_c3_all_pairs(self):

@@ -177,6 +177,19 @@ class TestSexpr:
         e = parse_sexpr("(D1 (D2 (F x1 x2)))")
         assert e == AbstractFn("F", 2).d(2).d(1)(x1, x2)
 
+    def test_deep_nesting_raises_kernel_errors(self):
+        from pdmlab.symkernel import ExprError, ParseError
+
+        with pytest.raises(ParseError):
+            parse_sexpr("(+ 1 " * 1000 + "x1" + ")" * 1000)
+        deep_exp = parse_sexpr("(exp " * 600 + "x1" + ")" * 600)
+        with pytest.raises(ExprError):
+            normalize(deep_exp)
+        for _ in range(2400):
+            deep_exp = exp(deep_exp)
+        with pytest.raises(ExprError):
+            to_sexpr(deep_exp)
+
 
 class TestSubstInstantiate:
     def test_shift_substitution(self):

@@ -1,5 +1,8 @@
 """Radial eigenvalue solver, closed-form residual oracles, normalization."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -233,3 +236,15 @@ class TestNoBoundStates:
         scan = so13_lowest_eigenvalue_scan([0.1, 0.05, 0.025, 0.0125])
         assert all(a > b for a, b in zip(scan, scan[1:]))
         assert all(v >= -2.0 for v in scan)  # q = -2r^2 >= -2 on (0,1)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only normalization_integral needs scipy.integrate, and its import costs
+    # every process that imports pdmlab.spectral
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pdmlab.spectral; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
