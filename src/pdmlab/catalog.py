@@ -173,7 +173,7 @@ def _check_residual(rep, name, residual, policy, label, confirm_numeric):
     rep.add(check_from_status(name, st))
     ok = st.is_zero
     if ok and confirm_numeric:
-        st2 = numeric_sample(residual, policy, label + "/raw", normalize_first=False)
+        st2 = numeric_sample(residual, policy, label + "/raw")
         rep.add(check_from_status(name + " [numeric confirmation]", st2))
         ok = st2.is_zero
     return ok

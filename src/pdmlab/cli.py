@@ -212,13 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification lab for position-dependent-mass operators",
     )
     parser.add_argument("--version", action="version", version=f"pdmlab {__version__}")
+    defaults = ZeroTestPolicy()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write the report as JSON")
-    common.add_argument("--seed", type=int, default=ZeroTestPolicy().seed,
+    common.add_argument("--seed", type=int, default=defaults.seed,
                         help="seed for the numeric zero-test tier")
-    common.add_argument("--points", type=int, default=50,
+    common.add_argument("--points", type=int, default=defaults.points,
                         help="sample points per numeric zero test")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=float, default=defaults.tol,
                         help="relative tolerance of the numeric tier")
     sub = parser.add_subparsers(dest="command", required=True)
 

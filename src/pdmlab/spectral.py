@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,25 +28,29 @@ class GridCoarseWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """system: 'so4' (compact), 'so13' (lorentz) or 'scale' (cylindrical)."""
+    """The radial problem of system 'so4' (compact) or 'so13' (lorentz) on
+    (r_min, r_max), discretized at grid_points interior points.
+
+    The cylindrical 'scale' system has no finite-difference problem: its
+    Bessel solutions are checked by closed_form_residual.
+    """
 
     system: str = "so4"
     l: int = 0
-    kappa: int = 0
-    omega: float = 1.0
     r_min: float = 1e-3
     r_max: float = 30.0
     grid_points: int = 4000
 
     def __post_init__(self):
-        if self.system not in ("so4", "so13", "scale"):
-            raise ValueError(f"unknown system {self.system!r}")
+        if self.system not in ("so4", "so13"):
+            raise ValueError(f"no radial FD problem for system {self.system!r}"
+                             " (the scale system is handled by the Bessel path)")
         if self.r_min <= 0:
             raise ValueError("r_min must be positive")
         if self.grid_points < 16:
             raise ValueError("grid too small (need at least 16 points)")
-        if self.l < 0 or self.kappa < 0:
-            raise ValueError("quantum numbers must be nonnegative")
+        if self.l < 0:
+            raise ValueError("l must be nonnegative")
         if self.system == "so13" and not (0 < self.r_min < self.r_max < 1):
             raise ValueError("the lorentz radial problem lives on a subdomain of (0,1)")
 
@@ -54,8 +58,6 @@ class RadialProblem:
 def sturm_liouville_form(prob: RadialProblem):
     """Self-adjoint coefficients (p, q, w) as callables with
     -(p phi')' + q phi = Lambda w phi reproducing the radial operator."""
-    if prob.system == "scale":
-        raise ValueError("the scale system is handled by the Bessel path")
     sign = 1.0 if prob.system == "so4" else -1.0
     ll = prob.l * (prob.l + 1)
 
@@ -87,10 +89,6 @@ def _grid_and_bands(prob: RadialProblem):
     return r, h, p_half, diag, off
 
 
-def _default_boundary(prob: RadialProblem) -> str:
-    return "matched" if prob.system == "so4" else "dirichlet"
-
-
 def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = False,
                    boundary: str | None = None):
     """Lowest eigenvalues of the symmetric finite-difference discretization,
@@ -105,19 +103,11 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     """
     if count <= 0:
         return []
-    boundary = boundary or _default_boundary(prob)
-    vals = _fd_solve(prob, count, boundary)
+    vals = _fd_solve(prob, count, boundary)[0]
     if check_refinement:
-        coarse = _fd_solve(
-            RadialProblem(
-                system=prob.system, l=prob.l, kappa=prob.kappa, omega=prob.omega,
-                r_min=prob.r_min, r_max=prob.r_max,
-                grid_points=max(16, prob.grid_points // 2),
-            ),
-            count,
-            boundary,
-        )
-        drift = np.max(np.abs(np.asarray(vals) - np.asarray(coarse)) / (1 + np.abs(vals)))
+        coarse = _fd_solve(replace(prob, grid_points=max(16, prob.grid_points // 2)),
+                           count, boundary)[0]
+        drift = np.max(np.abs(vals - coarse) / (1 + np.abs(vals)))
         if drift > 1e-2:
             warnings.warn(
                 f"grid may be too coarse: refinement drift {drift:.2e}",
@@ -126,26 +116,45 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     return list(vals)
 
 
-def _fd_solve(prob: RadialProblem, count: int, boundary: str):
+def _fd_solve(prob: RadialProblem, count: int, boundary: str | None, vectors: bool = False):
+    """(eigenvalues, grid, eigenvectors as columns or None) of the lowest
+    count levels; the one solver behind every public FD function."""
+    boundary = boundary or ("matched" if prob.system == "so4" else "dirichlet")
+    if boundary != "dirichlet" and (boundary, prob.system) != ("matched", "so4"):
+        raise ValueError(f"no {boundary!r} boundary for the {prob.system} system"
+                         " (dirichlet for both, matched for so4)")
     r, h, p_half, diag, off = _grid_and_bands(prob)
     count = min(count, prob.grid_points)
     if boundary == "dirichlet":
-        return list(
-            eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                             eigvals_only=True)
-        )
-    if boundary != "matched" or prob.system != "so4":
-        raise ValueError("matched boundaries are implemented for the compact system")
-    return [_matched_eigenvalue(prob, r, h, p_half, diag, off, idx)[0] for idx in range(count)]
+        vals, vecs = _eigh_range(diag, off, 0, count - 1, vectors)
+        return vals, r, vecs
+    pairs = [_matched_eigenvalue(prob, r, h, p_half, diag, off, idx, vectors)
+             for idx in range(count)]
+    vals = np.array([lam for lam, _ in pairs])
+    vecs = np.column_stack([vec for _, vec in pairs]) if vectors else None
+    return vals, r, vecs
+
+
+def _eigh_range(diag, off, lo: int, hi: int, vectors: bool):
+    """Eigenvalues lo..hi of the tridiagonal matrix, and their eigenvectors
+    as columns when asked (else None)."""
+    out = eigh_tridiagonal(diag, off, select="i", select_range=(lo, hi),
+                           eigvals_only=not vectors)
+    vals, vecs = out if vectors else (out, None)
+    # the values are a view into a work array as long as the grid; the copy
+    # lets that array go before the next solve
+    return vals.copy(), vecs
 
 
 def _matched_eigenvalue(prob: RadialProblem, r, h, p_half, base_diag, off, idx,
-                        want_vector: bool = False, iters: int = 3):
+                        vector: bool):
+    """Eigenvalue idx (and its eigenvector when asked, else None) after
+    three passes that refit the outer tail r^-2 (1 + a/r^2) to the last
+    eigenvalue."""
     g_in = (prob.r_min / (prob.r_min + h)) ** (prob.l + 1)
     rN, rN1 = r[-1], r[-1] + h
-    lam, a = 0.0, 0.0
-    vec = None
-    for _ in range(iters):
+    a = 0.0
+    for _ in range(3):
         def tail(x):
             return x**-2.0 * (1.0 + a / (x * x))
 
@@ -153,48 +162,27 @@ def _matched_eigenvalue(prob: RadialProblem, r, h, p_half, base_diag, off, idx,
         diag = base_diag.copy()
         diag[0] -= p_half[0] / h**2 * g_in
         diag[-1] -= p_half[-1] / h**2 * g_out
-        if want_vector:
-            vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx))
-            lam, vec = vals[0], vecs[:, 0]
-        else:
-            lam = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
-                                   eigvals_only=True)[0]
-        a = -(lam + 4.0) / 6.0
-    return lam, vec
+        vals, vecs = _eigh_range(diag, off, idx, idx, vector)
+        a = -(vals[0] + 4.0) / 6.0
+    return vals[0], (vecs[:, 0] if vector else None)
 
 
 def fd_eigensystem(prob: RadialProblem, count: int, boundary: str | None = None):
-    """(eigenvalues, grid, eigenvectors as columns)."""
-    boundary = boundary or _default_boundary(prob)
-    r, h, p_half, diag, off = _grid_and_bands(prob)
-    if boundary == "dirichlet":
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-        return vals, r, vecs
-    pairs = [
-        _matched_eigenvalue(prob, r, h, p_half, diag, off, idx, want_vector=True)
-        for idx in range(count)
-    ]
-    vals = np.array([p[0] for p in pairs])
-    vecs = np.column_stack([p[1] for p in pairs])
-    return vals, r, vecs
+    """(eigenvalues, grid, eigenvectors as columns) of the lowest count
+    levels, with the boundaries, defaults and validation of fd_eigenvalues."""
+    return _fd_solve(prob, count, boundary, vectors=True)
 
 
 def richardson_eigenvalues(prob: RadialProblem, count: int, boundary: str | None = None):
     """Richardson extrapolation of the O(h^2) scheme from N and 2N points."""
-    boundary = boundary or _default_boundary(prob)
-    coarse = np.asarray(_fd_solve(prob, count, boundary))
-    fine_prob = RadialProblem(
-        system=prob.system, l=prob.l, kappa=prob.kappa, omega=prob.omega,
-        r_min=prob.r_min, r_max=prob.r_max, grid_points=2 * prob.grid_points,
-    )
-    fine = np.asarray(_fd_solve(fine_prob, count, boundary))
+    coarse = _fd_solve(prob, count, boundary)[0]
+    fine = _fd_solve(replace(prob, grid_points=2 * prob.grid_points), count, boundary)[0]
     return list((4.0 * fine - coarse) / 3.0)
 
 
-def count_eigenvalues_below(prob: RadialProblem, bound: float,
-                            boundary: str = "dirichlet") -> int:
-    """Sturm oscillation bookkeeping: discrete eigenvalues below a bound
-    (of the Dirichlet-truncated problem by default)."""
+def count_eigenvalues_below(prob: RadialProblem, bound: float) -> int:
+    """Sturm oscillation bookkeeping: discrete eigenvalues below a bound of
+    the Dirichlet-truncated problem."""
     _, _, _, diag, off = _grid_and_bands(prob)
     vals = eigh_tridiagonal(diag, off, select="v", select_range=(-np.inf, bound),
                             eigvals_only=True)

@@ -135,10 +135,29 @@ def content_normalize(coeffs):
     return scale, [c * scale for c in coeffs]
 
 
+def gaussian_gcd(coeffs) -> GRat:
+    """A gcd in Z[i] of Gaussian-integer GRats, by Euclid's algorithm with
+    the rounded quotient; exactly 1 when the gcd is a unit."""
+    a, b = 0, 0
+    for c in coeffs:
+        x, y = c.re.numerator, c.im.numerator
+        while x or y:
+            # (a + bi, x + yi) <- (x + yi, (a + bi) - q (x + yi)),
+            # q = (a + bi) / (x + yi) rounded to the nearest Gaussian integer
+            n = x * x + y * y
+            qr = (2 * (a * x + b * y) + n) // (2 * n)
+            qi = (2 * (b * x - a * y) + n) // (2 * n)
+            a, b, x, y = x, y, a - qr * x + qi * y, b - qr * y - qi * x
+        if a * a + b * b == 1:
+            return ONE
+    return GRat(a, b)
+
+
 def canonical_unit(c: GRat) -> GRat:
-    """Unit u in {1, -1, i, -i} such that u*c has re > 0, or re == 0 and im > 0."""
+    """The unit u in {1, -1, i, -i} such that u*c has re > 0 and im >= 0:
+    exactly one of the four associates of a nonzero c lies in that quadrant."""
     for u in (ONE, MINUS_ONE, I, GRat(0, -1)):
         p = u * c
-        if p.re > 0 or (p.re == 0 and p.im > 0):
+        if p.re > 0 and p.im >= 0:
             return u
     raise ZeroDivisionError("no canonical unit for zero")

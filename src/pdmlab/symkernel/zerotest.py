@@ -6,7 +6,9 @@ symbols this happens coefficient-wise by construction of the normal form.
 
 Tier 2 (numeric): seeded random sampling of coordinates, parameters and
 abstract-derivative symbols, with a scale-relative tolerance.  Sampling is
-deterministic given (seed, label).
+deterministic given (seed, label).  The sampling ranges and the attempt
+budget are the module constants below; a policy sets only the point count,
+the tolerance and the seed.
 
 Screen, then prove: is_zero first evaluates the expression as given, before
 any expansion, at the first SCREEN_POINTS points of the numeric stream.  A
@@ -43,6 +45,14 @@ from .sexpr import to_sexpr
 
 DEFAULT_SEED = 271828
 
+# Sampling ranges, as numerators over 1024: coordinate magnitudes in
+# [0.1, 2], avoiding the singular loci r=0, r~=0, x1=0 of the catalog;
+# parameters and abstract-derivative symbols in [0.3, 1.7].  A test gives
+# up after points * MAX_ATTEMPT_FACTOR draws.
+COORD_RANGE = (102, 2048)
+PARAM_RANGE = (307, 1740)
+MAX_ATTEMPT_FACTOR = 20
+
 
 class EvalDomainError(ArithmeticError):
     """Evaluation hit a pole or domain boundary; carries the subtree."""
@@ -55,36 +65,28 @@ class EvalDomainError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZeroTestPolicy:
-    """Sampling policy for the numeric tier.
+    """Sampling policy for the numeric tier: the point count, the relative
+    tolerance and the seed.
 
     Coordinates are rationals from [-2,-0.1] u [0.1,2] (denominator 1024),
-    avoiding the singular loci r=0, r~=0, x1=0 of the catalog; parameters
-    and abstract-derivative symbols are drawn from [0.3, 1.7].
+    parameters and abstract-derivative symbols rationals from [0.3, 1.7]:
+    fixed ranges, the module constants COORD_RANGE and PARAM_RANGE.
     """
 
     points: int = 50
     tol: float = 1e-9
-    coord_low: Fraction = Fraction(1, 10)
-    coord_high: Fraction = Fraction(2)
-    param_low: Fraction = Fraction(3, 10)
-    param_high: Fraction = Fraction(17, 10)
     seed: int = DEFAULT_SEED
-    max_attempt_factor: int = 20
 
     def rng(self, label: str = "") -> random.Random:
         digest = hashlib.sha256(f"{self.seed}|{label}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def sample_coord(self, rng: random.Random) -> Fraction:
-        lo = int(self.coord_low * 1024)
-        hi = int(self.coord_high * 1024)
-        mag = Fraction(rng.randint(lo, hi), 1024)
+        mag = Fraction(rng.randint(*COORD_RANGE), 1024)
         return mag if rng.random() < 0.5 else -mag
 
     def sample_param(self, rng: random.Random) -> Fraction:
-        lo = int(self.param_low * 1024)
-        hi = int(self.param_high * 1024)
-        return Fraction(rng.randint(lo, hi), 1024)
+        return Fraction(rng.randint(*PARAM_RANGE), 1024)
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
@@ -215,17 +217,9 @@ def evaluate(e: Expr, point, params=None, abstract_values=None):
     the result is real, otherwise a complex value.  Raises EvalDomainError
     at poles (division by zero, ln of a non-positive value, ...).
     """
-    v, _ = evaluate_with_scale(e, point, params, abstract_values)
-    return v
-
-
-def evaluate_with_scale(e: Expr, point, params=None, abstract_values=None):
-    ne = normalize(e)
-    scale = _Scale()
-    v = _eval(ne, tuple(float(c) for c in point), params or {}, abstract_values or {}, scale)
-    if v.imag == 0:
-        v = v.real
-    return v, scale.value
+    v = _eval(normalize(e), tuple(float(c) for c in point), params or {},
+              abstract_values or {}, _Scale())
+    return v.real if v.imag == 0 else v
 
 
 def _assignment(e_params, e_abstract, policy: ZeroTestPolicy, rng: random.Random):
@@ -246,13 +240,13 @@ def _samples(e: Expr, policy: ZeroTestPolicy, label: str):
     Yields one item per attempt, in the order of policy.rng(label): None
     when the point is rejected (a domain error, an arithmetic overflow or a
     non-finite value), else (rel, value, assignment) with rel the
-    scale-relative residual.  Stops after points * max_attempt_factor
+    scale-relative residual.  Stops after points * MAX_ATTEMPT_FACTOR
     attempts.
     """
     names = free_params(e)
     symbols = abstract_symbols(e)
     rng = policy.rng(label)
-    for _ in range(policy.points * policy.max_attempt_factor):
+    for _ in range(policy.points * MAX_ATTEMPT_FACTOR):
         assignment = _assignment(names, symbols, policy, rng)
         point, params, absvals = assignment
         scale = _Scale()
@@ -277,18 +271,17 @@ def _nonzero(sample) -> NonZero:
     return NonZero(witness=witness, value=v)
 
 
-def numeric_sample(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str = "",
-                   normalize_first: bool = True):
+def numeric_sample(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str = ""):
     """Force the numeric tier: returns NumericZero, NonZero or Inconclusive.
 
-    normalize_first=False evaluates the tree exactly as given, so all
-    cancellation happens in floating point; used to confirm symbolically
-    proved identities on an independent route.
+    The tree is evaluated exactly as given, so all cancellation happens in
+    floating point.  is_zero passes the expanded tree; on the unexpanded
+    one this confirms a symbolically proved identity on an independent
+    route.
     """
-    ne = raw_form(e)[1] if normalize_first else e
     tested = 0
     worst = None  # the sample with the largest relative residual
-    for sample in _samples(ne, policy, label):
+    for sample in _samples(e, policy, label):
         if sample is None:
             continue
         tested += 1
@@ -325,4 +318,4 @@ def is_zero(e: Expr, policy: ZeroTestPolicy = DEFAULT_POLICY, label: str = ""):
     proved, tree = raw_form(e)
     if proved:
         return ProvedZero()
-    return numeric_sample(tree, policy, label, normalize_first=False)
+    return numeric_sample(tree, policy, label)

@@ -157,3 +157,40 @@ class TestDecidedWithoutPrs:
         # gcd (1 - i)*x1 left a factor 1 + i in both parts of the result
         with_content = parse_sexpr("(* (+ (* x1 x2) (* i x1)) (^ (+ (* x1 x2) x1) -1))")
         assert to_sexpr(normalize(with_content)) == "(* (+ x2 i) (^ (+ x2 1) -1))"
+
+
+_plain_term = st.tuples(_coeff, st.tuples(*(st.integers(0, 2) for _ in range(3))))
+# Gaussian-integer polynomials in x1, x2, a (no root atom)
+plain_polys = st.lists(_plain_term, min_size=1, max_size=4).map(_poly).filter(bool)
+
+
+class TestGaussianContent:
+    """rf_canon removes the Gaussian-integer content, not only the rational
+    one, and picks one associate among the four unit multiples, so a gcd
+    the PRS leaves with a constant such as 1 - i still gives the canonical
+    form."""
+
+    def test_prs_decided_pair(self):
+        # the gcd x3 + 1 is decided by the PRS; the parts used to keep a
+        # common factor 1 + i
+        e = parse_sexpr("(* (+ (* x2 x3) x2 (* i x3) i) (^ (+ (* x2 x3) x2 x3 1) -1))")
+        same = parse_sexpr("(* (+ x2 i) (^ (+ x2 1) -1))")
+        assert to_sexpr(normalize(e)) == "(* (+ x2 i) (^ (+ x2 1) -1))"
+        assert normalize(e) == normalize(same)
+
+    def test_unit_multiples_share_one_form(self):
+        # the denominator's lead coefficient 3*i and 3 are associates; the
+        # unit used to leave 3*i alone, as its real part is 0
+        e = parse_sexpr("(* x2 (^ (+ (* (gauss 0 3) x1 x2) a) -1))")
+        same = parse_sexpr("(* (gauss 0 -1) x2 (^ (+ (* 3 x1 x2) (* (gauss 0 -1) a)) -1))")
+        assert normalize(e) == normalize(same)
+        assert to_sexpr(normalize(e)) == to_sexpr(same)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plain_polys, plain_polys, plain_polys)
+    def test_common_factor_cancels(self, p, q, g):
+        # P*G and Q*G enter expanded, so the PRS has to find G
+        assume(not p_is_const(g))
+        P, Q, PG, QG = (ratform._poly_expr(f)
+                        for f in (p, q, p_mul_raw(p, g), p_mul_raw(q, g)))
+        assert normalize(PG / QG) == normalize(P / Q)

@@ -113,6 +113,16 @@ class TestFDEigenvalues:
         bound = 0.5 * (vals[2] + vals[3])
         assert count_eigenvalues_below(prob, bound) == 3
 
+    def test_eigensystem_rejects_what_eigenvalues_rejects(self):
+        # matched boundaries exist only for the compact system, and only
+        # two boundary kinds exist
+        so13 = RadialProblem(system="so13", r_max=0.9)
+        for prob, boundary in ((so13, "matched"), (RadialProblem(), "neumann")):
+            with pytest.raises(ValueError):
+                fd_eigenvalues(prob, 1, boundary=boundary)
+            with pytest.raises(ValueError):
+                fd_eigensystem(prob, 1, boundary=boundary)
+
     def test_eigenvector_matches_closed_form(self):
         vals, r, vecs = fd_eigensystem(RadialProblem(), 2)
         for i, n in enumerate((1, 2)):
