@@ -15,23 +15,21 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .conformal import (
-    DecompositionFailure,
     SO4_METRIC,
     SO13_METRIC,
     bracket_inner,
+    combo_column,
     combo_to_op,
-    decompose_in_basis,
-    expected_metric_bracket,
-    span_columns,
+    killing_params,
+    metric_table,
+    pair_brackets,
     verify_structure,
-    _pair_of,
 )
 from .diffop import (
     AXES,
     KillingParams,
     PDMHamiltonian,
     commute_hq,
-    commute_qq,
     reduced_determining,
 )
 from .report import (
@@ -156,14 +154,7 @@ def entry(eid: int) -> CatalogEntry:
 
 
 def killing_params_for(combo) -> KillingParams:
-    (column,) = span_columns([combo_to_op(combo)])
-    return _killing_params(column)
-
-
-def _killing_params(column) -> KillingParams:
-    """Killing parameters of a span_columns column (COORD_NAMES order)."""
-    return KillingParams(lam=tuple(column[0:3]), mu_rot=tuple(column[3:6]),
-                         omega=column[6], nu=tuple(column[7:10]), c0=column[10])
+    return killing_params(combo_column(combo))
 
 
 def _check_residual(rep, name, residual, policy, label, confirm_numeric):
@@ -185,10 +176,9 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
     h = PDMHamiltonian(row.f, row.V)
     confirm = not row.rational
     all_ok = True
-    ops = [combo_to_op(c) for c in row.integrals]
-    cols = span_columns(ops)
-    for combo, op, col in zip(row.integrals, ops, cols):
-        r1, r2 = reduced_determining(h, _killing_params(col))
+    cols = [combo_column(c) for c in row.integrals]
+    for combo, col in zip(row.integrals, cols):
+        r1, r2 = reduced_determining(h, killing_params(col))
         lbl = f"entry{row.id}{tag}/{combo}"
         ok1 = _check_residual(rep, f"{combo} :: flow equation{tag}", r1, policy,
                               lbl + "/de-f", confirm)
@@ -196,22 +186,13 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
                               lbl + "/de-V", confirm)
         all_ok = all_ok and ok1 and ok2
         if row.rational:
-            comm = commute_hq(h, op)
+            comm = commute_hq(h, combo_to_op(combo))
             ok3 = comm.is_zero()
             rep.add(Check(f"{combo} :: [H,Q] = 0{tag}",
                           "proved" if ok3 else "failed", "symbolic"))
             all_ok = all_ok and ok3
     # closure of the integral span
-    closed = True
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = commute_qq(ops[i], ops[j])
-            if comm.is_zero():
-                continue
-            try:
-                decompose_in_basis(comm, cols)
-            except DecompositionFailure:
-                closed = False
+    closed = all(sol is not None for *_, sol in pair_brackets(cols)[1])
     rep.add(Check(f"integral set closes under commutation{tag}",
                   "proved" if closed else "failed", "symbolic"))
     all_ok = all_ok and closed
@@ -238,11 +219,7 @@ def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verificat
     # structure-constant cross-checks for the two six-integral rows
     if eid in (16, 17):
         metric = SO4_METRIC if eid == 16 else SO13_METRIC
-
-        def table(a, b):
-            return expected_metric_bracket(_pair_of(a), _pair_of(b), metric, bracket_inner)
-
-        sub = verify_structure(list(row.integrals), table,
+        sub = verify_structure(list(row.integrals), metric_table(metric, bracket_inner),
                                f"catalog.entry{eid}.structure")
         okc = sub.passed
         rep.add(Check("structure constants match the metric table",

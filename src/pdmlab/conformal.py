@@ -4,11 +4,15 @@ verification, subalgebra closure, and the equivalence transformations.
 Ground truth for every operator is the P/J/D/K realization; the commonly
 tabulated per-row (xi, eta) columns are shipped as data and compared against
 the factory, with per-row deltas reported instead of silently adopted.
+Closure and structure checks are exact linear algebra on coordinate columns
+in the Killing span, with brackets from a structure tensor proved once on
+the realization.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,14 +48,14 @@ from .symkernel import (
     x2,
     x3,
 )
-from .symkernel.expr import NUM_ZERO, Num, add
+from .symkernel.expr import NUM_MINUS_ONE, NUM_ZERO, Num, add
 
 X = (x1, x2, x3)
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
 
 
 class DecompositionFailure(ValueError):
-    """A commutator left the finite-dimensional operator span."""
+    """An operator lies outside the finite-dimensional Killing span."""
 
 
 class FormError(ValueError):
@@ -88,22 +92,10 @@ def generator(gid) -> FirstOrderOp:
 # at most the 30 valid ids.
 @functools.cache
 def _generator(gid: str) -> FirstOrderOp:
-    if gid[0] == "P":
-        nu = [0, 0, 0]
-        nu[int(gid[1]) - 1] = 1
-        return killing_to_op(KillingParams(nu=tuple(nu)))
-    if gid[0] == "J":
-        mu = [0, 0, 0]
-        mu[int(gid[1]) - 1] = 1
-        return killing_to_op(KillingParams(mu_rot=tuple(mu)))
-    if gid == "D":
-        return killing_to_op(KillingParams(omega=1))
-    if gid[0] == "K":
-        lam = [0, 0, 0]
-        lam[int(gid[1]) - 1] = 1
-        return killing_to_op(KillingParams(lam=tuple(lam)))
-    mu_idx, nu_idx = int(gid[1]), int(gid[2])
-    return _tensor_generator(mu_idx, nu_idx)
+    if gid in COORD_GENERATORS:
+        k = COORD_GENERATORS.index(gid)
+        return killing_to_op(killing_params([Num(int(i == k)) for i in range(len(COORD_NAMES))]))
+    return _tensor_generator(int(gid[1]), int(gid[2]))
 
 
 def _tensor_generator(mu: int, nu: int) -> FirstOrderOp:
@@ -186,28 +178,26 @@ def parse_combo(text: str):
 
 
 def combo_to_op(combo) -> FirstOrderOp:
-    if isinstance(combo, str):
-        combo = parse_combo(combo)
-    out = None
-    for coeff, gid in combo:
-        op = generator(gid).scale(coeff)
-        out = op if out is None else out + op
-    return out
+    return killing_to_op(killing_params(combo_column(combo)))
 
 
 # ---------------------------------------------------------------------------
-# coordinates in the 11-dimensional operator span
+# coordinates in the 11-dimensional operator span and the bracket tensor
 # ---------------------------------------------------------------------------
 
 COORD_NAMES = (
     "lam1", "lam2", "lam3", "mu1", "mu2", "mu3", "omega",
     "nu1", "nu2", "nu3", "c0",
 )
+# the generator of each unit column but c0's: lam.K + mu.J + omega D + nu.P
+COORD_GENERATORS = ("K1", "K2", "K3", "J1", "J2", "J3", "D", "P1", "P2", "P3")
 
 
-def op_coordinates(q: FirstOrderOp):
-    """Coordinates (lam, mu, omega, nu, c0) of an operator in the Killing
-    span; raises DecompositionFailure if q is not in the span."""
+def op_coordinates(q: FirstOrderOp) -> tuple:
+    """Coordinate column (lam, mu, omega, nu, c0), in COORD_NAMES order, of
+    an operator in the Killing span.  The column is proved by rebuilding the
+    operator from it and subtracting exactly; raises DecompositionFailure if
+    q is not in the span."""
     zero_pt = {x1: NUM_ZERO, x2: NUM_ZERO, x3: NUM_ZERO}
     nu = [normalize(subst(xi, zero_pt)) for xi in q.xi]
     div = add(*(diff(q.xi[a - 1], a) for a in AXES))
@@ -224,33 +214,82 @@ def op_coordinates(q: FirstOrderOp):
         mu.append(normalize(mul(Fraction(1, 2), acc)))
     eta0 = subst(q.eta, zero_pt)
     c0 = normalize(mul(num(0, -1), eta0 - Fraction(3, 2) * omega))
-    coords = dict(zip(COORD_NAMES, lam + mu + [omega] + nu + [c0]))
-    rebuilt = killing_to_op(
-        KillingParams(lam=tuple(lam), mu_rot=tuple(mu), omega=omega, nu=tuple(nu), c0=c0)
-    )
-    delta = q - rebuilt
+    column = tuple(lam + mu + [omega] + nu + [c0])
+    delta = q - killing_to_op(killing_params(column))
     if not delta.is_zero():
         raise DecompositionFailure(
             "operator lies outside the degree<=2 conformal Killing span"
         )
-    return coords
+    return column
 
 
-def span_columns(ops) -> list:
-    """Coordinate column (in COORD_NAMES order) of each operator: one
-    op_coordinates call per operator.  Raises DecompositionFailure."""
-    return [[c[name] for name in COORD_NAMES] for c in map(op_coordinates, ops)]
+def killing_params(column) -> KillingParams:
+    """Killing parameters of a coordinate column (COORD_NAMES order)."""
+    return KillingParams(lam=tuple(column[0:3]), mu_rot=tuple(column[3:6]),
+                         omega=column[6], nu=tuple(column[7:10]), c0=column[10])
 
 
-def _row_reduce(columns, target):
-    """Gauss-Jordan elimination of the augmented matrix [columns | target].
+def _linear_sum(terms) -> tuple:
+    """Column sum of coeff * column over (coeff, column) pairs, normalized
+    entry by entry."""
+    return tuple(
+        normalize(add(*(mul(coeff, col[k]) for coeff, col in terms if col[k] != NUM_ZERO)))
+        for k in range(len(COORD_NAMES))
+    )
+
+
+# one column per generator id, proved once; at most the 30 valid ids
+@functools.cache
+def _generator_column(gid: str) -> tuple:
+    return op_coordinates(_generator(gid))
+
+
+def combo_column(combo) -> tuple:
+    """Coordinate column of a combination ('M43+alpha*M21' or parsed): the
+    linear sum of its generators' columns."""
+    if isinstance(combo, str):
+        combo = parse_combo(combo)
+    return _linear_sum([(coeff, _generator_column(gid)) for coeff, gid in combo])
+
+
+@functools.cache
+def _bracket_tensor() -> dict:
+    """Structure tensor of the span: (i, j) -> the column of [e_i, e_j] for
+    the unit columns e_i, e_j whose bracket is nonzero.  Each pair i < j is
+    a commutator in the differential realization, proved zero or read back
+    and proved in the span by op_coordinates; (j, i) holds its negative.
+    Built on first use."""
+    units = [generator(gid) for gid in COORD_GENERATORS] + [killing_to_op(KillingParams(c0=1))]
+    tensor = {}
+    for i, j in itertools.combinations(range(len(units)), 2):
+        comm = commute_qq(units[i], units[j])
+        if not comm.is_zero():
+            tensor[i, j] = op_coordinates(comm)
+            tensor[j, i] = _linear_sum([(NUM_MINUS_ONE, tensor[i, j])])
+    return tensor
+
+
+def bracket(u, v) -> tuple:
+    """Column of the bracket [u, v] of two coordinate columns: the bilinear
+    sum of u_i v_j [e_i, e_j] over the structure tensor."""
+    tensor = _bracket_tensor()
+    return _linear_sum([
+        (mul(a, b), tensor[i, j])
+        for i, a in enumerate(u) if a != NUM_ZERO
+        for j, b in enumerate(v) if b != NUM_ZERO and (i, j) in tensor
+    ])
+
+
+def _row_reduce(columns, targets):
+    """Gauss-Jordan elimination of the augmented matrix [columns | targets].
 
     Entries are constant expressions (rationals, parameters, cos/sin atoms);
-    a rational pivot is preferred.  Returns (rows, pivot columns).
+    pivots are chosen among the basis columns only, a rational pivot
+    preferred.  Returns (rows, pivot columns).
     """
-    nrows = len(target)
+    nrows = len(COORD_NAMES)
     ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+    rows = [[col[i] for col in columns] + [t[i] for t in targets] for i in range(nrows)]
     piv_cols = []
     r = 0
     for col in range(ncols):
@@ -280,20 +319,33 @@ def _row_reduce(columns, target):
     return rows, piv_cols
 
 
-def decompose_in_basis(q: FirstOrderOp, columns):
-    """Expand q over a basis given by its span_columns (constant
-    coefficients allowed to involve declared parameters).  Returns the
-    coefficient list, free variables set to zero.  Raises
-    DecompositionFailure."""
-    coords_q = op_coordinates(q)
-    rows, piv_cols = _row_reduce(columns, [coords_q[name] for name in COORD_NAMES])
-    ncols = len(columns)
-    if any(not is_provably_zero(row[ncols]) for row in rows[len(piv_cols):]):
-        raise DecompositionFailure("commutator is not in the span of the basis")
-    sol = [NUM_ZERO] * ncols
-    for row, col in zip(rows, piv_cols):
-        sol[col] = row[ncols]
-    return sol
+def decompose_in_basis(columns, targets):
+    """Expand each target column over the basis columns (coefficients may
+    involve declared parameters) with one elimination.  Returns (rank,
+    solutions): per target its coefficient list, free variables set to
+    zero, or None when the target lies outside the span."""
+    rows, piv_cols = _row_reduce(columns, targets)
+    ncols, rank = len(columns), len(piv_cols)
+    solutions = []
+    for t in range(ncols, ncols + len(targets)):
+        if any(not is_provably_zero(row[t]) for row in rows[rank:]):
+            solutions.append(None)
+            continue
+        sol = [NUM_ZERO] * ncols
+        for row, col in zip(rows, piv_cols):
+            sol[col] = row[t]
+        solutions.append(sol)
+    return rank, solutions
+
+
+def pair_brackets(columns):
+    """Bracket column of every pair i < j of basis columns and its
+    coefficients over the basis, from one elimination.  Returns (rank,
+    [(i, j, bracket column, coefficients or None outside the span)])."""
+    pairs = list(itertools.combinations(range(len(columns)), 2))
+    brackets = [bracket(columns[i], columns[j]) for i, j in pairs]
+    rank, solutions = decompose_in_basis(columns, brackets)
+    return rank, [(i, j, b, sol) for (i, j), b, sol in zip(pairs, brackets, solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +395,7 @@ def expected_c3(a: str, b: str):
     if ka == "J" and kb == "D":
         return []
     if ka == "J" and kb == "K":
-        # [K^a, J^b] = i eps_abc K^c => [J^b, K^a] = -i eps_abc K^c = i eps_bac K^c... wait
+        # [K^a, J^b] = i eps_abc K^c, so [J^i, K^j] = -i eps_jic K^c = i eps_ijc K^c
         return [(mul(Num(-eps(j, i, c)), I), f"K{c}") for c in (1, 2, 3) if eps(j, i, c)]
     if ka == "D" and kb == "K":
         # [D, K^a] = -i K^a
@@ -398,6 +450,12 @@ def bracket_inner(mu, nu, lam, sig):
     )
 
 
+def metric_table(metric, pattern):
+    """Expected-bracket table (gid_a, gid_b) -> [(coeff, gid)] of M(mu,nu)
+    ids under a diagonal metric and a bracket pattern."""
+    return lambda a, b: expected_metric_bracket(_pair_of(a), _pair_of(b), metric, pattern)
+
+
 def so14_basis():
     return ["M01", "M02", "M03", "M04", "M12", "M13", "M14", "M23", "M24", "M34"]
 
@@ -419,44 +477,30 @@ def verify_structure(basis, table, report_id: str, title: str = "") -> Verificat
     """Check every bracket of a basis against an expected table.
 
     basis: list of generator ids; table: callable (gid_a, gid_b) ->
-    [(coeff, gid)].  Each pair is certified by exact operator subtraction;
-    the commutator is additionally decomposed over the basis span.
+    [(coeff, gid)].  Brackets come from the structure tensor proved on the
+    realization; a pair is proved when bracket minus expected column is
+    provably zero entry by entry, and otherwise decomposed over the basis.
     """
     rep = VerificationReport(report_id, title)
-    ops = {gid: generator(gid) for gid in basis}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            a, b = basis[i], basis[j]
-            comm = commute_qq(ops[a], ops[b])
-            expected = table(a, b)
-            expect_op = None
-            for coeff, gid in expected:
-                t = generator(gid).scale(coeff)
-                expect_op = t if expect_op is None else expect_op + t
-            delta = comm if expect_op is None else comm - expect_op
-            name = f"[{a},{b}]"
-            if delta.is_zero():
-                rep.add(Check(name, "proved", "symbolic",
-                              detail=_combo_text(expected)))
-            else:
-                try:
-                    sol = decompose_in_basis(comm, span_columns([ops[g] for g in basis]))
-                    got = " + ".join(
-                        f"({to_sexpr(normalize(c))})*{g}"
-                        for c, g in zip(sol, basis)
-                        if not is_provably_zero(c)
-                    ) or "0"
-                except DecompositionFailure:
-                    got = "outside basis span"
-                rep.add(Check(name, "failed", "symbolic",
-                              detail=f"expected {_combo_text(expected)}, got {got}"))
+    cols = [combo_column(gid) for gid in basis]
+    for i, j, got, sol in pair_brackets(cols)[1]:
+        a, b = basis[i], basis[j]
+        expected = table(a, b)
+        name = f"[{a},{b}]"
+        if all(is_provably_zero(g - e) for g, e in zip(got, combo_column(expected))):
+            rep.add(Check(name, "proved", "symbolic",
+                          detail=_combo_text(expected)))
+        else:
+            text = "outside basis span" if sol is None else _combo_text(zip(sol, basis))
+            rep.add(Check(name, "failed", "symbolic",
+                          detail=f"expected {_combo_text(expected)}, got {text}"))
     return rep
 
 
 def _combo_text(combo) -> str:
-    if not combo:
-        return "0"
-    return " + ".join(f"({to_sexpr(normalize(c))})*{g}" for c, g in combo)
+    """The nonzero terms of [(coeff, name), ...], or "0"."""
+    terms = [f"({to_sexpr(normalize(c))})*{g}" for c, g in combo if not is_provably_zero(c)]
+    return " + ".join(terms) or "0"
 
 
 def verify_c3() -> VerificationReport:
@@ -472,26 +516,17 @@ def verify_c3() -> VerificationReport:
 
 
 def verify_so14() -> VerificationReport:
-    def table(a, b):
-        return expected_metric_bracket(_pair_of(a), _pair_of(b), SO14_METRIC, bracket_outer)
-
-    return verify_structure(so14_basis(), table, "algebra.so14",
+    return verify_structure(so14_basis(), metric_table(SO14_METRIC, bracket_outer), "algebra.so14",
                             "rank-2 tensor basis with metric diag(1,-1,-1,-1,-1)")
 
 
 def verify_so4() -> VerificationReport:
-    def table(a, b):
-        return expected_metric_bracket(_pair_of(a), _pair_of(b), SO4_METRIC, bracket_inner)
-
-    return verify_structure(so4_basis(), table, "algebra.so4",
+    return verify_structure(so4_basis(), metric_table(SO4_METRIC, bracket_inner), "algebra.so4",
                             "six integrals of the compact realization vs Kronecker table")
 
 
 def verify_so13() -> VerificationReport:
-    def table(a, b):
-        return expected_metric_bracket(_pair_of(a), _pair_of(b), SO13_METRIC, bracket_inner)
-
-    rep = verify_structure(so13_basis(), table, "algebra.so13",
+    rep = verify_structure(so13_basis(), metric_table(SO13_METRIC, bracket_inner), "algebra.so13",
                            "six integrals of the Lorentz realization vs metric table")
     rep.add(annotation(
         "metric table reading",
@@ -623,40 +658,27 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
     rep = VerificationReport(f"subalgebra.{spec.id}",
                              f"<{', '.join(spec.basis)}>")
     irregular = "verbatim irregular" in spec.note
-    ops = [combo_to_op(b) for b in spec.basis]
+    cols = [combo_column(b) for b in spec.basis]
+    rank, brackets = pair_brackets(cols)
     # rank of the spanning set (duplicated elements are surfaced, not hidden)
-    cols = span_columns(ops)
-    rank = len(_row_reduce(cols, [NUM_ZERO] * len(COORD_NAMES))[1])
-    if rank != len(ops) or len(ops) != spec.dimension:
+    if rank != len(cols) or len(cols) != spec.dimension:
         rep.add(annotation(
             "rank",
-            f"listed dimension {spec.dimension}, listed elements {len(ops)}, "
+            f"listed dimension {spec.dimension}, listed elements {len(cols)}, "
             f"coordinate rank {rank}"))
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            name = f"[{spec.basis[i]}, {spec.basis[j]}]"
-            comm = commute_qq(ops[i], ops[j])
-            if comm.is_zero():
-                rep.add(Check(name, "proved", "symbolic", "0"))
-                continue
-            try:
-                sol = decompose_in_basis(comm, cols)
-            except DecompositionFailure:
-                if irregular:
-                    rep.add(annotation(
-                        name,
-                        "bracket leaves the listed span; the record is "
-                        "encoded verbatim from an irregular source row and "
-                        "its non-closure is a finding, not a suite failure"))
-                else:
-                    rep.add(Check(name, "failed", "symbolic", "outside basis span"))
-                continue
-            text = " + ".join(
-                f"({to_sexpr(normalize(c))})*b{k + 1}"
-                for k, c in enumerate(sol)
-                if not is_provably_zero(c)
-            ) or "0"
-            rep.add(Check(name, "proved", "symbolic", text))
+    names = [f"b{k + 1}" for k in range(len(cols))]
+    for i, j, _, sol in brackets:
+        name = f"[{spec.basis[i]}, {spec.basis[j]}]"
+        if sol is not None:
+            rep.add(Check(name, "proved", "symbolic", _combo_text(zip(sol, names))))
+        elif irregular:
+            rep.add(annotation(
+                name,
+                "bracket leaves the listed span; the record is "
+                "encoded verbatim from an irregular source row and "
+                "its non-closure is a finding, not a suite failure"))
+        else:
+            rep.add(Check(name, "failed", "symbolic", "outside basis span"))
     return rep
 
 

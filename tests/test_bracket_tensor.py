@@ -1,0 +1,74 @@
+"""The structure tensor of the conformal Killing span against the
+differential realization it is built from."""
+
+import itertools
+import subprocess
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from pdmlab.conformal import COORD_NAMES, bracket, killing_params, op_coordinates
+from pdmlab.diffop import commute_qq, killing_to_op
+from pdmlab.symkernel import NUM_ZERO, Num, cos, is_provably_zero, param, sin
+from pdmlab.symkernel.expr import mul
+
+C = param("c")
+ATOMS = (Num(1), param("alpha"), cos(C), sin(C))
+
+entries = st.one_of(
+    st.just(NUM_ZERO),
+    st.builds(
+        lambda q, atom: mul(Num(q), atom),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from(ATOMS),
+    ),
+)
+columns = st.lists(entries, min_size=len(COORD_NAMES), max_size=len(COORD_NAMES))
+
+UNITS = [
+    tuple(Num(int(k == i)) for k in range(len(COORD_NAMES)))
+    for i in range(len(COORD_NAMES))
+]
+
+
+def _same(u, v) -> bool:
+    return all(is_provably_zero(a - b) for a, b in zip(u, v))
+
+
+def _op(column):
+    return killing_to_op(killing_params(column))
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns, columns)
+def test_tensor_bracket_matches_the_realization(u, v):
+    want = op_coordinates(commute_qq(_op(u), _op(v)))
+    assert _same(bracket(u, v), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns, columns)
+def test_bracket_is_antisymmetric(u, v):
+    assert _same(bracket(u, v), [-e for e in bracket(v, u)])
+
+
+def test_jacobi_identity_on_unit_columns():
+    zero = [NUM_ZERO] * len(COORD_NAMES)
+    for a, b, c in itertools.combinations(UNITS, 3):
+        cyclic = [
+            bracket(a, bracket(b, c)),
+            bracket(b, bracket(c, a)),
+            bracket(c, bracket(a, b)),
+        ]
+        assert _same([sum(t, NUM_ZERO) for t in zip(*cyclic)], zero)
+
+
+def test_tensor_is_built_on_first_use():
+    code = (
+        "import pdmlab.catalog, pdmlab.conformal as g;"
+        " print(g._bracket_tensor.cache_info().currsize,"
+        " g._generator_column.cache_info().currsize)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
