@@ -10,10 +10,11 @@ E = mu(4n^2 + 5) + nu with angular momentum bounded by l <= n - 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conformal import generator, so4_basis, so13_basis
+from .conformal import combo_to_op, generator, so4_basis, so13_basis
 from .diffop import (
     PDMHamiltonian,
     SecondOrderOp,
@@ -56,6 +57,8 @@ def _realization(tag: str):
     return boosts, rots
 
 
+# CasimirPair is frozen; one pair per realization tag
+@functools.cache
 def build_casimirs(tag: str) -> CasimirPair:
     boosts, rots = _realization(tag)
     sq = []
@@ -138,19 +141,11 @@ def verify_casimir_identity(tag: str, mutated: bool = False) -> VerificationRepo
 
 def qg_operators():
     """q_a = (M^{4a} + (1/2) eps_abc M^{bc})/2 and
-    g_a = (-M^{4a} + (1/2) eps_abc M^{bc})/2."""
-    boosts, rots = _realization("so4")
-    qs, gs = [], []
-    for a in (1, 2, 3):
-        rot_part = None
-        for b in (1, 2, 3):
-            for c in (1, 2, 3):
-                s = eps(a, b, c)
-                if s:
-                    t = rots[(b, c)].scale(Fraction(s, 2))
-                    rot_part = t if rot_part is None else rot_part + t
-        qs.append((boosts[a] + rot_part).scale(Fraction(1, 2)))
-        gs.append((-boosts[a] + rot_part).scale(Fraction(1, 2)))
+    g_a = (-M^{4a} + (1/2) eps_abc M^{bc})/2; with (a, b, c) cyclic the
+    rotation part (1/2) eps_abc M^{bc} is M^{bc}."""
+    cyclic = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    qs = [combo_to_op(f"1/2*M4{a}+1/2*M{b}{c}") for a, b, c in cyclic]
+    gs = [combo_to_op(f"-1/2*M4{a}+1/2*M{b}{c}") for a, b, c in cyclic]
     return qs, gs
 
 

@@ -11,6 +11,7 @@ verbatim failure is reported as an annotation and the variant must pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -27,7 +28,6 @@ from .conformal import (
 )
 from .diffop import (
     AXES,
-    KillingParams,
     PDMHamiltonian,
     commute_hq,
     reduced_determining,
@@ -103,12 +103,9 @@ class CatalogEntry:
         return is_rational_in_x(self.f) and is_rational_in_x(self.V)
 
 
-_CACHE: dict = {}
-
-
+# the one parsed catalog, shared by every caller
+@functools.cache
 def load_catalog() -> dict:
-    if _CACHE:
-        return _CACHE
     text = resources.files("pdmlab.data").joinpath("catalog.txt").read_text()
     current: dict = {}
     rows: dict = {}
@@ -142,8 +139,7 @@ def load_catalog() -> dict:
         key, _, value = line.partition("=")
         current[key.strip()] = value.strip()
     flush()
-    _CACHE.update(rows)
-    return _CACHE
+    return rows
 
 
 def entry(eid: int) -> CatalogEntry:
@@ -151,10 +147,6 @@ def entry(eid: int) -> CatalogEntry:
     if eid not in rows:
         raise KeyError(f"catalog entry {eid} does not exist (valid: 1..18)")
     return rows[eid]
-
-
-def killing_params_for(combo) -> KillingParams:
-    return killing_params(combo_column(combo))
 
 
 def _check_residual(rep, name, residual, policy, label, confirm_numeric):

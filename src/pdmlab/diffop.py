@@ -86,9 +86,6 @@ class FirstOrderOp:
         return normalize(MINUS_I * (self.eta - Fraction(1, 2) * div))
 
 
-ZERO_FIRST_ORDER = FirstOrderOp((NUM_ZERO, NUM_ZERO, NUM_ZERO), NUM_ZERO)
-
-
 @dataclass(frozen=True)
 class SecondOrderOp:
     """A^{ab} d_a d_b + B^a d_a + C with A stored symmetric."""

@@ -508,10 +508,6 @@ def _diff_raw(e: Expr, v: Expr, cache: dict) -> Expr:
     raise ExprError(f"cannot differentiate {e!r}")
 
 
-def grad(e: Expr) -> tuple:
-    return (diff(e, 1), diff(e, 2), diff(e, 3))
-
-
 def instantiate(e: Expr, templates: Mapping[str, tuple]) -> Expr:
     """Replace abstract functions by concrete expressions.
 

@@ -64,11 +64,12 @@ def test_jacobi_identity_on_unit_columns():
 
 
 def test_tensor_is_built_on_first_use():
+    memoized = ("g._generator", "g._generator_column", "g._bracket_tensor",
+                "cas.build_casimirs", "cat.load_catalog")
     code = (
-        "import pdmlab.catalog, pdmlab.conformal as g;"
-        " print(g._bracket_tensor.cache_info().currsize,"
-        " g._generator_column.cache_info().currsize)"
+        "import pdmlab.casimir as cas, pdmlab.catalog as cat, pdmlab.conformal as g;"
+        f" print(*(f.cache_info().currsize for f in ({', '.join(memoized)},)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0"] * len(memoized)

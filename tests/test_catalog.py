@@ -6,12 +6,11 @@ import pytest
 from pdmlab.catalog import (
     WORKED_FAMILIES,
     entry,
-    killing_params_for,
     load_catalog,
     verify_entry,
     verify_worked_family,
 )
-from pdmlab.conformal import combo_to_op
+from pdmlab.conformal import combo_column, combo_to_op, killing_params
 from pdmlab.diffop import PDMHamiltonian, commute_hq, reduced_determining
 from pdmlab.symkernel import (
     AbstractFn,
@@ -158,7 +157,7 @@ class TestInstantiation:
         V = instantiate(row.V, templates)
         h = PDMHamiltonian(f, V)
         for combo in row.integrals:
-            r1, r2 = reduced_determining(h, killing_params_for(combo))
+            r1, r2 = reduced_determining(h, killing_params(combo_column(combo)))
             assert is_zero(r1, FAST).is_zero
             assert is_zero(r2, FAST).is_zero
 

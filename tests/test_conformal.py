@@ -1,13 +1,16 @@
 """Generator factory, structure tables, subalgebra closure, transforms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from pdmlab.conformal import (
+    PJDK,
     DecompositionFailure,
     FormError,
     TransformSpec,
+    _generator_column,
     apply_transform,
     axis_rotation,
     combo_to_op,
@@ -39,6 +42,7 @@ from pdmlab.symkernel import (
 
 R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
+ALL_IDS = PJDK + tuple(f"M{mu}{nu}" for mu, nu in itertools.permutations(range(5), 2))
 
 
 class TestGenerators:
@@ -65,8 +69,8 @@ class TestGenerators:
                 generator(bad)
 
     def test_one_realization_per_generator(self, monkeypatch):
-        # every M(mu,nu) id is built from the ten P/J/D/K generators, and
-        # each id is realized once however often it is asked for
+        # each requested id is realized once from its column, and asking
+        # again realizes nothing
         import pdmlab.conformal as conformal
 
         calls = []
@@ -78,10 +82,24 @@ class TestGenerators:
 
         conformal._generator.cache_clear()
         monkeypatch.setattr(conformal, "killing_to_op", counting)
-        for _ in range(2):
-            for gid in conformal.PJDK + tuple(conformal.so14_basis()):
-                generator(gid)
-        assert len(calls) == len(set(calls)) == 10
+        ids = conformal.PJDK + tuple(conformal.so14_basis())
+        for gid in ids:
+            generator(gid)
+        assert len(calls) == len(ids)
+        for gid in ids:
+            generator(gid)
+        assert len(calls) == len(ids)
+
+    def test_realization_has_the_defining_column(self):
+        # the column is a definition; op_coordinates proves the realized
+        # operator back to the same column for every valid id
+        for gid in ALL_IDS:
+            assert op_coordinates(generator(gid)) == _generator_column(gid), gid
+
+    def test_tensor_columns_are_antisymmetric(self):
+        for mu, nu in itertools.permutations(range(5), 2):
+            col, flipped = _generator_column(f"M{mu}{nu}"), _generator_column(f"M{nu}{mu}")
+            assert all(is_provably_zero(a + b) for a, b in zip(col, flipped)), (mu, nu)
 
 
 class TestStructure:

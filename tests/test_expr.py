@@ -190,6 +190,15 @@ class TestSexpr:
         with pytest.raises(ExprError):
             to_sexpr(deep_exp)
 
+    def test_cube_root_denominator_is_rejected_by_normalize(self):
+        # the documented contract (docs/expr-grammar.md): the text parses,
+        # but a root of order 3 in a denominator cannot be rationalized
+        from pdmlab.symkernel import ExprError
+
+        e = parse_sexpr("(^ (+ x1 (^ x2 1/3)) -1)")
+        with pytest.raises(ExprError):
+            normalize(e)
+
 
 class TestSubstInstantiate:
     def test_shift_substitution(self):
