@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import GRat, grat
+from .scalars import GRat, ONE, ZERO, grat
 
 ELEMENTARY = ("exp", "ln", "arctan", "sin", "cos")
 VAR_NAMES = ("x1", "x2", "x3")
@@ -228,7 +228,7 @@ def param(name: str) -> Param:
 
 def add(*terms) -> Expr:
     flat = []
-    const = GRat(0)
+    const = ZERO
     for t in terms:
         t = as_expr(t)
         if isinstance(t, Add):
@@ -250,7 +250,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat = []
-    const = GRat(1)
+    const = ONE
     for f in factors:
         f = as_expr(f)
         if isinstance(f, Mul):
@@ -312,12 +312,11 @@ def _iroot(n: int, q: int) -> int:
 
 def _exact_root(c: GRat, q: int):
     """Exact q-th root of a nonnegative rational, or None."""
-    if not c.is_rational() or c.re < 0:
+    if not c.is_rational() or c.a < 0:
         return None
-    fr = c.re
-    n = _iroot(fr.numerator, q)
-    d = _iroot(fr.denominator, q)
-    if n**q == fr.numerator and d**q == fr.denominator:
+    n = _iroot(c.a, q)
+    d = _iroot(c.d, q)
+    if n**q == c.a and d**q == c.d:
         return GRat(Fraction(n, d))
     return None
 

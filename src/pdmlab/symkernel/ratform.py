@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GRat, canonical_unit, content_normalize, gaussian_gcd
+from .scalars import GRat, ONE, ZERO, canonical_unit, content_normalize, primitive_scale
 from .expr import (
     AbsApp,
     Add,
@@ -135,7 +135,7 @@ def m_key(m: tuple):
 # ---------------------------------------------------------------------------
 
 P_ZERO: dict = {}
-P_ONE = {M_ONE: GRat(1)}
+P_ONE = {M_ONE: ONE}
 
 
 def p_const(c: GRat) -> dict:
@@ -143,7 +143,7 @@ def p_const(c: GRat) -> dict:
 
 
 def p_atom(atom: Expr, e: int = 1) -> dict:
-    return {((atom, e),): GRat(1)}
+    return {((atom, e),): ONE}
 
 
 def p_add(a: dict, b: dict) -> dict:
@@ -285,7 +285,7 @@ def p_divexact(a: dict, b: dict):
             return None
         qm = m_div(la_m, lb_m)
         qc = la_c / lb_c
-        q[qm] = q.get(qm, GRat(0)) + qc
+        q[qm] = q.get(qm, ZERO) + qc
         for mb2, cb2 in b.items():
             m = m_mul(qm, mb2)
             s = r.get(m)
@@ -332,7 +332,7 @@ def _to_univ(p: dict, atom: Expr):
                 rest.append((a, e))
         entry = coeffs.setdefault(d, {})
         rest_t = tuple(rest)
-        entry[rest_t] = entry.get(rest_t, GRat(0)) + c
+        entry[rest_t] = entry.get(rest_t, ZERO) + c
     top = max(coeffs)
     return [coeffs.get(d, P_ZERO) for d in range(top + 1)]
 
@@ -345,7 +345,7 @@ def _from_univ(coeffs, atom: Expr) -> dict:
         mono = ((atom, d),) if d else M_ONE
         for m, c in p.items():
             mm = m_mul(m, mono)
-            out[mm] = out.get(mm, GRat(0)) + c
+            out[mm] = out.get(mm, ZERO) + c
     return {m: c for m, c in out.items() if not c.is_zero()}
 
 
@@ -380,6 +380,17 @@ def _u_content(coeffs) -> dict:
     return g if g else P_ONE
 
 
+def _u_primitive(coeffs, content: dict) -> list:
+    """coeffs divided by their polynomial content and then by their numeric
+    content: the rational one, which `_u_content` leaves behind when the
+    polynomial content is constant, and the Gaussian one, such as 1+i."""
+    coeffs = [p_divexact(c, content) if c else P_ZERO for c in coeffs]
+    scale = primitive_scale([v for c in coeffs for v in c.values()])
+    if scale.is_one():
+        return coeffs
+    return [p_scale(c, scale) for c in coeffs]
+
+
 # F_p for the coprimality check: p = 2^62 - 87 is prime with p = 1 (mod 4),
 # and _S^2 = -1 (mod p), so i -> _S maps Z[i] onto F_p as a ring.
 _P = 4611686018427387817
@@ -406,7 +417,7 @@ def _image_mod_p(p: dict, x: Expr, point: dict) -> list:
     polynomial, every atom but x evaluated at point."""
     out: dict = {}
     for m, c in p.items():
-        v = (c.re.numerator + _S * c.im.numerator) % _P
+        v = (c.a + _S * c.b) % _P
         d = 0
         for atom, e in m:
             if atom == x:
@@ -492,7 +503,7 @@ def p_gcd(a: dict, b: dict) -> dict:
         b = {m_div(m, mb): c for m, c in b.items()}
     core = _p_gcd_core(a, b)
     if mg:
-        core = p_mul_mono(core, mg, GRat(1))
+        core = p_mul_mono(core, mg, ONE)
     return p_canonical(core)
 
 
@@ -517,15 +528,16 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
     ub = _to_univ(b, main)
     ca = _u_content(ua)
     cb = _u_content(ub)
-    pa = [p_divexact(c, ca) if c else P_ZERO for c in ua]
-    pb = [p_divexact(c, cb) if c else P_ZERO for c in ub]
+    pa = _u_primitive(ua, ca)
+    pb = _u_primitive(ub, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
+    # Brown's primitive PRS: every remainder loses its content, so the
+    # coefficients stay as small as the gcd allows
     while pb:
         r = _u_prem(pa, pb)
         if r:
-            rc = _u_content(r)
-            r = [p_divexact(c, rc) if c else P_ZERO for c in r]
+            r = _u_primitive(r, _u_content(r))
         pa, pb = pb, r
     g = _from_univ(pa, main)
     cont = p_gcd(ca, cb)
@@ -583,7 +595,7 @@ def _p_reduce(p: dict) -> dict:
                 e = d.get(hit, 0)
                 k, r = divmod(e, q)
                 if k == 0:
-                    stay[mm] = stay.get(mm, GRat(0)) + cc
+                    stay[mm] = stay.get(mm, ZERO) + cc
                     continue
                 if r:
                     d[hit] = r
@@ -686,7 +698,7 @@ def _den_push(num: dict, den: tuple):
     """Normalize factor list: drop constants into the numerator, split
     monomial contents, refuse zero factors."""
     out = []
-    scale = GRat(1)
+    scale = ONE
     for f, e in den:
         if not f:
             raise ExprError("division by zero in normalization")
@@ -787,8 +799,8 @@ def _conjugate_out(num: dict, den: dict):
             e = d.pop(target, 0)
             mm = tuple(sorted(d.items(), key=lambda kv: _skey(kv[0])))
             part = a_part if e == 0 else b_part
-            part[mm] = part.get(mm, GRat(0)) + c
-        conj = p_add(a_part, p_neg(p_mul_mono(b_part, ((target, 1),), GRat(1))))
+            part[mm] = part.get(mm, ZERO) + c
+        conj = p_add(a_part, p_neg(p_mul_mono(b_part, ((target, 1),), ONE)))
         den2 = p_mul(den, conj)
         if not den2:
             raise ExprError("degenerate root atom: base is a perfect square")
@@ -813,12 +825,9 @@ def rf_canon(a: RF) -> RF:
             den = p_divexact(den, g)
     monos_n = sorted(num, key=m_key)
     monos_d = sorted(den, key=m_key)
-    scale, coeffs = content_normalize([num[m] for m in monos_n] + [den[m] for m in monos_d])
-    if any(c.im for c in coeffs):
-        # With a non-real coefficient the rational content can leave a
-        # Gaussian one, such as 1+i, which a PRS-decided gcd does not
-        # remove; for real coefficients the two contents agree.
-        scale = scale / gaussian_gcd(coeffs)
+    # the Gaussian content, such as 1+i, as well as the rational one: a
+    # PRS-decided gcd does not remove it
+    scale = primitive_scale([num[m] for m in monos_n] + [den[m] for m in monos_d])
     num = p_scale(num, scale)
     den = p_scale(den, scale)
     u = canonical_unit(den[monos_d[-1]])
@@ -826,7 +835,7 @@ def rf_canon(a: RF) -> RF:
         num = p_scale(num, u)
         den = p_scale(den, u)
     if p_is_const(den):
-        c = den.get(M_ONE, GRat(1))
+        c = den.get(M_ONE, ONE)
         if not c.is_one():
             num = p_scale(num, c.inverse())
         return RF(num, DEN_ONE)

@@ -27,23 +27,19 @@ from .expr import (
     mul,
     pow_,
 )
-from .scalars import GRat
+from .scalars import GRat, ratio_text
 
 
 class ParseError(ValueError):
     pass
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _num_str(v: GRat) -> str:
-    if v.im == 0:
-        return _frac_str(v.re)
-    if v.re == 0 and v.im == 1:
+    if v.b == 0:
+        return ratio_text(v.a, v.d)
+    if v.a == 0 and v.b == 1 and v.d == 1:
         return "i"
-    return f"(gauss {_frac_str(v.re)} {_frac_str(v.im)})"
+    return f"(gauss {ratio_text(v.a, v.d)} {ratio_text(v.b, v.d)})"
 
 
 def to_sexpr(e: Expr) -> str:
@@ -57,7 +53,8 @@ def to_sexpr(e: Expr) -> str:
         if isinstance(e, Mul):
             return "(* " + " ".join(to_sexpr(f) for f in e.factors) + ")"
         if isinstance(e, Pow):
-            return f"(^ {to_sexpr(e.base)} {_frac_str(e.exponent)})"
+            q = e.exponent
+            return f"(^ {to_sexpr(e.base)} {ratio_text(q.numerator, q.denominator)})"
         if isinstance(e, App):
             return f"({e.fn} {to_sexpr(e.arg)})"
         if isinstance(e, AbsApp):
@@ -126,8 +123,9 @@ def _parse(tokens, k):
 
 def _parse_atom(tok: str, off: int) -> Expr:
     if _RATIONAL.match(tok):
+        num, _, den = tok.partition("/")
         try:
-            return Num(Fraction(tok))
+            return Num(Fraction(int(num), int(den)) if den else int(num))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {tok!r} at offset {off}") from None
     if tok == "i":

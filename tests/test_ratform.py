@@ -77,6 +77,28 @@ class TestCoprimeCertified:
         if _coprime_certified(a, b):
             assert p_is_const(_prs_gcd(a, b))
 
+    def test_prs_remainders_stay_small(self):
+        # a certified pair on which the PRS, keeping each remainder's
+        # numeric content, grew coefficients past a million bits; with the
+        # content removed none passes 125
+        a = _poly([((-3, -1), (0, 0, 2, 0)), ((2, -2), (1, 2, 1, 2)),
+                   ((0, -3), (2, 0, 1, 0)), ((1, 0), (0, 0, 0, 2))])
+        b = _poly([((0, 1), (0, 1, 0, 1)), ((1, 3), (2, 0, 2, 2)),
+                   ((-2, 1), (0, 2, 1, 0)), ((3, 1), (2, 0, 2, 1))])
+        assert _coprime_certified(a, b)
+        bits = []
+        prem = ratform._u_prem
+
+        def spy(f, g):
+            r = prem(f, g)
+            bits.extend(max(abs(c.a).bit_length(), abs(c.b).bit_length(), c.d.bit_length())
+                        for p in (*f, *g, *r) for c in p.values())
+            return r
+
+        with mock.patch.object(ratform, "_u_prem", spy):
+            assert p_is_const(_prs_gcd(a, b))
+        assert bits and max(bits) <= 4096
+
     def test_vanishing_leading_coefficient_falls_through(self):
         # x1 and x2 take the fixed values v1 and v2, so g's leading
         # coefficients x2 - v2 (in x1) and x1 - v1 (in x2) vanish and both

@@ -1,5 +1,5 @@
-"""Byte-compare every pinned benchmark command between a git revision and
-the working tree.
+"""Byte-compare every pinned benchmark command, and the kernel-stream
+results, between a git revision and the working tree.
 
     python3 tools/bytecheck.py REV
 
@@ -7,8 +7,13 @@ the working tree.
 repository's git state is not touched.  Each command keyed in
 perfbench/expected.json runs under both source trees at seeds 271828 and 7,
 with `--json` added where its pin holds `checks`.  Exit codes, stdout,
-stderr and JSON reports are compared byte for byte.  One line is printed per
-command and seed; the exit status is 1 on any difference.
+stderr and JSON reports are compared byte for byte.  Then
+perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
+the verdict and result digest of every item are compared.  An item stopped
+at the stream's time limit in either run has no result to compare; those
+are counted apart and are not a difference.  Nothing is written under
+perfbench/.  One line is printed per command and seed; the exit status is 1
+on any difference.
 """
 
 import io
@@ -39,10 +44,36 @@ def run(src: Path, args: list, seed: int, json_report: bool, workdir: Path) -> t
     argv = [sys.executable, "-m", "pdmlab", *args, "--seed", str(seed)]
     if json_report:
         argv.append("--json=report.json")
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(argv, capture_output=True, env=env, cwd=workdir)
+    proc = subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir)
     report = workdir / "report.json"
     return proc.returncode, proc.stdout, proc.stderr, report.read_bytes() if report.exists() else None
+
+
+def child_env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def kernel_items(src: Path, seed: int, workdir: Path) -> list:
+    """[kind, op_s, ok, digest] of every item of one kernel-stream run,
+    part 0, untraced."""
+    workdir.mkdir()
+    out = workdir / "kernel.json"
+    argv = [sys.executable, str(ROOT / "perfbench" / "kernel_stream.py"), "--seed", str(seed),
+            "--part", "0", "--trace", "0", "--out", str(out)]
+    subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir, check=True)
+    return json.loads(out.read_text())["items"]
+
+
+def compare_kernel(rev_items: list, tree_items: list) -> tuple:
+    """(items whose verdict or digest differs, stopped at REV, stopped in
+    the tree); a stopped item has op_s None."""
+    differ = stopped_rev = stopped_tree = 0
+    for old, new in zip(rev_items, tree_items, strict=True):
+        stopped_rev += old[1] is None
+        stopped_tree += new[1] is None
+        if old[1] is not None and new[1] is not None:
+            differ += (old[0], old[2], old[3]) != (new[0], new[2], new[3])
+    return differ, stopped_rev, stopped_tree
 
 
 def main() -> int:
@@ -65,8 +96,19 @@ def main() -> int:
                 differ += bool(bad)
                 verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
                 print(f"{command} --seed {seed}: {verdict}", flush=True)
-    print(f"{differ} of {2 * len(pins)} runs differ from {rev}")
-    return 1 if differ else 0
+        print(f"{differ} of {2 * len(pins)} runs differ from {rev}", flush=True)
+        kernel_differ = 0
+        for seed in SEEDS:
+            items = {name: kernel_items(src, seed, tmp / f"kernel-{name}-{seed}")
+                     for name, src in trees.items()}
+            bad, stopped_rev, stopped_tree = compare_kernel(items["rev"], items["tree"])
+            kernel_differ += bool(bad)
+            verdict = f"{bad} items DIFFER" if bad else "identical"
+            print(f"kernel-stream --seed {seed} --part 0: {verdict} "
+                  f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
+                  f"{stopped_tree} in the tree)", flush=True)
+        print(f"{kernel_differ} of {len(SEEDS)} kernel-stream runs differ from {rev}")
+    return 1 if differ or kernel_differ else 0
 
 
 if __name__ == "__main__":
