@@ -1,6 +1,9 @@
 """Expression kernel: construction, differentiation, normalization,
 serialization."""
 
+import importlib.util
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from pdmlab.symkernel import (
     normalize,
     num,
     param,
+    ParseError,
     parse_sexpr,
     pow_,
     sin,
@@ -198,6 +202,79 @@ class TestSexpr:
         e = parse_sexpr("(^ (+ x1 (^ x2 1/3)) -1)")
         with pytest.raises(ExprError):
             normalize(e)
+
+
+# Malformed texts and the exact ParseError each raises; the offset is the
+# character position of the offending token.
+PARSE_ERRORS = [
+    ("", "empty input"),
+    ("  \n ", "empty input"),
+    (")", "unexpected ')' at offset 0"),
+    ("(+ x1 ) )", "trailing input at offset 8"),
+    ("(", "unterminated list"),
+    ("()", "unterminated list"),
+    ("(+ 1 (* x1 x2)", "unterminated list"),
+    ("(+ 1 2) x1", "trailing input at offset 8"),
+    ("x1 x2", "trailing input at offset 3"),
+    ("(+ 1 #)", "bad atom '#' at offset 5"),
+    ("(+ x1 2.5)", "bad atom '2.5' at offset 6"),
+    ("1/0", "zero denominator in '1/0' at offset 0"),
+    ("(+ (* x1 x2) (* x1 x2) 3/0)", "zero denominator in '3/0' at offset 23"),
+    ("(+ 1 1/0", "zero denominator in '1/0' at offset 5"),
+    ("x4", "'x4' is reserved for spatial variables"),
+    ("(+)", "empty sum"),
+    ("(*)", "empty product"),
+    ("(^ x1)", "^ expects base and exponent"),
+    ("(^ x1 2 3)", "^ expects base and exponent"),
+    ("(^ x1 x2)", "^ expects a rational literal"),
+    ("(^ x1 i)", "^ expects a rational literal"),
+    ("(sqrt)", "sqrt expects one argument"),
+    ("(sqrt x1 x2)", "sqrt expects one argument"),
+    ("(gauss 1)", "gauss expects two rational literals"),
+    ("(gauss 1 x1)", "gauss expects a rational literal"),
+    ("(exp)", "exp expects one argument"),
+    ("(ln x1 x2)", "ln expects one argument"),
+    ("(arctan)", "arctan expects one argument"),
+    ("(sin x1 x2)", "sin expects one argument"),
+    ("(cos)", "cos expects one argument"),
+    ("(F)", "abstract application F needs arguments"),
+    ("(+ (F x1) (G))", "abstract application G needs arguments"),
+    ("(D1 x1)", "D1 expects one abstract application at offset 1"),
+    ("(+ 1 (D1 (F x1) (F x2)))", "D1 expects one abstract application at offset 6"),
+    ("(D2 (F x1))", "derivative slot 2 out of range at offset 1"),
+    ("(* (F x1 x2) (D3 (F x1 x2)))", "derivative slot 3 out of range at offset 14"),
+    ("(1 2)", "unknown head '1' at offset 1"),
+    ("(( x1) x2)", "unknown head '(' at offset 1"),
+    ("(+ 1 (sqrt x1) (x2 3))", "unknown head 'x2' at offset 16"),
+]
+
+
+def _kernel_stream_generate():
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))  # kernel_stream imports its sibling `speed`
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_kernel_stream", perfbench / "kernel_stream.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return module.generate
+
+
+class TestParser:
+    @pytest.mark.parametrize("text, message", PARSE_ERRORS)
+    def test_error_text(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_sexpr(text)
+        assert str(info.value) == message
+
+    def test_kernel_stream_texts_round_trip(self):
+        generate = _kernel_stream_generate()
+        for seed in (271828, 7):
+            for _, text in generate(seed, 0, 200):
+                e = parse_sexpr(text)
+                assert parse_sexpr(to_sexpr(e)) == e
 
 
 class TestSubstInstantiate:
