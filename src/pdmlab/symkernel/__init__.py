@@ -18,7 +18,6 @@ from .expr import (
     Pow,
     Var,
     XVARS,
-    abstract_symbols,
     add,
     arctan,
     as_expr,
@@ -26,7 +25,6 @@ from .expr import (
     diff,
     diff_wrt,
     exp,
-    free_params,
     instantiate,
     is_rational_in_x,
     ln,

@@ -392,15 +392,6 @@ def walk(e: Expr):
         yield from walk(c)
 
 
-def free_params(e: Expr) -> set:
-    return {n.name for n in walk(e) if isinstance(n, Param)}
-
-
-def abstract_symbols(e: Expr) -> set:
-    """Sampling keys of all abstract-function nodes, e.g. {'F', 'D1F'}."""
-    return {n.symbol for n in walk(e) if isinstance(n, AbsApp)}
-
-
 def is_rational_in_x(e: Expr) -> bool:
     """True if the tree uses only constants, variables, parameters and
     integer-power rational operations."""

@@ -69,29 +69,32 @@ def to_sexpr(e: Expr) -> str:
     raise ExprError(f"cannot serialize {type(e).__name__}")
 
 
-_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
+_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DERIV = re.compile(r"^D([1-9])$")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
-
-
 def parse_sexpr(text: str) -> Expr:
-    tokens = _tokenize(text)
+    """Parse one expression.
+
+    Equal subtrees come back as one shared object: within a call, each atom
+    is built once per token text and each list once per exact source slice,
+    and a repeated list is skipped without reading its tokens again.
+    """
+    tokens = []
+    close = {}  # token index of each "(" -> token index of its matching ")"
+    opened = []
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
+            opened.append(len(tokens))
+        elif tok == ")" and opened:
+            close[opened.pop()] = len(tokens)
+        tokens.append((tok, m.start()))
     if not tokens:
         raise ParseError("empty input")
     try:
-        expr, rest = _parse(tokens, 0)
+        expr, rest = _parse(text, tokens, close, {}, 0)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
     if rest != len(tokens):
@@ -99,12 +102,21 @@ def parse_sexpr(text: str) -> Expr:
     return expr
 
 
-def _parse(tokens, k):
+def _parse(text, tokens, close, memo, k):
     tok, off = tokens[k]
     if tok == ")":
         raise ParseError(f"unexpected ')' at offset {off}")
     if tok != "(":
-        return _parse_atom(tok, off), k + 1
+        node = memo.get(tok)
+        if node is None:
+            node = memo[tok] = _parse_atom(tok, off)
+        return node, k + 1
+    end = close.get(k)
+    if end is not None:
+        key = text[off:tokens[end][1] + 1]
+        node = memo.get(key)
+        if node is not None:
+            return node, end + 1
     if k + 1 >= len(tokens):
         raise ParseError("unterminated list")
     head, hoff = tokens[k + 1]
@@ -116,9 +128,14 @@ def _parse(tokens, k):
         if tokens[k][0] == ")":
             k += 1
             break
-        node, k = _parse(tokens, k)
+        node, k = _parse(text, tokens, close, memo, k)
         args.append(node)
-    return _build(head, hoff, args), k
+    node = _build(head, hoff, args)
+    if end is not None:
+        # a list that parses has a head _build accepts, never a parenthesis,
+        # so it ends at its matching ")": k == end + 1
+        memo[key] = node
+    return node, k
 
 
 def _parse_atom(tok: str, off: int) -> Expr:

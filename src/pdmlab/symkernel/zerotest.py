@@ -16,6 +16,15 @@ value above tolerance at every one of them shows the expression is nonzero
 (Schwartz 1980), so the verdict is NonZero at the numeric tier without the
 symbolic pass.  Every other expression goes through both tiers as before:
 `symbolic` still means an exact proof of zero.
+
+Compile once, then evaluate per point: _compile walks a tree once and
+lists each distinct node (a subtree shared by identity once) in the
+post-order of a recursive evaluation, collecting the parameter names and
+abstract symbols on the way.  _run evaluates that list at one point in
+plain complex arithmetic, with the operations, their order and the domain
+checks of a node-by-node evaluation, so values, scales, witnesses and
+rejections do not depend on the sharing.  The screen, numeric_sample and
+evaluate all use it.
 """
 
 from __future__ import annotations
@@ -37,8 +46,6 @@ from .expr import (
     Param,
     Pow,
     Var,
-    abstract_symbols,
-    free_params,
 )
 from .ratform import normalize, raw_form
 from .sexpr import to_sexpr
@@ -139,75 +146,151 @@ class Inconclusive:
 # -- evaluation ---------------------------------------------------------------
 
 
-class _Scale:
-    __slots__ = ("value",)
+# Opcodes of a compiled expression.  An instruction is a tuple
+# (opcode, operand, extra, node): operand is the index of the one child's
+# value, or the tuple of child indices of a sum or product; node is the
+# subtree a domain error names.
+(_CONST, _NUM, _VAR, _PARAM, _ADD, _MUL, _POWI, _POWQ, _EXP, _LN, _ARCTAN, _SIN, _COS,
+ _ABSAPP) = range(14)
 
-    def __init__(self):
-        self.value = 0.0
-
-    def feed(self, v: complex) -> complex:
-        a = abs(v)
-        if a > self.value:
-            self.value = a
-        return v
+_APP_OPS = {"exp": _EXP, "ln": _LN, "arctan": _ARCTAN, "sin": _SIN, "cos": _COS}
 
 
-def _eval(e: Expr, point, params, absvals, scale: _Scale) -> complex:
-    if isinstance(e, Num):
-        return scale.feed(complex(e.val))
-    if isinstance(e, Var):
-        return scale.feed(complex(point[e.axis - 1]))
-    if isinstance(e, Param):
-        try:
-            return scale.feed(complex(params[e.name]))
-        except KeyError:
-            raise EvalDomainError(e, f"unassigned parameter {e.name}")
-    if isinstance(e, Add):
-        return scale.feed(sum(_eval(t, point, params, absvals, scale) for t in e.terms))
-    if isinstance(e, Mul):
-        out = 1 + 0j
-        for f in e.factors:
-            out *= _eval(f, point, params, absvals, scale)
-        return scale.feed(out)
-    if isinstance(e, Pow):
-        b = _eval(e.base, point, params, absvals, scale)
-        q = e.exponent
-        if q.denominator == 1:
-            if b == 0 and q < 0:
-                raise EvalDomainError(e, "division by zero")
-            return scale.feed(b ** q.numerator)
-        if b == 0:
-            if q < 0:
-                raise EvalDomainError(e, "division by zero")
-            return scale.feed(0j)
-        if b.imag == 0 and b.real < 0:
-            raise EvalDomainError(e, "fractional power of a negative value")
-        return scale.feed(b ** float(q))
-    if isinstance(e, App):
-        a = _eval(e.arg, point, params, absvals, scale)
-        if e.fn == "exp":
-            if a.real > 700:
-                raise EvalDomainError(e, "exp overflow")
-            return scale.feed(cmath.exp(a))
-        if e.fn == "ln":
-            if a == 0 or (a.imag == 0 and a.real <= 0):
-                raise EvalDomainError(e, "ln of a non-positive value")
-            return scale.feed(cmath.log(a))
-        if e.fn == "arctan":
-            if a.imag == 0:
-                return scale.feed(complex(math.atan(a.real)))
-            return scale.feed(cmath.atan(a))
-        if e.fn == "sin":
-            return scale.feed(cmath.sin(a))
-        return scale.feed(cmath.cos(a))
-    if isinstance(e, AbsApp):
-        for u in e.args:
-            _eval(u, point, params, absvals, scale)
-        try:
-            return scale.feed(complex(absvals[e.symbol]))
-        except KeyError:
-            raise EvalDomainError(e, f"unassigned abstract symbol {e.symbol}")
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+def _compile(e: Expr):
+    """(code, parameter names, abstract symbols) of e.
+
+    code lists each distinct node (by identity) once, in the post-order of
+    a recursive evaluation, so that running it performs the same operations
+    in the same order; a shared subtree is computed once.  The names and
+    symbols are collected on the same walk.
+    """
+    index = {}
+    code = []
+    names = set()
+    symbols = set()
+
+    def visit(n) -> int:
+        got = index.get(id(n))
+        if got is not None:
+            return got
+        if isinstance(n, Num):
+            try:
+                ins = (_CONST, None, complex(n.val), n)
+            except OverflowError:
+                ins = (_NUM, None, n.val, n)  # raises again at evaluation
+        elif isinstance(n, Var):
+            ins = (_VAR, n.axis - 1, None, n)
+        elif isinstance(n, Param):
+            names.add(n.name)
+            ins = (_PARAM, None, n.name, n)
+        elif isinstance(n, Add):
+            ins = (_ADD, tuple(visit(t) for t in n.terms), None, n)
+        elif isinstance(n, Mul):
+            ins = (_MUL, tuple(visit(f) for f in n.factors), None, n)
+        elif isinstance(n, Pow):
+            q = n.exponent
+            if q.denominator == 1:
+                ins = (_POWI, visit(n.base), q.numerator, n)
+            else:
+                ins = (_POWQ, visit(n.base), float(q), n)
+        elif isinstance(n, App):
+            ins = (_APP_OPS[n.fn], visit(n.arg), None, n)
+        elif isinstance(n, AbsApp):
+            for u in n.args:
+                visit(u)
+            symbols.add(n.symbol)
+            ins = (_ABSAPP, None, n.symbol, n)
+        else:
+            raise TypeError(f"cannot evaluate {type(n).__name__}")
+        index[id(n)] = len(code)
+        code.append(ins)
+        return len(code) - 1
+
+    visit(e)
+    return code, names, symbols
+
+
+def _scale(vals) -> float:
+    """The largest magnitude among the node values (0.0 at least)."""
+    out = 0.0
+    for a in map(abs, vals):
+        if a > out:
+            out = a
+    return out
+
+
+def _run(code, point, params, absvals):
+    """(value, scale) of compiled code at one assignment of floats.
+
+    Raises EvalDomainError at poles and domain boundaries, and what complex
+    arithmetic raises.  The magnitude of every value computed before a
+    failure is taken first, as a node-by-node evaluation takes it, so an
+    overflow there is the error raised.
+    """
+    coords = [complex(c) for c in point]
+    vals = []
+    push = vals.append
+    try:
+        for op, i, x, node in code:
+            if op == _CONST:
+                v = x
+            elif op == _MUL:
+                v = 1 + 0j
+                for k in i:
+                    v *= vals[k]
+            elif op == _ADD:
+                v = sum([vals[k] for k in i])
+            elif op == _VAR:
+                v = coords[i]
+            elif op == _POWI:
+                b = vals[i]
+                if b == 0 and x < 0:
+                    raise EvalDomainError(node, "division by zero")
+                v = b ** x
+            elif op == _POWQ:
+                b = vals[i]
+                if b == 0:
+                    if x < 0:
+                        raise EvalDomainError(node, "division by zero")
+                    v = 0j
+                elif b.imag == 0 and b.real < 0:
+                    raise EvalDomainError(node, "fractional power of a negative value")
+                else:
+                    v = b ** x
+            elif op == _PARAM:
+                try:
+                    v = complex(params[x])
+                except KeyError:
+                    raise EvalDomainError(node, f"unassigned parameter {x}")
+            elif op == _EXP:
+                a = vals[i]
+                if a.real > 700:
+                    raise EvalDomainError(node, "exp overflow")
+                v = cmath.exp(a)
+            elif op == _LN:
+                a = vals[i]
+                if a == 0 or (a.imag == 0 and a.real <= 0):
+                    raise EvalDomainError(node, "ln of a non-positive value")
+                v = cmath.log(a)
+            elif op == _ARCTAN:
+                a = vals[i]
+                v = complex(math.atan(a.real)) if a.imag == 0 else cmath.atan(a)
+            elif op == _SIN:
+                v = cmath.sin(vals[i])
+            elif op == _COS:
+                v = cmath.cos(vals[i])
+            elif op == _ABSAPP:
+                try:
+                    v = complex(absvals[x])
+                except KeyError:
+                    raise EvalDomainError(node, f"unassigned abstract symbol {x}")
+            else:  # _NUM
+                v = complex(x)
+            push(v)
+    except Exception:
+        _scale(vals)
+        raise
+    return vals[-1], _scale(vals)
 
 
 def evaluate(e: Expr, point, params=None, abstract_values=None):
@@ -217,8 +300,8 @@ def evaluate(e: Expr, point, params=None, abstract_values=None):
     the result is real, otherwise a complex value.  Raises EvalDomainError
     at poles (division by zero, ln of a non-positive value, ...).
     """
-    v = _eval(normalize(e), tuple(float(c) for c in point), params or {},
-              abstract_values or {}, _Scale())
+    code, _, _ = _compile(normalize(e))
+    v, _ = _run(code, tuple(float(c) for c in point), params or {}, abstract_values or {})
     return v.real if v.imag == 0 else v
 
 
@@ -243,22 +326,20 @@ def _samples(e: Expr, policy: ZeroTestPolicy, label: str):
     scale-relative residual.  Stops after points * MAX_ATTEMPT_FACTOR
     attempts.
     """
-    names = free_params(e)
-    symbols = abstract_symbols(e)
+    code, names, symbols = _compile(e)
     rng = policy.rng(label)
     for _ in range(policy.points * MAX_ATTEMPT_FACTOR):
         assignment = _assignment(names, symbols, policy, rng)
         point, params, absvals = assignment
-        scale = _Scale()
         try:
-            v = _eval(e, tuple(float(c) for c in point), params, absvals, scale)
+            v, scale = _run(code, tuple(float(c) for c in point), params, absvals)
         except ArithmeticError:
             yield None
             continue
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             yield None
             continue
-        yield abs(v) / (1.0 + scale.value), v, assignment
+        yield abs(v) / (1.0 + scale), v, assignment
 
 
 def _nonzero(sample) -> NonZero:

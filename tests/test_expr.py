@@ -269,6 +269,14 @@ class TestParser:
             parse_sexpr(text)
         assert str(info.value) == message
 
+    def test_equal_subtrees_are_one_object(self):
+        e = parse_sexpr("(+ (* (sqrt (+ x1 1)) mu) (* (sqrt (+ x1 1)) mu) (exp (sqrt (+ x1 1))))")
+        a, b, c = e.terms
+        assert b is a
+        assert c.arg is a.factors[0]
+        # the memo ends with the call: a new parse builds new objects
+        assert parse_sexpr("(sqrt (+ x1 1))") is not c.arg
+
     def test_kernel_stream_texts_round_trip(self):
         generate = _kernel_stream_generate()
         for seed in (271828, 7):

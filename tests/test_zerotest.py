@@ -1,6 +1,12 @@
 """Zero-test tiers, sampling determinism and domain-error handling."""
 
+import cmath
+import math
+import struct
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdmlab.symkernel import (
     EvalDomainError,
@@ -23,7 +29,20 @@ from pdmlab.symkernel import (
     x2,
 )
 from pdmlab.symkernel import zerotest
-from pdmlab.symkernel.expr import NUM_ZERO
+from pdmlab.symkernel.expr import (
+    NUM_ZERO,
+    XVARS,
+    AbsApp,
+    Add,
+    App,
+    Mul,
+    Num,
+    Param,
+    Pow,
+    Var,
+    walk,
+)
+from pdmlab.symkernel.scalars import GRat
 
 
 class TestTiers:
@@ -161,3 +180,197 @@ class TestEvalErrors:
     def test_missing_param(self):
         with pytest.raises(EvalDomainError):
             evaluate(param("mu") * x1, (1.0, 1.0, 1.0))
+
+
+# -- the compiled evaluator against a node-by-node recursive one --------------
+# _Scale and _eval are the recursive evaluator the compiled one replaced,
+# kept verbatim as the oracle.
+
+
+class _Scale:
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0.0
+
+    def feed(self, v: complex) -> complex:
+        a = abs(v)
+        if a > self.value:
+            self.value = a
+        return v
+
+
+def _eval(e, point, params, absvals, scale: _Scale) -> complex:
+    EvalDomainError = zerotest.EvalDomainError
+    if isinstance(e, Num):
+        return scale.feed(complex(e.val))
+    if isinstance(e, Var):
+        return scale.feed(complex(point[e.axis - 1]))
+    if isinstance(e, Param):
+        try:
+            return scale.feed(complex(params[e.name]))
+        except KeyError:
+            raise EvalDomainError(e, f"unassigned parameter {e.name}")
+    if isinstance(e, Add):
+        return scale.feed(sum(_eval(t, point, params, absvals, scale) for t in e.terms))
+    if isinstance(e, Mul):
+        out = 1 + 0j
+        for f in e.factors:
+            out *= _eval(f, point, params, absvals, scale)
+        return scale.feed(out)
+    if isinstance(e, Pow):
+        b = _eval(e.base, point, params, absvals, scale)
+        q = e.exponent
+        if q.denominator == 1:
+            if b == 0 and q < 0:
+                raise EvalDomainError(e, "division by zero")
+            return scale.feed(b ** q.numerator)
+        if b == 0:
+            if q < 0:
+                raise EvalDomainError(e, "division by zero")
+            return scale.feed(0j)
+        if b.imag == 0 and b.real < 0:
+            raise EvalDomainError(e, "fractional power of a negative value")
+        return scale.feed(b ** float(q))
+    if isinstance(e, App):
+        a = _eval(e.arg, point, params, absvals, scale)
+        if e.fn == "exp":
+            if a.real > 700:
+                raise EvalDomainError(e, "exp overflow")
+            return scale.feed(cmath.exp(a))
+        if e.fn == "ln":
+            if a == 0 or (a.imag == 0 and a.real <= 0):
+                raise EvalDomainError(e, "ln of a non-positive value")
+            return scale.feed(cmath.log(a))
+        if e.fn == "arctan":
+            if a.imag == 0:
+                return scale.feed(complex(math.atan(a.real)))
+            return scale.feed(cmath.atan(a))
+        if e.fn == "sin":
+            return scale.feed(cmath.sin(a))
+        return scale.feed(cmath.cos(a))
+    if isinstance(e, AbsApp):
+        for u in e.args:
+            _eval(u, point, params, absvals, scale)
+        try:
+            return scale.feed(complex(absvals[e.symbol]))
+        except KeyError:
+            raise EvalDomainError(e, f"unassigned abstract symbol {e.symbol}")
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+def _oracle_samples(e, policy, label):
+    """The sampling loop of the recursive evaluator."""
+    names = {n.name for n in walk(e) if isinstance(n, Param)}
+    symbols = {n.symbol for n in walk(e) if isinstance(n, AbsApp)}
+    rng = policy.rng(label)
+    for _ in range(policy.points * zerotest.MAX_ATTEMPT_FACTOR):
+        assignment = zerotest._assignment(names, symbols, policy, rng)
+        point, params, absvals = assignment
+        scale = _Scale()
+        try:
+            v = _eval(e, tuple(float(c) for c in point), params, absvals, scale)
+        except ArithmeticError:
+            yield None
+            continue
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            yield None
+            continue
+        yield abs(v) / (1.0 + scale.value), v, assignment
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _outcome(run):
+    """What run() did: its value and scale as bits, or the error raised."""
+    try:
+        v, scale = run()
+    except zerotest.EvalDomainError as err:
+        return ("domain", id(err.subtree), err.reason)
+    except Exception as err:
+        return ("raised", type(err), str(err))
+    return ("value", _bits(v), _bits(complex(scale)))
+
+
+# Values chosen so that sums cancel exactly (poles, zero bases), bases go
+# negative under fractional powers, exp overflows and magnitudes overflow.
+COORDS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -2.0, 1e-3, 3e5, 1e200])
+CONSTS = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2, 800, GRat(0, 1),
+                          GRat(1, -1), GRat(15 * 10**307, 15 * 10**307), GRat(10**400)]).map(Num)
+EXPONENTS = st.sampled_from([-3, -1, 2, 3, 60, Fraction(1, 2), Fraction(-1, 2),
+                             Fraction(1, 3), Fraction(-3, 2)]).map(Fraction)
+PARAMS = ("mu", "nu")
+SYMBOLS = ("F", "D1F", "G", "D2G", "D1D2G")
+
+
+@st.composite
+def shared_trees(draw):
+    """A random tree whose nodes are drawn from a growing pool, so that
+    subtrees are shared by identity."""
+    pool = draw(st.lists(st.one_of(CONSTS, st.sampled_from(XVARS),
+                                   st.sampled_from(PARAMS).map(Param)), min_size=1, max_size=4))
+    pick = st.integers(0, 10**6).map(lambda k: pool[k % len(pool)])
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["add", "mul", "pow", "app", "absapp"]))
+        if kind == "add":
+            node = Add(tuple(draw(st.lists(pick, min_size=2, max_size=3))))
+        elif kind == "mul":
+            node = Mul(tuple(draw(st.lists(pick, min_size=2, max_size=3))))
+        elif kind == "pow":
+            node = Pow(draw(pick), draw(EXPONENTS))
+        elif kind == "app":
+            node = App(draw(st.sampled_from(["exp", "ln", "arctan", "sin", "cos"])), draw(pick))
+        elif draw(st.booleans()):
+            node = AbsApp("F", (draw(st.integers(0, 1)),), (draw(pick),))
+        else:
+            node = AbsApp("G", (draw(st.integers(0, 1)), draw(st.integers(0, 1))),
+                          (draw(pick), draw(pick)))
+        pool.append(node)
+    return pool[-1]
+
+
+VALUES = st.sampled_from([0.5, 1.0, -1.0, 2.0])
+
+
+class TestCompiledEvaluator:
+    @settings(max_examples=400, deadline=None)
+    @example(App("exp", Mul((Num(705), x2))), (0.5, 1.0, 1.0), {}, {})  # exp overflow
+    @example(Pow(Add((x1, Num(Fraction(-1, 2)))), Fraction(-1)), (0.5, 1.0, 1.0), {}, {})
+    @example(Pow(x1, Fraction(1, 3)), (-2.0, 1.0, 1.0), {}, {})  # negative base
+    @example(Add((Num(GRat(15 * 10**307, 15 * 10**307)), Param("mu"))),  # |.| overflows first
+             (0.5, 1.0, 1.0), {}, {})
+    @example(Mul((Param("nu"), AbsApp("F", (1,), (x1,)))), (0.5, 1.0, 1.0), {"nu": 2.0}, {})
+    @given(shared_trees(), st.tuples(COORDS, COORDS, COORDS),
+           st.dictionaries(st.sampled_from(PARAMS), VALUES, min_size=1),
+           st.dictionaries(st.sampled_from(SYMBOLS), VALUES, min_size=3))
+    def test_same_value_scale_and_error(self, e, point, params, absvals):
+        def recursive():
+            scale = _Scale()
+            return _eval(e, point, params, absvals, scale), scale.value
+
+        def compiled():
+            code, _, _ = zerotest._compile(e)
+            return zerotest._run(code, point, params, absvals)
+
+        assert _outcome(compiled) == _outcome(recursive)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_trees(), st.integers(0, 3))
+    def test_samples_match_the_recursive_loop(self, e, seed):
+        policy = ZeroTestPolicy(points=4, seed=seed)
+
+        def items(samples):
+            try:
+                return repr(list(samples(e, policy, "oracle")))
+            except Exception as err:  # a non-arithmetic error leaves the loop
+                return (type(err), str(err))
+
+        assert items(zerotest._samples) == items(_oracle_samples)
+
+    def test_shared_subtree_is_compiled_once(self):
+        s = Add((x1, Num(1)))
+        e = Mul((s, Pow(s, Fraction(-1)), s))
+        code, _, _ = zerotest._compile(e)
+        assert len(code) == 5  # x1, 1, the sum, its inverse, the product

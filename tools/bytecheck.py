@@ -7,7 +7,9 @@ results, between a git revision and the working tree.
 repository's git state is not touched.  Each command keyed in
 perfbench/expected.json runs under both source trees at seeds 271828 and 7,
 with `--json` added where its pin holds `checks`.  Exit codes, stdout,
-stderr and JSON reports are compared byte for byte.  Then
+stderr and JSON reports are compared byte for byte.  Next each text of
+EXPR_INPUTS goes through `pdmlab expr parse|normalize` under both trees,
+and the exit codes, stdout and stderr are compared.  Then
 perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
 the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
@@ -27,6 +29,36 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (271828, 7)
+
+# (action, text) for `pdmlab expr`: texts that parse, with and without
+# repeated subtrees; one text per ParseError message; the kernel's rc-2
+# rejections; and nesting past the interpreter's recursion limit.
+EXPR_INPUTS = (
+    ("parse", "(+ x1 (* 2 x2))"),
+    ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
+    ("normalize", "(* (+ x1 (sqrt (+ (^ x1 2) 1))) (+ x1 (sqrt (+ (^ x1 2) 1))) "
+                  "(^ (+ (* a x2) 1) -1) (^ (+ (* a x2) 1) -1))"),
+    ("parse", "(+ (D1 (D2 (F x1 (gauss 1/2 -3)))) (exp (ln mu)) (arctan i))"),
+    ("parse", ""),
+    ("parse", ")"),
+    ("parse", "(+ 1 (* x1 x2)"),
+    ("parse", "(+ 1 2) x1"),
+    ("parse", "(+ 1 #)"),
+    ("parse", "(+ (* x1 x2) (* x1 x2) 3/0)"),
+    ("parse", "x4"),
+    ("parse", "(+)"),
+    ("parse", "(^ x1 x2)"),
+    ("parse", "(gauss 1)"),
+    ("parse", "(sin x1 x2)"),
+    ("parse", "(+ 1 (D1 (F x1) (F x2)))"),
+    ("parse", "(* (F x1 x2) (D3 (F x1 x2)))"),
+    ("parse", "(+ (F x1) (G))"),
+    ("parse", "(( x1) x2)"),
+    ("normalize", "(^ 0 -1)"),
+    ("normalize", "(^ (+ x1 (^ x2 1/3)) -1)"),
+    ("parse", "(+ 1 " * 1000 + "x1" + ")" * 1000),
+    ("normalize", "(exp " * 600 + "x1" + ")" * 600),
+)
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -97,6 +129,18 @@ def main() -> int:
                 verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
                 print(f"{command} --seed {seed}: {verdict}", flush=True)
         print(f"{differ} of {2 * len(pins)} runs differ from {rev}", flush=True)
+        expr_differ = 0
+        for n, (action, text) in enumerate(EXPR_INPUTS):
+            out = {name: run(src, ["expr", action, text], SEEDS[0], False,
+                             tmp / f"{name}-expr-{n}")[:3]
+                   for name, src in trees.items()}
+            bad = [f for f, a, b in zip(("rc", "stdout", "stderr"), out["rev"], out["tree"])
+                   if a != b]
+            expr_differ += bool(bad)
+            verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
+            shown = text if len(text) <= 40 else text[:37] + "..."
+            print(f"expr {action} {shown!r}: {verdict}", flush=True)
+        print(f"{expr_differ} of {len(EXPR_INPUTS)} expr inputs differ from {rev}", flush=True)
         kernel_differ = 0
         for seed in SEEDS:
             items = {name: kernel_items(src, seed, tmp / f"kernel-{name}-{seed}")
@@ -108,7 +152,7 @@ def main() -> int:
                   f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
                   f"{stopped_tree} in the tree)", flush=True)
         print(f"{kernel_differ} of {len(SEEDS)} kernel-stream runs differ from {rev}")
-    return 1 if differ or kernel_differ else 0
+    return 1 if differ or expr_differ or kernel_differ else 0
 
 
 if __name__ == "__main__":
