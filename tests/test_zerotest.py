@@ -337,11 +337,12 @@ VALUES = st.sampled_from([0.5, 1.0, -1.0, 2.0])
 class TestCompiledEvaluator:
     @settings(max_examples=400, deadline=None)
     @example(App("exp", Mul((Num(705), x2))), (0.5, 1.0, 1.0), {}, {})  # exp overflow
-    @example(Pow(Add((x1, Num(Fraction(-1, 2)))), Fraction(-1)), (0.5, 1.0, 1.0), {}, {})
+    @example(Pow(Add((x1, Num(Fraction(-1, 2)))), Fraction(-1)), (0.5, 1.0, 1.0), {}, {})  # pole
     @example(Pow(x1, Fraction(1, 3)), (-2.0, 1.0, 1.0), {}, {})  # negative base
     @example(Add((Num(GRat(15 * 10**307, 15 * 10**307)), Param("mu"))),  # |.| overflows first
              (0.5, 1.0, 1.0), {}, {})
-    @example(Mul((Param("nu"), AbsApp("F", (1,), (x1,)))), (0.5, 1.0, 1.0), {"nu": 2.0}, {})
+    @example(Mul((Param("nu"), AbsApp("F", (1,), (x1,)))), (0.5, 1.0, 1.0), {"nu": 2.0},
+             {})  # unassigned symbol D1F
     @given(shared_trees(), st.tuples(COORDS, COORDS, COORDS),
            st.dictionaries(st.sampled_from(PARAMS), VALUES, min_size=1),
            st.dictionaries(st.sampled_from(SYMBOLS), VALUES, min_size=3))
