@@ -1,10 +1,13 @@
 """CLI contract: subcommands, exit codes, JSON schema, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pdmlab.cli import main
 
@@ -171,6 +174,70 @@ class TestExprCommand:
         out, err = capsys.readouterr()
         assert out == stdout
         assert len(err.splitlines()) == (1 if code == 2 else 0)
+
+
+# Texts for the `expr` fuzz: trees built from the grammar of
+# docs/expr-grammar.md (small exponents, so that normalize stays quick),
+# loose grammar tokens, and either one with junk spliced in.
+_NUMBERS = ["0", "1", "-2", "3/4", "-1/2"]
+_ATOMS = ["x1", "x2", "x3", "i", "mu", "nu", *_NUMBERS]
+_EXPONENTS = ["0", "2", "3", "-1", "1/2", "-3/2"]
+_UNARY = ["sqrt", "exp", "ln", "arctan", "sin", "cos"]
+_TOKENS = ["(", ")", "+", "*", "^", "gauss", "D1", "D2", "F", "G", *_UNARY, *_ATOMS]
+_JUNK = st.one_of(
+    st.sampled_from(["#", "@", ".", "1.5", "/", "1/", "//", "-", "+-1", "0/0", "1e5", "x0",
+                     "x4", "D0", "D10", "((", "))", "\t", "\n", "\x00", "\u00e9"]),
+    st.text(max_size=3),
+)
+
+
+def _compound(children):
+    def joined(head, args):
+        return f"({head} {' '.join(args)})"
+
+    return st.one_of(
+        st.builds(joined, st.sampled_from(["+", "*"]), st.lists(children, min_size=1, max_size=3)),
+        st.builds(lambda e, q: f"(^ {e} {q})", children, st.sampled_from(_EXPONENTS)),
+        st.builds(lambda head, e: joined(head, [e]), st.sampled_from(_UNARY), children),
+        st.builds(joined, st.sampled_from(["F", "G"]), st.lists(children, min_size=1, max_size=2)),
+        st.builds(lambda j, e: f"(D{j} {e})", st.integers(1, 2), children),
+    )
+
+
+_GAUSS = st.builds(lambda a, b: f"(gauss {a} {b})", st.sampled_from(_NUMBERS),
+                   st.sampled_from(_NUMBERS))
+_TREES = st.recursive(st.sampled_from(_ATOMS) | _GAUSS, _compound, max_leaves=8)
+_SOUP = st.lists(st.sampled_from(_TOKENS) | _JUNK, max_size=24).map(" ".join)
+
+
+@st.composite
+def _spliced(draw):
+    text = draw(_TREES | _SOUP)
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 3))
+    return text[:at] + draw(_JUNK) + text[at + cut:]
+
+
+class TestExprFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["parse", "normalize"]), _TREES | _SOUP | _spliced())
+    @example("parse", "(+ 1 (* x1 x2)")
+    @example("parse", "x1\x00")
+    @example("parse", "-x1")  # argparse takes it for an option: rc 2 and a usage line
+    @example("normalize", "(^ (+ (sqrt x1) (* -1 (sqrt x1))) -1)")
+    def test_exit_code_is_0_or_2_without_traceback(self, action, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["expr", action, text])
+            except SystemExit as exc:  # argparse rejects a text that looks like an option
+                code = exc.code
+        assert code in (0, 2), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:  # one printed tree, or argparse's help for "-h"
+            assert out.getvalue().endswith("\n") and not err.getvalue()
+        else:
+            assert not out.getvalue() and err.getvalue()
 
 
 class TestReportContract:

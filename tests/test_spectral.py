@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from pdmlab import spectral
 from pdmlab.spectral import (
+    EIG_TOL,
     ClosedFormSolution,
     GridCoarseWarning,
     RadialProblem,
@@ -134,6 +136,72 @@ class TestFDEigenvalues:
             assert rel < 1e-2
 
 
+def _per_index_reference(prob: RadialProblem, count: int, tol: float):
+    """The matched levels as three single-index passes per level, each on a
+    fresh copy of the matrix: the definition the batched solver must meet."""
+    from scipy.linalg import eigh_tridiagonal
+
+    r, h, p_half, base, off = spectral._grid_and_bands(prob)
+    g_in = (prob.r_min / (prob.r_min + h)) ** (prob.l + 1)
+    out = []
+    for idx in range(count):
+        a = 0.0
+        for _ in range(3):
+            def tail(x):
+                return x**-2.0 * (1.0 + a / (x * x))
+
+            diag = base.copy()
+            diag[0] -= p_half[0] / h**2 * g_in
+            diag[-1] -= p_half[-1] / h**2 * (tail(r[-1] + h) / tail(r[-1]))
+            lam = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
+                                   eigvals_only=True, tol=tol)[0]
+            a = -(lam + 4.0) / 6.0
+        out.append(lam)
+    return np.array(out)
+
+
+class TestMatchedSolver:
+    # 20,000 points: scipy's default bisection tolerance is off the
+    # converged levels by about 1e-4 here, far outside 1e-8
+    PROB = RadialProblem(grid_points=20000)
+    COUNT = 10
+
+    def test_batched_levels_match_per_index_reference(self):
+        vals = fd_eigenvalues(self.PROB, self.COUNT)
+        ref = _per_index_reference(self.PROB, self.COUNT, EIG_TOL / 100)
+        assert np.max(np.abs(np.array(vals) - ref)) < 1e-8
+
+    @pytest.mark.parametrize("bad", ["empty", "unbounded-below"])
+    def test_bad_bracket_falls_back_to_index_call(self, bad, monkeypatch):
+        count = 4
+        want = fd_eigenvalues(self.PROB, count)
+        solve = spectral.eigh_tridiagonal
+        single_index_calls = []
+
+        def faulty(d, e, **kwargs):
+            if kwargs["select"] == "v":
+                # a bracket that holds no eigenvalue, or one that holds every
+                # eigenvalue below its top (two or more for k >= 1)
+                if bad == "empty":
+                    none = np.empty(0)
+                    return none if kwargs["eigvals_only"] else (none, np.empty((len(d), 0)))
+                kwargs["select_range"] = (-np.inf, kwargs["select_range"][1])
+            elif kwargs["select_range"][0] == kwargs["select_range"][1]:
+                single_index_calls.append(kwargs["select_range"][0])
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", faulty)
+        got = fd_eigenvalues(self.PROB, count)
+        guarded = range(count) if bad == "empty" else range(1, count)
+        assert sorted(single_index_calls) == sorted(2 * list(guarded))
+        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
+
+    def test_eigensystem_values_equal_eigenvalues(self):
+        vals, _, vecs = fd_eigensystem(self.PROB, self.COUNT)
+        assert vecs.shape == (self.PROB.grid_points, self.COUNT)
+        assert np.array_equal(vals, fd_eigenvalues(self.PROB, self.COUNT))
+
+
 class TestSeries:
     def test_terminating_coeffs(self):
         # a = 0 series is identically 1
@@ -258,3 +326,18 @@ def test_import_leaves_quadrature_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_scipy_linalg_loads_only_when_a_solve_runs():
+    # scipy.linalg costs about 0.4 s to import; the scale system never
+    # solves a matrix, so neither the import nor that command may load it
+    code = ("import sys, pdmlab.spectral\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "from pdmlab.cli import main\n"
+            "main(['spectrum', '--system', 'scale'])\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "False"
+    assert lines[1].startswith("system,kappa")

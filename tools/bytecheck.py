@@ -14,10 +14,12 @@ perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
 the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
 are counted apart and are not a difference.  Nothing is written under
-perfbench/.  One line is printed per command and seed; the exit status is 1
-on any difference.
+perfbench/.  One line is printed per command and seed, followed, when the
+stdout differs, by the first DIFF_LINES lines of its unified diff; the exit
+status is 1 on any difference.
 """
 
+import difflib
 import io
 import json
 import os
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (271828, 7)
+DIFF_LINES = 24
 
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
@@ -81,6 +84,18 @@ def run(src: Path, args: list, seed: int, json_report: bool, workdir: Path) -> t
     return proc.returncode, proc.stdout, proc.stderr, report.read_bytes() if report.exists() else None
 
 
+def print_stdout_diff(rev: str, old: bytes, new: bytes) -> None:
+    """The first DIFF_LINES lines of the unified diff from REV's stdout to
+    the tree's, indented under the verdict line."""
+    diff = list(difflib.unified_diff(old.decode(errors="replace").splitlines(),
+                                     new.decode(errors="replace").splitlines(),
+                                     rev, "tree", lineterm=""))
+    for line in diff[:DIFF_LINES]:
+        print(f"    {line}", flush=True)
+    if len(diff) > DIFF_LINES:
+        print(f"    ... {len(diff) - DIFF_LINES} more diff lines", flush=True)
+
+
 def child_env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
@@ -128,6 +143,8 @@ def main() -> int:
                 differ += bool(bad)
                 verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
                 print(f"{command} --seed {seed}: {verdict}", flush=True)
+                if "stdout" in bad:
+                    print_stdout_diff(rev, out["rev"][1], out["tree"][1])
         print(f"{differ} of {2 * len(pins)} runs differ from {rev}", flush=True)
         expr_differ = 0
         for n, (action, text) in enumerate(EXPR_INPUTS):
@@ -140,6 +157,8 @@ def main() -> int:
             verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
             shown = text if len(text) <= 40 else text[:37] + "..."
             print(f"expr {action} {shown!r}: {verdict}", flush=True)
+            if "stdout" in bad:
+                print_stdout_diff(rev, out["rev"][1], out["tree"][1])
         print(f"{expr_differ} of {len(EXPR_INPUTS)} expr inputs differ from {rev}", flush=True)
         kernel_differ = 0
         for seed in SEEDS:
