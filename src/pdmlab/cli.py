@@ -9,11 +9,12 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
 from .report import ReportDocument
-from .symkernel import ExprError, ZeroTestPolicy, parse_sexpr, to_sexpr, normalize
+from .symkernel import ExprError, ZeroTestPolicy, kernel_scope, normalize, parse_sexpr, to_sexpr
 from .symkernel.sexpr import ParseError
 
 
@@ -282,6 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="parse or normalize a text-grammar expression")
     p_expr.add_argument("action", choices=["parse", "normalize"])
     p_expr.add_argument("expression")
+    # A text such as -1/2 or -x1 goes to the parser, not to argparse as an
+    # unknown option: argparse takes an argument that its negative-number
+    # pattern matches for a positional when no option looks like one.
+    # -h matches an option exactly and stays help; --name stays an option.
+    p_expr._negative_number_matcher = re.compile(r"^-[^-]")
     p_expr.set_defaults(func=_cmd_expr)
     return parser
 
@@ -292,7 +298,10 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.action == "verify":
         if args.entry is None and not getattr(args, "all", False):
             parser.error("catalog verify needs --entry N or --all")
-    return args.func(args)
+    # one kernel scope per command: its checks share normal forms, and the
+    # memo ends with the command
+    with kernel_scope:
+        return args.func(args)
 
 
 if __name__ == "__main__":

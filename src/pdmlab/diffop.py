@@ -38,7 +38,7 @@ from .symkernel import (
     x3,
 )
 from .symkernel.expr import NUM_ZERO, Num, add
-from .symkernel.ratform import rf_canon, to_rf
+from .symkernel.ratform import kernel_scope, rf_canon, to_rf
 
 AXES = (1, 2, 3)
 MINUS_I = num(0, -1)
@@ -420,20 +420,21 @@ def expected_determining():
 
 def proportional_factor(e1: Expr, e2: Expr):
     """Nonzero scalar k with e1 == k*e2 exactly, or None."""
-    r1 = rf_canon(to_rf(e1))
-    r2 = rf_canon(to_rf(e2))
-    if r2.is_zero():
+    with kernel_scope:
+        r1 = rf_canon(to_rf(e1))
+        r2 = rf_canon(to_rf(e2))
+        if r2.is_zero():
+            return None
+        if r1.is_zero():
+            return None
+        mono, c2 = next(iter(sorted(r2.num.items(), key=lambda kv: str(kv[0]))))
+        c1 = r1.num.get(mono)
+        if c1 is None:
+            return None
+        k = c1 / c2
+        if is_provably_zero(e1 - mul(Num(k), e2)):
+            return k
         return None
-    if r1.is_zero():
-        return None
-    mono, c2 = next(iter(sorted(r2.num.items(), key=lambda kv: str(kv[0]))))
-    c1 = r1.num.get(mono)
-    if c1 is None:
-        return None
-    k = c1 / c2
-    if is_provably_zero(e1 - mul(Num(k), e2)):
-        return k
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .expr import (
     x2,
     x3,
 )
-from .ratform import is_provably_zero, normalize, poly_degree_in_vars
+from .ratform import is_provably_zero, kernel_scope, normalize, poly_degree_in_vars
 from .sexpr import ParseError, parse_sexpr, to_sexpr
 from .zerotest import (
     DEFAULT_POLICY,

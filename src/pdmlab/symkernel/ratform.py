@@ -16,6 +16,16 @@ Nearly every numerator/denominator gcd is 1, so `p_gcd` first tries to prove
 that with univariate images modulo a prime (`_coprime_certified`) and runs
 the pseudo-remainder sequence only when the images cannot decide.  The proof
 is exact, not probabilistic; it is spelled out in `_coprime_certified`.
+
+Memo lifetime: the rational forms and normal forms of subtrees, the atom
+table and the root-atom bases live for one kernel scope, `kernel_scope`.
+`normalize`, `raw_form` (so `is_zero`), `is_provably_zero` and
+`poly_degree_in_vars` enter it, and the outermost exit empties them, so a
+library caller's memory is that of one outermost call.  `pdmlab.cli.main`
+holds one scope for a whole command, whose checks then share normal forms.
+A form, monomial or atom returned by the internal helpers (`to_rf`,
+`rf_canon`, ...) is valid only inside the scope that made it; call them
+inside one.
 """
 
 from __future__ import annotations
@@ -44,11 +54,43 @@ from .sexpr import to_sexpr
 # monomial: tuple of (atom, exponent) pairs, sorted by atom sort key
 # polynomial: dict monomial -> GRat (zero polynomial is the empty dict)
 
+# Memo state of one kernel scope (below); empty outside every scope.
 _SKEY: dict = {}
 _ROOT_BASE: dict = {}
 _NORM_CACHE: dict = {}
 _RF_CACHE: dict = {}
 _ATOM_INTERN: dict = {}
+
+
+class _KernelScope:
+    """Reentrant lifetime of the memo dicts: `with kernel_scope:`.
+
+    The public entry points enter it, and the outermost exit clears every
+    dict, also when a BaseException (an interrupt, a timeout signal) ends
+    the call.  The cached forms go first: a rational form with a root atom
+    needs that atom's entry in _ROOT_BASE, so an exit cut short between two
+    clears leaves no form without its base.
+    """
+
+    __slots__ = ("depth",)
+
+    def __init__(self):
+        self.depth = 0
+
+    def __enter__(self):
+        self.depth += 1
+
+    def __exit__(self, *exc):
+        self.depth -= 1
+        if not self.depth:
+            _NORM_CACHE.clear()
+            _RF_CACHE.clear()
+            _ROOT_BASE.clear()
+            _ATOM_INTERN.clear()
+            _SKEY.clear()
+
+
+kernel_scope = _KernelScope()
 
 
 def _skey(atom: Expr) -> str:
@@ -562,8 +604,11 @@ def _p_reduce(p: dict) -> dict:
     """Apply atom**q -> base until all root-atom exponents are below q.
 
     Root-atom bases are polynomials (enforced at atom registration), so the
-    reduction is closed on polynomials.
+    reduction is closed on polynomials.  With no root atom registered in
+    this scope there is nothing to reduce.
     """
+    if not _ROOT_BASE:
+        return p
     out: dict = {}
     pending = []
     for m, c in p.items():
@@ -683,8 +728,8 @@ class RF:
     __slots__ = ("num", "den")
 
     def __init__(self, num: dict, den: tuple):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
 
     def is_zero(self) -> bool:
         return not self.num
@@ -937,25 +982,26 @@ def raw_form(e: Expr):
     Zero detection only needs the reduced numerator; the returned tree is
     suitable for numeric sampling but is not the canonical form.
     """
-    rf = to_rf(e)
-    if rf.is_zero():
-        return True, NUM_ZERO
-    return False, rf_to_expr(rf)
+    with kernel_scope:
+        rf = to_rf(e)
+        if rf.is_zero():
+            return True, NUM_ZERO
+        return False, rf_to_expr(rf)
 
 
 def normalize(e: Expr) -> Expr:
     """Canonical form; idempotent, and the literal zero node iff e == 0 as a
     rational combination of its atoms."""
-    got = _NORM_CACHE.get(e)
-    if got is not None:
-        return got
-    try:
-        out = rf_to_expr(rf_canon(to_rf(e)))
-    except RecursionError:
-        raise ExprError("expression nested too deeply") from None
-    _NORM_CACHE[e] = out
-    _NORM_CACHE[out] = out
-    return out
+    with kernel_scope:
+        got = _NORM_CACHE.get(e)
+        if got is not None:
+            return got
+        try:
+            out = rf_to_expr(rf_canon(to_rf(e)))
+        except RecursionError:
+            raise ExprError("expression nested too deeply") from None
+        _NORM_CACHE[e] = out
+        return out
 
 
 def is_provably_zero(e: Expr) -> bool:
@@ -964,7 +1010,8 @@ def is_provably_zero(e: Expr) -> bool:
 
 def poly_degree_in_vars(e: Expr):
     """Total degree in x1,x2,x3 when e is polynomial in them, else None."""
-    rf = rf_canon(to_rf(e))
+    with kernel_scope:
+        rf = rf_canon(to_rf(e))
     if rf.den != DEN_ONE:
         return None
     deg = 0

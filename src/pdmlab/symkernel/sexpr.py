@@ -70,8 +70,14 @@ def to_sexpr(e: Expr) -> str:
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+# DIGITS are ASCII: \d and str.isidentifier() also take other scripts' digits
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _DERIV = re.compile(r"^D([1-9])$")
+_OTHER_DIGIT = re.compile(r"(?![0-9])\d")
+
+
+def _is_ident(tok: str) -> bool:
+    return tok.isidentifier() and tok not in RESERVED and not _OTHER_DIGIT.search(tok)
 
 
 def parse_sexpr(text: str) -> Expr:
@@ -149,7 +155,7 @@ def _parse_atom(tok: str, off: int) -> Expr:
         return Num(GRat(0, 1))
     if tok in VAR_NAMES:
         return Var(tok)
-    if tok.isidentifier() and tok not in RESERVED:
+    if _is_ident(tok):
         try:
             return Param(tok)
         except ExprError as e:
@@ -199,7 +205,7 @@ def _build(head: str, off: int, args) -> Expr:
         dc = list(inner.dcounts)
         dc[slot - 1] += 1
         return AbsApp(inner.name, tuple(dc), inner.args)
-    if head.isidentifier() and head not in RESERVED:
+    if _is_ident(head):
         if not args:
             raise ParseError(f"abstract application {head} needs arguments")
         return AbsApp(head, (0,) * len(args), tuple(as_expr(a) for a in args))

@@ -223,14 +223,14 @@ class TestExprFuzz:
     @given(st.sampled_from(["parse", "normalize"]), _TREES | _SOUP | _spliced())
     @example("parse", "(+ 1 (* x1 x2)")
     @example("parse", "x1\x00")
-    @example("parse", "-x1")  # argparse takes it for an option: rc 2 and a usage line
+    @example("parse", "-x1")  # reaches the parser, not argparse: rc 2 and a parse error
     @example("normalize", "(^ (+ (sqrt x1) (* -1 (sqrt x1))) -1)")
     def test_exit_code_is_0_or_2_without_traceback(self, action, text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(["expr", action, text])
-            except SystemExit as exc:  # argparse rejects a text that looks like an option
+            except SystemExit as exc:  # argparse: help for -h, or a text such as --x
                 code = exc.code
         assert code in (0, 2), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
@@ -238,6 +238,21 @@ class TestExprFuzz:
             assert out.getvalue().endswith("\n") and not err.getvalue()
         else:
             assert not out.getvalue() and err.getvalue()
+
+
+    @pytest.mark.parametrize("action, text, code, stdout, stderr", [
+        ("parse", "-1/2", 0, "-1/2\n", ""),
+        ("parse", "-x1", 2, "", "parse error: bad atom '-x1' at offset 0\n"),
+        ("normalize", "(^ x1 \u0661/\u0662)", 2, "",
+         "parse error: bad atom '\u0661/\u0662' at offset 6\n"),
+        ("parse", "(gauss \u0661 2)", 2, "", "parse error: bad atom '\u0661' at offset 7\n"),
+        ("parse", "(D\u0661 (F x1))", 2, "", "parse error: unknown head 'D\u0661' at offset 1\n"),
+    ], ids=["minus-rational", "minus-ident", "arabic-indic-exponent", "arabic-indic-gauss",
+            "arabic-indic-derivative"])
+    def test_pinned_texts(self, action, text, code, stdout, stderr, capsys):
+        # a text starting with "-" reaches the parser; DIGITS are ASCII only
+        assert main(["expr", action, text]) == code
+        assert capsys.readouterr() == (stdout, stderr)
 
 
 class TestReportContract:

@@ -246,6 +246,11 @@ PARSE_ERRORS = [
     ("(1 2)", "unknown head '1' at offset 1"),
     ("(( x1) x2)", "unknown head '(' at offset 1"),
     ("(+ 1 (sqrt x1) (x2 3))", "unknown head 'x2' at offset 16"),
+    # DIGITS are ASCII; Arabic-Indic ones are neither numbers nor in names
+    ("(^ x1 \u0661/\u0662)", "bad atom '\u0661/\u0662' at offset 6"),
+    ("(gauss \u0661 2)", "bad atom '\u0661' at offset 7"),
+    ("(D\u0661 (F x1))", "unknown head 'D\u0661' at offset 1"),
+    ("(+ x1 mu\u0661)", "bad atom 'mu\u0661' at offset 6"),
 ]
 
 

@@ -1,14 +1,28 @@
 """The modular coprimality check in front of the gcd's pseudo-remainder
-sequence (PRS)."""
+sequence (PRS), and the lifetime of the normal form's memo."""
 
 import hashlib
+import random
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pdmlab import catalog
-from pdmlab.symkernel import normalize, param, parse_sexpr, sqrt, to_sexpr, x1, x2, x3
+from pdmlab.symkernel import (
+    NUM_ZERO,
+    ProvedZero,
+    is_zero,
+    kernel_scope,
+    normalize,
+    param,
+    parse_sexpr,
+    sqrt,
+    to_sexpr,
+    x1,
+    x2,
+    x3,
+)
 from pdmlab.symkernel import ratform
 from pdmlab.symkernel.ratform import (
     _coprime_certified,
@@ -155,7 +169,6 @@ class TestDecidedWithoutPrs:
             raise AssertionError("pseudo-remainder sequence ran")
 
         monkeypatch.setattr(ratform, "_u_prem", prem)
-        monkeypatch.setattr(ratform, "_NORM_CACHE", {})
 
     def test_stalled_kernel_item(self):
         # the item from perfbench/NOTES.md; the PRS ran past 300 s on it
@@ -216,3 +229,90 @@ class TestGaussianContent:
         P, Q, PG, QG = (ratform._poly_expr(f)
                         for f in (p, q, p_mul_raw(p, g), p_mul_raw(q, g)))
         assert normalize(PG / QG) == normalize(P / Q)
+
+
+# -- the kernel scope ----------------------------------------------------------
+
+
+def _memo_sizes() -> dict:
+    return {name: len(getattr(ratform, name))
+            for name in ("_NORM_CACHE", "_RF_CACHE", "_ROOT_BASE", "_ATOM_INTERN", "_SKEY")}
+
+
+def _factor_text(rng: random.Random, atom: str) -> str:
+    terms = [atom] if rng.random() < 0.3 else []
+    for _ in range(rng.randint(2, 3)):
+        names = rng.sample(("x1", "x2", "x3", "a", "b"), rng.randint(1, 2))
+        terms.append("(* " + " ".join([str(rng.randint(2, 9))] + names) + ")")
+    return "(+ " + " ".join(terms) + " 1)"
+
+
+def _stream(count: int):
+    """(kind, text): normalize P*Q/R, or is_zero of P*Q/R - Q*P/R, over x1,
+    x2, x3, a, b with a square-root or an exp atom now and then."""
+    rng = random.Random(20261018)
+    for n in range(count):
+        P = _factor_text(rng, "(sqrt (+ (^ x1 2) 1))")
+        Q = _factor_text(rng, "(exp x2)")
+        R = _factor_text(rng, "x3")
+        inv_r = f"(^ {R} -1)"
+        if n % 2:
+            yield "zero", f"(+ (* {P} {Q} {inv_r}) (* -1 {Q} {P} {inv_r}))"
+        else:
+            yield "canon", f"(* {P} {Q} {inv_r})"
+
+
+class _Stop(BaseException):
+    pass
+
+
+class TestKernelScope:
+    """The memo dicts live for one outermost kernel call."""
+
+    def test_each_call_outside_a_scope_leaves_the_memo_empty(self):
+        for kind, text in _stream(300):
+            e = parse_sexpr(text)
+            if kind == "zero":
+                assert is_zero(e, label=text) == ProvedZero()
+            else:
+                assert normalize(e) != NUM_ZERO
+            assert kernel_scope.depth == 0
+            assert not any(_memo_sizes().values()), (text, _memo_sizes())
+
+    def test_a_repeated_call_in_one_scope_hits_the_memo(self, monkeypatch):
+        e = parse_sexpr(next(text for _, text in _stream(1)))
+        with kernel_scope:
+            out = normalize(e)
+            sizes = _memo_sizes()
+            assert sizes["_RF_CACHE"] and sizes["_NORM_CACHE"]
+
+            def no_conversion(node):
+                raise AssertionError("a memoized form was converted again")
+
+            monkeypatch.setattr(ratform, "_to_rf", no_conversion)
+            assert normalize(e) is out
+            assert ratform.raw_form(e)[0] is False
+            assert _memo_sizes() == sizes
+        assert not any(_memo_sizes().values())
+
+    def test_an_interrupt_mid_conversion_leaves_no_state(self, monkeypatch):
+        text = "(* (+ (sqrt (+ (^ x1 2) 1)) (* 3 a x2) 1) (^ (+ (* 2 x3 b) (exp x2) 1) -1))"
+        want = to_sexpr(normalize(parse_sexpr(text)))
+        convert = ratform._to_rf
+        calls = []
+
+        def interrupted(node):
+            calls.append(node)
+            if len(calls) == 12:
+                raise _Stop()
+            return convert(node)
+
+        monkeypatch.setattr(ratform, "_to_rf", interrupted)
+        with pytest.raises(_Stop):
+            with kernel_scope:
+                normalize(parse_sexpr(text))
+        assert len(calls) == 12
+        assert kernel_scope.depth == 0
+        assert not any(_memo_sizes().values())
+        monkeypatch.setattr(ratform, "_to_rf", convert)
+        assert to_sexpr(normalize(parse_sexpr(text))) == want

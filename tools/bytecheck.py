@@ -35,7 +35,8 @@ DIFF_LINES = 24
 
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
-# rejections; and nesting past the interpreter's recursion limit.
+# rejections; nesting past the interpreter's recursion limit; texts that
+# start with "-"; and digits that are not ASCII.
 EXPR_INPUTS = (
     ("parse", "(+ x1 (* 2 x2))"),
     ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
@@ -61,6 +62,11 @@ EXPR_INPUTS = (
     ("normalize", "(^ (+ x1 (^ x2 1/3)) -1)"),
     ("parse", "(+ 1 " * 1000 + "x1" + ")" * 1000),
     ("normalize", "(exp " * 600 + "x1" + ")" * 600),
+    ("parse", "-1/2"),
+    ("parse", "-x1"),
+    ("normalize", "(^ x1 \u0661/\u0662)"),
+    ("parse", "(gauss \u0661 2)"),
+    ("parse", "(D\u0661 (F x1))"),
 )
 
 
