@@ -2,13 +2,15 @@
 transforms and expression round-trips.
 
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
-one check failed, 2 bad arguments.  Reruns with the same seed and inputs
-produce byte-identical output.
+one check failed or stdout was closed before the output was written, 2 bad
+arguments or input.  Reruns with the same seed and inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -87,41 +89,52 @@ def _cmd_algebra(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import casimir, spectral
 
-    if args.system == "so4":
-        prob = spectral.RadialProblem(
-            system="so4", l=args.l, r_min=args.rmin, r_max=args.rmax,
-            grid_points=args.grid,
-        )
-        vals = spectral.fd_eigenvalues(prob, args.count)
-        if args.dump:
-            spectral.dump_eigenfunction(prob, args.dump_index, args.dump)
-        print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
-        rows = []
-        for i, v in enumerate(vals):
-            n = args.l + 1 + i
-            exact = spectral.exact_so4_eigenvalue(n)
-            rel = abs(v - exact) / exact
-            rows.append((i, v, exact, rel))
-            print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rel:.3e}")
-        print()
-        print("n,Etilde,E_mu_coeff,E_const")
-        for i in range(len(vals)):
-            lv = casimir.algebraic_spectrum_so4(args.l + 1 + i)
-            print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
-        ok = all(r[3] < args.rel_tol for r in rows)
-        return 0 if ok else 1
-    # scale system: Bessel residual line
-    sol = spectral.ClosedFormSolution(
-        system="scale", kappa=args.kappa, etilde=args.etilde, omega=args.omega
-    )
-    import numpy as np
+    # every input is checked, and the dump written, before the first line of
+    # output: a rejected input prints its one error line and nothing else
+    try:
+        if args.system == "scale":
+            sol = spectral.ClosedFormSolution(
+                system="scale", kappa=args.kappa, etilde=args.etilde, omega=args.omega
+            )
+        else:
+            if args.count < 1:
+                raise ValueError(f"--count must be at least 1, not {args.count}")
+            if args.dump and args.dump_index < 0:
+                raise ValueError(f"--dump-index must be at least 0, not {args.dump_index}")
+            prob = spectral.RadialProblem(system="so4", l=args.l, grid_points=args.grid)
+            vals = spectral.fd_eigenvalues(prob, args.count)
+            if args.dump:
+                spectral.dump_eigenfunction(prob, args.dump_index, args.dump)
+    except (ValueError, OSError) as err:
+        # a grid below 16 points, a negative l, more levels than grid
+        # points, a negative index squared or omega, a dump path not writable
+        print(f"spectrum error: {err}", file=sys.stderr)
+        return 2
+    if args.system == "scale":
+        # Bessel residual line
+        import numpy as np
 
-    pts = np.linspace(0.2, 4.0, 25)
-    res = spectral.closed_form_residual(sol, pts)
-    beta = (args.kappa**2 + 1 - args.etilde) ** 0.5
-    print("system,kappa,Etilde,omega,index_beta,max_residual,points")
-    print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
-    return 0 if res < 1e-8 else 1
+        pts = np.linspace(0.2, 4.0, 25)
+        res = spectral.closed_form_residual(sol, pts)
+        beta = (args.kappa**2 + 1 - args.etilde) ** 0.5
+        print("system,kappa,Etilde,omega,index_beta,max_residual,points")
+        print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
+        return 0 if res < 1e-8 else 1
+    print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
+    rows = []
+    for i, v in enumerate(vals):
+        n = args.l + 1 + i
+        exact = spectral.exact_so4_eigenvalue(n)
+        rel = abs(v - exact) / exact
+        rows.append((i, v, exact, rel))
+        print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rel:.3e}")
+    print()
+    print("n,Etilde,E_mu_coeff,E_const")
+    for i in range(len(vals)):
+        lv = casimir.algebraic_spectrum_so4(args.l + 1 + i)
+        print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
+    ok = all(r[3] < args.rel_tol for r in rows)
+    return 0 if ok else 1
 
 
 def _cmd_casimir(args) -> int:
@@ -248,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--l", type=int, default=0)
     p_spec.add_argument("--count", type=int, default=3)
     p_spec.add_argument("--grid", type=int, default=4000)
-    p_spec.add_argument("--rmin", type=float, default=1e-3)
-    p_spec.add_argument("--rmax", type=float, default=30.0)
     p_spec.add_argument("--rel-tol", type=float, default=5e-3)
     p_spec.add_argument("--kappa", type=int, default=0)
     p_spec.add_argument("--etilde", type=float, default=1.0)
@@ -300,8 +311,17 @@ def main(argv=None) -> int:
             parser.error("catalog verify needs --entry N or --all")
     # one kernel scope per command: its checks share normal forms, and the
     # memo ends with the command
-    with kernel_scope:
-        return args.func(args)
+    try:
+        with kernel_scope:
+            code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`pdmlab catalog list | head -1`):
+        # the rest of the output has nowhere to go, and the interpreter's
+        # own flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,28 +1,30 @@
 """Numerical verification of the exactly solvable systems: finite-difference
-Sturm-Liouville eigenvalues for the compact radial problem, closed-form
-residual oracles for the hypergeometric and Bessel solutions, and
+Sturm-Liouville eigenvalues for the radial problems, closed-form residual
+oracles for the hypergeometric and Bessel solutions, and
 normalization-integral diagnostics.
 
-The radial operators in self-adjoint form:
+The radial operators in self-adjoint form -(p phi')' + q phi = Lambda w phi:
 
     compact:  -( (r^2+1)^2 phi' )' + [ (r^2+1)^2 l(l+1)/r^2 - 2 r^2 ] phi
               = (4n^2+1) phi
     lorentz:  same with (r^2-1)^2, eigenvalue Etilde + 4
     scale:    cylindrical radial equation, solved by Bessel functions
 
-Every eigenvalue is bisected to the absolute tolerance EIG_TOL (Barth,
-Martin & Wilkinson 1967), so the printed digits are those of the
-discretization, not of the bisection.  The matched outer boundary of the
-compact system replaces the ghost value by the tail r^-2 (1 + a/r^2) and
-refits a = -(Lambda+4)/6 to each level in three passes.  The first pass
-has a = 0 for every level and solves the lowest `count` levels in one
-call, giving mu_0 < mu_1 < ...  The two refits lower only the last
-diagonal entry (a < 0), a negative rank-one change, so eigenvalue k of the
-refit matrix lies in [mu_{k-1}, mu_k] by interlacing (Golub 1973), and in
-[mu_0 + delta, mu_0] for k = 0, delta being the change of that entry
-(Weyl).  Each refit bisects that bracket alone; when the change is not a
-lowering or the bracket does not hold exactly one eigenvalue, the refit
-asks for eigenvalue k by index instead.
+Both radial problems are solved in Liouville normal form (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993, ch. 2): with t = int sqrt(w/p) dr
+and phi = (pw)^(-1/4) u the equation becomes -u'' + Q(t) u = Lambda u.
+
+    compact:  r = tan t,  t in (0, pi/2),  Q = 4 l(l+1)/sin^2(2t) + 1
+    lorentz:  r = tanh t, t in (artanh r_min, artanh r_max),
+              Q = 4 l(l+1)/sinh^2(2t) - 1
+
+liouville_q_residual proves both Q from (p, q, w).  The compact map takes the
+whole half-line onto a finite interval whose ends take exact Dirichlet
+conditions, so the lowest levels come from one symmetric tridiagonal solve
+on a uniform t-grid.  Every eigenvalue is bisected to the absolute tolerance
+EIG_TOL (Barth, Martin & Wilkinson 1967), so the printed digits are those of
+the discretization, not of the bisection.  Since dt = sqrt(w/p) dr, the
+l2 norm of u in t is the weighted norm of phi in r.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class GridCoarseWarning(UserWarning):
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """The radial problem of system 'so4' (compact) or 'so13' (lorentz) on
-    (r_min, r_max), discretized at grid_points interior points.
+    """The radial problem of system 'so4' (compact) on the whole half-line
+    r > 0, or of 'so13' (lorentz) on a subdomain (r_min, r_max) of (0, 1),
+    discretized at grid_points interior points of the Liouville variable t.
 
     The cylindrical 'scale' system has no finite-difference problem: its
     Bessel solutions are checked by closed_form_residual.
@@ -55,40 +58,76 @@ class RadialProblem:
 
     system: str = "so4"
     l: int = 0
-    r_min: float = 1e-3
-    r_max: float = 30.0
+    r_min: float | None = None
+    r_max: float | None = None
     grid_points: int = 4000
 
     def __post_init__(self):
         if self.system not in ("so4", "so13"):
             raise ValueError(f"no radial FD problem for system {self.system!r}"
                              " (the scale system is handled by the Bessel path)")
-        if self.r_min <= 0:
-            raise ValueError("r_min must be positive")
         if self.grid_points < 16:
             raise ValueError("grid too small (need at least 16 points)")
         if self.l < 0:
             raise ValueError("l must be nonnegative")
-        if self.system == "so13" and not (0 < self.r_min < self.r_max < 1):
-            raise ValueError("the lorentz radial problem lives on a subdomain of (0,1)")
+        if self.system == "so4" and (self.r_min, self.r_max) != (None, None):
+            raise ValueError("the compact radial problem is solved on the whole"
+                             " half-line and takes no r_min or r_max")
+        if self.system == "so13" and not (
+                self.r_min is not None and self.r_max is not None
+                and 0 < self.r_min < self.r_max < 1):
+            raise ValueError("the lorentz radial problem lives on a subdomain"
+                             " (r_min, r_max) of (0,1)")
 
 
 def sturm_liouville_form(prob: RadialProblem):
     """Self-adjoint coefficients (p, q, w) as callables with
     -(p phi')' + q phi = Lambda w phi reproducing the radial operator."""
-    sign = 1.0 if prob.system == "so4" else -1.0
-    ll = prob.l * (prob.l + 1)
+    return _coefficients(1 if prob.system == "so4" else -1, prob.l * (prob.l + 1))
 
+
+def _coefficients(sign: int, ll):
+    """(p, q, w) for sign +1 (compact) or -1 (lorentz) and ll = l(l+1).  The
+    callables take floats, arrays and kernel expressions alike, and ll may
+    be a kernel parameter."""
     def p(r):
         return (r * r + sign) ** 2
 
     def q(r):
-        return (r * r + sign) ** 2 * ll / (r * r) - 2.0 * r * r
+        return (r * r + sign) ** 2 * ll / (r * r) - 2 * r * r
 
     def w(r):
-        return np.ones_like(np.asarray(r, dtype=float))
+        return r**0
 
     return p, q, w
+
+
+def liouville_q_residual(system: str):
+    """Q built from (p, q, w) by the Liouville transform, minus the closed Q
+    that the FD solve uses, as a kernel expression in x1 := r and the
+    parameter L := l(l+1); it normalizes to zero for both radial systems.
+
+    With s = +1 (so4) or -1 (so13): d/dt = sqrt(p/w) d/dr = (1 + s r^2) d/dr,
+    m = (pw)^(1/4) = (1 + s r^2)^(1/2), and Q = q/w + (d^2 m/dt^2) / m.  The
+    closed Q is 4L/sin^2(2t) + 1 with sin 2t = 2r/(1 + r^2) on r = tan t, or
+    4L/sinh^2(2t) - 1 with sinh 2t = 2r/(1 - r^2) on r = tanh t.
+    """
+    from .symkernel import diff, param, pow_, x1
+
+    if system not in ("so4", "so13"):
+        raise ValueError(f"no radial problem for system {system!r}")
+    s = 1 if system == "so4" else -1
+    ll = param("L")
+    _, q, w = _coefficients(s, ll)
+    g = 1 + s * x1 * x1  # sqrt(p/w): p = (r^2 + s)^2, w = 1, and g > 0 on the domain
+    m = pow_(g, Fraction(1, 2))
+
+    def d_dt(e):
+        return g * diff(e, 1)
+
+    built = q(x1) / w(x1) + d_dt(d_dt(m)) / m
+    sin2t = 2 * x1 / g
+    return built - (4 * ll / sin2t**2 + s)
 
 
 def exact_so4_eigenvalue(n: int) -> float:
@@ -97,34 +136,33 @@ def exact_so4_eigenvalue(n: int) -> float:
 
 
 def _grid_and_bands(prob: RadialProblem):
-    p, q, _ = sturm_liouville_form(prob)
+    """(r, h, diag, off): the interior points of the uniform t-grid mapped
+    to r, the step h in t, and the bands of -u'' + Q u with u = 0 at both
+    ends."""
     n = prob.grid_points
-    h = (prob.r_max - prob.r_min) / (n + 1)
-    r = prob.r_min + h * np.arange(1, n + 1)
-    p_half = p(prob.r_min + h * (np.arange(0, n + 1) + 0.5))
-    diag = (p_half[:-1] + p_half[1:]) / h**2 + q(r)
-    off = -p_half[1:-1] / h**2
-    return r, h, p_half, diag, off
+    ll = prob.l * (prob.l + 1)
+    if prob.system == "so4":
+        t0, t1 = 0.0, math.pi / 2
+    else:
+        t0, t1 = math.atanh(prob.r_min), math.atanh(prob.r_max)
+    h = (t1 - t0) / (n + 1)
+    t = t0 + h * np.arange(1, n + 1)
+    if prob.system == "so4":
+        r, q = np.tan(t), 4.0 * ll / np.sin(2.0 * t) ** 2 + 1.0
+    else:
+        r, q = np.tanh(t), 4.0 * ll / np.sinh(2.0 * t) ** 2 - 1.0
+    return r, h, 2.0 / h**2 + q, np.full(n - 1, -1.0 / h**2)
 
 
-def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = False,
-                   boundary: str | None = None):
+def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = False):
     """Lowest eigenvalues of the symmetric finite-difference discretization,
-    ascending and deterministic.
-
-    boundary='dirichlet' clamps both ends to zero.  boundary='matched'
-    (default for the compact system) replaces the ghost values by the known
-    asymptotics, r^(l+1) at the inner edge and r^-2 (1 - (Lambda+4)/(6 r^2))
-    at the outer edge; plain Dirichlet truncation leaves an O(1/R) outer
-    flux error because p grows like r^4 while the l=0 eigenfunctions decay
-    like r^-2.
-    """
+    ascending and deterministic."""
     if count <= 0:
         return []
-    vals = _fd_solve(prob, count, boundary)[0]
+    vals = _fd_solve(prob, count)[0]
     if check_refinement:
         coarse = _fd_solve(replace(prob, grid_points=max(16, prob.grid_points // 2)),
-                           count, boundary)[0]
+                           count)[0]
         drift = np.max(np.abs(vals - coarse) / (1 + np.abs(vals)))
         if drift > 1e-2:
             warnings.warn(
@@ -134,68 +172,24 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     return list(vals)
 
 
-def _fd_solve(prob: RadialProblem, count: int, boundary: str | None, vectors: bool = False):
-    """(eigenvalues, grid, eigenvectors as columns or None) of the lowest
-    count levels; the one solver behind every public FD function."""
-    boundary = boundary or ("matched" if prob.system == "so4" else "dirichlet")
-    if boundary != "dirichlet" and (boundary, prob.system) != ("matched", "so4"):
-        raise ValueError(f"no {boundary!r} boundary for the {prob.system} system"
-                         " (dirichlet for both, matched for so4)")
-    r, h, p_half, diag, off = _grid_and_bands(prob)
-    count = min(count, prob.grid_points)
-    if boundary == "dirichlet":
-        vals, vecs = _eigh_range(diag, off, "i", (0, count - 1), vectors)
-        return vals, r, vecs
-    # matched: r^(l+1) at the inner edge, r^-2 (1 + a/r^2) at the outer one;
-    # diag is the one working matrix, and each pass rewrites only diag[-1]
-    g_in = (prob.r_min / (prob.r_min + h)) ** (prob.l + 1)
-    diag[0] -= p_half[0] / h**2 * g_in
-    last = diag[-1]
-    rN, rN1 = r[-1], r[-1] + h
-
-    def outer_diag(a):
-        def tail(x):
-            return x**-2.0 * (1.0 + a / (x * x))
-
-        return last - p_half[-1] / h**2 * (tail(rN1) / tail(rN))
-
-    diag[-1] = unfit = outer_diag(0.0)
-    mu = _eigh_range(diag, off, "i", (0, count - 1), False)[0]
-    vals, cols = np.empty(count), []
-    for k in range(count):
-        lam = mu[k]
-        for final in (False, True):
-            diag[-1] = outer_diag(-(lam + 4.0) / 6.0)
-            lam, vecs = _refit(diag, off, mu, k, diag[-1] - unfit, vectors and final)
-        vals[k] = lam
-        cols.append(vecs)
-    return vals, r, np.column_stack(cols) if vectors else None
-
-
-def _refit(diag, off, mu, k, shift: float, vector: bool):
-    """(eigenvalue k, its eigenvector as a column or None) of the matrix
-    whose last diagonal entry is shift away from that of the a = 0 matrix
-    with eigenvalues mu; a lowering brackets it (see the module docstring)."""
-    if shift < 0:
-        lo = mu[k - 1] if k else mu[0] + shift
-        if lo < mu[k]:
-            vals, vecs = _eigh_range(diag, off, "v", (lo, mu[k]), vector)
-            if len(vals) == 1:
-                return vals[0], vecs
-    vals, vecs = _eigh_range(diag, off, "i", (k, k), vector)
-    return vals[0], vecs
-
-
-def _eigh_range(diag, off, select: str, select_range, vectors: bool):
-    """Eigenvalues of the tridiagonal matrix chosen by index range
-    (select="i", inclusive) or by value range (select="v", (lo, hi]), and
-    their eigenvectors as columns when asked (else None)."""
-    out = eigh_tridiagonal(diag, off, select=select, select_range=select_range,
+def _fd_solve(prob: RadialProblem, count: int, vectors: bool = False):
+    """(eigenvalues, r, eigenfunctions phi(r) as columns or None) of the
+    lowest count levels from one solve; the one solver behind every public
+    FD function.  Each phi has unit weighted norm, int phi^2 w dr = 1."""
+    if count > prob.grid_points:
+        raise ValueError(f"{count} levels asked of a grid with {prob.grid_points} points")
+    r, h, diag, off = _grid_and_bands(prob)
+    out = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
                            eigvals_only=not vectors, tol=EIG_TOL)
-    vals, vecs = out if vectors else (out, None)
-    # the values are a view into a work array as long as the grid; the copy
-    # lets that array go before the next solve
-    return vals.copy(), vecs
+    if not vectors:
+        # the values are a view into a work array as long as the grid; the
+        # copy lets that array go
+        return out.copy(), r, None
+    vals, u = out
+    # phi = (pw)^(-1/4) u, and the unit l2 columns divided by sqrt(h) have
+    # int u^2 dt = 1
+    sign = 1.0 if prob.system == "so4" else -1.0
+    return vals, r, u / np.sqrt(h * (1.0 + sign * r * r))[:, None]
 
 
 def eigh_tridiagonal(d, e, **kwargs):
@@ -207,24 +201,25 @@ def eigh_tridiagonal(d, e, **kwargs):
     return solve(d, e, **kwargs)
 
 
-def fd_eigensystem(prob: RadialProblem, count: int, boundary: str | None = None):
-    """(eigenvalues, grid, eigenvectors as columns) of the lowest count
-    levels, with the boundaries, defaults and validation of fd_eigenvalues."""
-    return _fd_solve(prob, count, boundary, vectors=True)
+def fd_eigensystem(prob: RadialProblem, count: int):
+    """(eigenvalues, r, eigenfunctions phi(r) as columns) of the lowest
+    count levels, with unit weighted norm, on the grid of fd_eigenvalues."""
+    return _fd_solve(prob, count, vectors=True)
 
 
-def richardson_eigenvalues(prob: RadialProblem, count: int, boundary: str | None = None):
+def richardson_eigenvalues(prob: RadialProblem, count: int):
     """Richardson extrapolation of the O(h^2) scheme from N and 2N points."""
-    coarse = _fd_solve(prob, count, boundary)[0]
-    fine = _fd_solve(replace(prob, grid_points=2 * prob.grid_points), count, boundary)[0]
+    coarse = _fd_solve(prob, count)[0]
+    fine = _fd_solve(replace(prob, grid_points=2 * prob.grid_points), count)[0]
     return list((4.0 * fine - coarse) / 3.0)
 
 
 def count_eigenvalues_below(prob: RadialProblem, bound: float) -> int:
     """Sturm oscillation bookkeeping: discrete eigenvalues below a bound of
     the Dirichlet-truncated problem."""
-    _, _, _, diag, off = _grid_and_bands(prob)
-    return len(_eigh_range(diag, off, "v", (-np.inf, bound), False)[0])
+    _, _, diag, off = _grid_and_bands(prob)
+    return len(eigh_tridiagonal(diag, off, select="v", select_range=(-np.inf, bound),
+                                eigvals_only=True, tol=EIG_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +327,8 @@ class ClosedFormSolution:
         elif self.system == "scale":
             if self.kappa**2 + 1 - self.etilde < 0:
                 raise ValueError("index squared kappa^2 + 1 - Etilde is negative")
+            if self.omega <= 0:
+                raise ValueError("need omega > 0 (J_beta is evaluated at omega t, t > 0)")
         else:
             raise ValueError(f"unknown system {self.system!r}")
 
@@ -516,25 +513,26 @@ def so13_boundary_values(sol: ClosedFormSolution, eps: float = 1e-3):
     return f(eps), f(1.0 - eps)
 
 
-def dump_eigenfunction(prob: RadialProblem, index: int, path: str,
-                       boundary: str | None = None) -> None:
-    """Two-column (r, phi) plot-ready dump of one FD eigenfunction."""
-    vals, r, vecs = fd_eigensystem(prob, index + 1, boundary)
-    v = vecs[:, index]
-    norm = np.sqrt(np.sum(v * v) * (r[1] - r[0]))
+def dump_eigenfunction(prob: RadialProblem, index: int, path: str) -> None:
+    """Two-column (r, phi) plot-ready dump of one FD eigenfunction, with
+    unit weighted norm and its largest value positive."""
+    vals, r, phi = fd_eigensystem(prob, index + 1)
+    v = phi[:, index]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     with open(path, "w") as fh:
         fh.write(f"# system={prob.system} l={prob.l} index={index} "
                  f"lambda={vals[index]:.12g}\n")
-        for ri, vi in zip(r, v / norm):
+        for ri, vi in zip(r, v):
             fh.write(f"{ri:.10g} {vi:.10g}\n")
 
 
 def so13_lowest_eigenvalue_scan(deltas, l: int = 0, grid: int = 1500, r_min: float = 1e-3):
     """Lowest FD eigenvalue of the lorentz problem on (r_min, 1-delta) for a
-    shrinking sequence of deltas; no isolated level below the continuum
-    bottom -2 may appear."""
+    shrinking sequence of deltas.  No level may reach the continuum bottom
+    -1: Q + 1 = l(l+1)(1-r^2)^2/r^2 >= 0 and the FD matrix of -u'' is
+    positive definite, so every truncated level has Lambda > -1, that is
+    Etilde > -5."""
     out = []
     for d in deltas:
         prob = RadialProblem(system="so13", l=l, r_min=r_min, r_max=1.0 - d,

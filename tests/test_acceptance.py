@@ -127,15 +127,15 @@ def test_criterion_5_casimir_identities():
 
 
 def test_criterion_6_spectrum_reproduction():
-    """FD eigenvalues at l=0 on [1e-3, 30] with 4000 points match
-    {5, 17, 37} within 0.5% (0.1% after Richardson); the derived levels
-    print exactly.  Under thirty seconds."""
+    """FD eigenvalues at l=0 on the whole half-line (t = arctan r in
+    (0, pi/2)) with 4000 points match {5, 17, 37} within 0.5% (0.1% after
+    Richardson); the derived levels print exactly.  Under thirty seconds."""
     t0 = time.perf_counter()
     from pdmlab.casimir import algebraic_spectrum_so4
     from pdmlab.spectral import RadialProblem, fd_eigenvalues, richardson_eigenvalues
     from pdmlab.symkernel import evaluate
 
-    prob = RadialProblem(system="so4", l=0, r_min=1e-3, r_max=30.0, grid_points=4000)
+    prob = RadialProblem(system="so4", l=0, grid_points=4000)
     exact = [5.0, 17.0, 37.0]
     vals = fd_eigenvalues(prob, 3)
     ok = all(abs(v - e) / e < 5e-3 for v, e in zip(vals, exact))

@@ -110,6 +110,23 @@ class TestSpectrumCommand:
             main(["spectrum", "--system", "so4", "--grid", "notanint"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, stderr", [
+        (["so4", "--grid", "8"], "grid too small (need at least 16 points)"),
+        (["so4", "--l", "-1"], "l must be nonnegative"),
+        (["so4", "--dump", "/nonexistent/x.txt"],
+         "[Errno 2] No such file or directory: '/nonexistent/x.txt'"),
+        (["so4", "--count", "0"], "--count must be at least 1, not 0"),
+        (["so4", "--count", "-3"], "--count must be at least 1, not -3"),
+        (["so4", "--count", "17", "--grid", "16"], "17 levels asked of a grid with 16 points"),
+        (["scale", "--etilde", "3"], "index squared kappa^2 + 1 - Etilde is negative"),
+        (["scale", "--omega", "0"], "need omega > 0 (J_beta is evaluated at omega t, t > 0)"),
+    ], ids=["grid-8", "l-minus-1", "dump-nonexistent", "count-0", "count-minus-3",
+            "count-past-grid", "scale-index-squared", "scale-omega-0"])
+    def test_bad_input_exit_code(self, args, stderr, capsys):
+        # rc 2 and one error line; no table, not even an empty one
+        assert main(["spectrum", "--system", *args]) == 2
+        assert capsys.readouterr() == ("", f"spectrum error: {stderr}\n")
+
 
 class TestCasimirCommand:
     def test_so4(self, capsys):
@@ -292,6 +309,21 @@ class TestReportContract:
         payload = json.loads(out_path.read_text())
         assert payload["policy"]["points"] == 17
         assert payload["policy"]["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("command", [
+    ["catalog", "list"],
+    ["spectrum", "--system", "so4", "--count", "10"],
+])
+def test_closed_stdout_ends_quietly(command):
+    # a reader that stops early (`| head -1`) leaves rc 1 and no traceback
+    proc = subprocess.Popen([sys.executable, "-m", "pdmlab", *command],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""  # no Traceback, no message
 
 
 def test_module_entrypoint_subprocess():

@@ -8,7 +8,6 @@ import pytest
 
 from pdmlab import spectral
 from pdmlab.spectral import (
-    EIG_TOL,
     ClosedFormSolution,
     GridCoarseWarning,
     RadialProblem,
@@ -19,6 +18,7 @@ from pdmlab.spectral import (
     fd_eigenvalues,
     hyp2f1,
     hyp2f1_poly_coeffs,
+    liouville_q_residual,
     normalization_integral,
     richardson_eigenvalues,
     so13_boundary_values,
@@ -27,7 +27,7 @@ from pdmlab.spectral import (
     so4_wavefunction_expr,
     sturm_liouville_form,
 )
-from pdmlab.symkernel import diff, evaluate, is_provably_zero, is_zero, x1
+from pdmlab.symkernel import ProvedZero, diff, evaluate, is_provably_zero, is_zero, x1
 from pdmlab.symkernel.expr import add, mul
 
 EXACT3 = [5.0, 17.0, 37.0]
@@ -50,6 +50,12 @@ class TestSLForm:
             )
             assert is_provably_zero(sl - direct)
 
+    @pytest.mark.parametrize("system", ["so4", "so13"])
+    def test_liouville_transform_proves(self, system):
+        # the Q of the FD bands is the Liouville transform of (p, q, w) for
+        # every l: l(l+1) is a parameter of the proof
+        assert is_zero(liouville_q_residual(system)) == ProvedZero()
+
     def test_callable_values(self):
         p, q, w = sturm_liouville_form(RadialProblem(system="so4", l=0))
         assert p(1.0) == 4.0
@@ -67,6 +73,10 @@ class TestSLForm:
             RadialProblem(grid_points=8)
         with pytest.raises(ValueError):
             RadialProblem(system="so13", r_max=2.0)
+        with pytest.raises(ValueError):  # the compact problem is the whole half-line
+            RadialProblem(r_max=30.0)
+        with pytest.raises(ValueError):  # the lorentz one needs both ends
+            RadialProblem(system="so13", r_max=0.9)
 
 
 class TestFDEigenvalues:
@@ -90,40 +100,50 @@ class TestFDEigenvalues:
     def test_empty_request(self):
         assert fd_eigenvalues(RadialProblem(), 0) == []
 
-    def test_dirichlet_truncation_flux(self):
-        # plain Dirichlet at the stated domain carries an O(1/R) outer-flux
-        # error for the slowly decaying l=0 modes; the matched boundary fixes it
-        plain = fd_eigenvalues(RadialProblem(), 3, boundary="dirichlet")
-        assert abs(plain[0] - 5.0) > 0.1
-        r100 = fd_eigenvalues(
-            RadialProblem(r_max=100.0, grid_points=8000), 3, boundary="dirichlet"
-        )
-        assert abs(r100[0] - 5.0) < abs(plain[0] - 5.0)
-
     def test_grid_warning(self):
+        # 24 points against 16: level 101 moves by about 4% of itself
         with pytest.warns(GridCoarseWarning):
-            fd_eigenvalues(
-                RadialProblem(grid_points=24), 3, check_refinement=True,
-                boundary="dirichlet",
-            )
+            fd_eigenvalues(RadialProblem(grid_points=24), 5, check_refinement=True)
 
     def test_oscillation_count(self):
-        # number of Dirichlet eigenvalues below the third level's upper
-        # neighborhood equals the number of admissible n
+        # number of eigenvalues below the third level's upper neighborhood
+        # equals the number of admissible n
         prob = RadialProblem()
-        vals = fd_eigenvalues(prob, 4, boundary="dirichlet")
+        vals = fd_eigenvalues(prob, 4)
         bound = 0.5 * (vals[2] + vals[3])
         assert count_eigenvalues_below(prob, bound) == 3
 
     def test_eigensystem_rejects_what_eigenvalues_rejects(self):
-        # matched boundaries exist only for the compact system, and only
-        # two boundary kinds exist
-        so13 = RadialProblem(system="so13", r_max=0.9)
-        for prob, boundary in ((so13, "matched"), (RadialProblem(), "neumann")):
+        # a grid of N interior points has N levels, and asking for more is
+        # an error, not a shorter table
+        prob = RadialProblem(grid_points=16)
+        assert len(fd_eigenvalues(prob, 16)) == len(fd_eigensystem(prob, 16)[0]) == 16
+        for solve in (fd_eigenvalues, fd_eigensystem):
             with pytest.raises(ValueError):
-                fd_eigenvalues(prob, 1, boundary=boundary)
-            with pytest.raises(ValueError):
-                fd_eigensystem(prob, 1, boundary=boundary)
+                solve(prob, 17)
+
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_one_solve_per_table(self, l, monkeypatch):
+        # both ends of the t-grid are exact Dirichlet ends: the ten levels
+        # come from one call, with no refit
+        calls = []
+        solve = spectral.eigh_tridiagonal
+
+        def spy(d, e, **kwargs):
+            calls.append(kwargs["select_range"])
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
+        vals = fd_eigenvalues(RadialProblem(l=l, grid_points=20000), 10)
+        assert calls == [(0, 9)]
+        exact = np.array([4.0 * n * n + 1 for n in range(l + 1, l + 11)])
+        assert np.max(np.abs(np.array(vals) - exact) / exact) < 1e-6
+
+    def test_eigensystem_values_equal_eigenvalues(self):
+        prob = RadialProblem(grid_points=20000)
+        vals, _, vecs = fd_eigensystem(prob, 10)
+        assert vecs.shape == (prob.grid_points, 10)
+        assert np.array_equal(vals, fd_eigenvalues(prob, 10))
 
     def test_eigenvector_matches_closed_form(self):
         vals, r, vecs = fd_eigensystem(RadialProblem(), 2)
@@ -134,72 +154,8 @@ class TestFDEigenvalues:
             c = np.dot(ref, v) / np.dot(v, v)
             rel = np.linalg.norm(ref - c * v) / np.linalg.norm(ref)
             assert rel < 1e-2
-
-
-def _per_index_reference(prob: RadialProblem, count: int, tol: float):
-    """The matched levels as three single-index passes per level, each on a
-    fresh copy of the matrix: the definition the batched solver must meet."""
-    from scipy.linalg import eigh_tridiagonal
-
-    r, h, p_half, base, off = spectral._grid_and_bands(prob)
-    g_in = (prob.r_min / (prob.r_min + h)) ** (prob.l + 1)
-    out = []
-    for idx in range(count):
-        a = 0.0
-        for _ in range(3):
-            def tail(x):
-                return x**-2.0 * (1.0 + a / (x * x))
-
-            diag = base.copy()
-            diag[0] -= p_half[0] / h**2 * g_in
-            diag[-1] -= p_half[-1] / h**2 * (tail(r[-1] + h) / tail(r[-1]))
-            lam = eigh_tridiagonal(diag, off, select="i", select_range=(idx, idx),
-                                   eigvals_only=True, tol=tol)[0]
-            a = -(lam + 4.0) / 6.0
-        out.append(lam)
-    return np.array(out)
-
-
-class TestMatchedSolver:
-    # 20,000 points: scipy's default bisection tolerance is off the
-    # converged levels by about 1e-4 here, far outside 1e-8
-    PROB = RadialProblem(grid_points=20000)
-    COUNT = 10
-
-    def test_batched_levels_match_per_index_reference(self):
-        vals = fd_eigenvalues(self.PROB, self.COUNT)
-        ref = _per_index_reference(self.PROB, self.COUNT, EIG_TOL / 100)
-        assert np.max(np.abs(np.array(vals) - ref)) < 1e-8
-
-    @pytest.mark.parametrize("bad", ["empty", "unbounded-below"])
-    def test_bad_bracket_falls_back_to_index_call(self, bad, monkeypatch):
-        count = 4
-        want = fd_eigenvalues(self.PROB, count)
-        solve = spectral.eigh_tridiagonal
-        single_index_calls = []
-
-        def faulty(d, e, **kwargs):
-            if kwargs["select"] == "v":
-                # a bracket that holds no eigenvalue, or one that holds every
-                # eigenvalue below its top (two or more for k >= 1)
-                if bad == "empty":
-                    none = np.empty(0)
-                    return none if kwargs["eigvals_only"] else (none, np.empty((len(d), 0)))
-                kwargs["select_range"] = (-np.inf, kwargs["select_range"][1])
-            elif kwargs["select_range"][0] == kwargs["select_range"][1]:
-                single_index_calls.append(kwargs["select_range"][0])
-            return solve(d, e, **kwargs)
-
-        monkeypatch.setattr(spectral, "eigh_tridiagonal", faulty)
-        got = fd_eigenvalues(self.PROB, count)
-        guarded = range(count) if bad == "empty" else range(1, count)
-        assert sorted(single_index_calls) == sorted(2 * list(guarded))
-        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-8
-
-    def test_eigensystem_values_equal_eigenvalues(self):
-        vals, _, vecs = fd_eigensystem(self.PROB, self.COUNT)
-        assert vecs.shape == (self.PROB.grid_points, self.COUNT)
-        assert np.array_equal(vals, fd_eigenvalues(self.PROB, self.COUNT))
+            # phi(r) on r = tan t has unit weight-1 norm on the half-line
+            assert abs(np.trapezoid(v * v, r) - 1.0) < 1e-3
 
 
 class TestSeries:
@@ -273,6 +229,8 @@ class TestClosedForms:
             ClosedFormSolution(system="so13", k=1.5)
         with pytest.raises(ValueError):
             ClosedFormSolution(system="scale", kappa=0, etilde=3.0)
+        with pytest.raises(ValueError):
+            ClosedFormSolution(system="scale", omega=0.0)
 
     def test_fd_derivative_cross_check_so13(self):
         # independent check of the analytic derivative chain
@@ -311,9 +269,11 @@ class TestNormalization:
 
 class TestNoBoundStates:
     def test_monotone_drift_above_continuum_bottom(self):
-        scan = so13_lowest_eigenvalue_scan([0.1, 0.05, 0.025, 0.0125])
+        scan = so13_lowest_eigenvalue_scan([0.1, 0.05, 0.025, 0.0125, 1e-4])
         assert all(a > b for a, b in zip(scan, scan[1:]))
-        assert all(v >= -2.0 for v in scan)  # q = -2r^2 >= -2 on (0,1)
+        # Q + 1 = l(l+1)(1-r^2)^2/r^2 >= 0 and -u'' is positive definite
+        assert all(v > -1.0 for v in scan)
+        assert scan[-1] < -0.5  # -1 + (pi/T)^2 at T = artanh(1 - 1e-4)
 
 
 def test_import_leaves_quadrature_unloaded():

@@ -8,8 +8,9 @@ repository's git state is not touched.  Each command keyed in
 perfbench/expected.json runs under both source trees at seeds 271828 and 7,
 with `--json` added where its pin holds `checks`.  Exit codes, stdout,
 stderr and JSON reports are compared byte for byte.  Next each text of
-EXPR_INPUTS goes through `pdmlab expr parse|normalize` under both trees,
-and the exit codes, stdout and stderr are compared.  Then
+EXPR_INPUTS goes through `pdmlab expr parse|normalize`, and each argument
+list of SPECTRUM_INPUTS through `pdmlab spectrum`, under both trees, and
+the exit codes, stdout and stderr are compared.  Then
 perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
 the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
@@ -69,6 +70,19 @@ EXPR_INPUTS = (
     ("parse", "(D\u0661 (F x1))"),
 )
 
+# Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
+# and one `spectrum error:` line on stderr.
+SPECTRUM_INPUTS = (
+    ("--system", "so4", "--grid", "8"),
+    ("--system", "so4", "--l", "-1"),
+    ("--system", "so4", "--dump", "/nonexistent/x.txt"),
+    ("--system", "so4", "--count", "0"),
+    ("--system", "so4", "--count", "-3"),
+    ("--system", "so4", "--count", "17", "--grid", "16"),
+    ("--system", "scale", "--etilde", "3"),
+    ("--system", "scale", "--omega", "0"),
+)
+
 
 def extract_src(rev: str, dest: Path) -> Path:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -100,6 +114,29 @@ def print_stdout_diff(rev: str, old: bytes, new: bytes) -> None:
         print(f"    {line}", flush=True)
     if len(diff) > DIFF_LINES:
         print(f"    ... {len(diff) - DIFF_LINES} more diff lines", flush=True)
+
+
+def shorten(text: str) -> str:
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def compare_inputs(rev: str, trees: dict, tmp: Path, kind: str, commands: list) -> int:
+    """Run each (arguments, shown name) of commands at the first seed under
+    both trees, print one verdict line each and a count, and return how
+    many differ in exit code, stdout or stderr."""
+    differ = 0
+    for n, (args, shown) in enumerate(commands):
+        out = {name: run(src, args, SEEDS[0], False, tmp / f"{name}-{kind}-{n}")[:3]
+               for name, src in trees.items()}
+        bad = [f for f, a, b in zip(("rc", "stdout", "stderr"), out["rev"], out["tree"])
+               if a != b]
+        differ += bool(bad)
+        verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
+        print(f"{shown}: {verdict}", flush=True)
+        if "stdout" in bad:
+            print_stdout_diff(rev, out["rev"][1], out["tree"][1])
+    print(f"{differ} of {len(commands)} {kind} inputs differ from {rev}", flush=True)
+    return differ
 
 
 def child_env(src: Path) -> dict:
@@ -152,20 +189,13 @@ def main() -> int:
                 if "stdout" in bad:
                     print_stdout_diff(rev, out["rev"][1], out["tree"][1])
         print(f"{differ} of {2 * len(pins)} runs differ from {rev}", flush=True)
-        expr_differ = 0
-        for n, (action, text) in enumerate(EXPR_INPUTS):
-            out = {name: run(src, ["expr", action, text], SEEDS[0], False,
-                             tmp / f"{name}-expr-{n}")[:3]
-                   for name, src in trees.items()}
-            bad = [f for f, a, b in zip(("rc", "stdout", "stderr"), out["rev"], out["tree"])
-                   if a != b]
-            expr_differ += bool(bad)
-            verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
-            shown = text if len(text) <= 40 else text[:37] + "..."
-            print(f"expr {action} {shown!r}: {verdict}", flush=True)
-            if "stdout" in bad:
-                print_stdout_diff(rev, out["rev"][1], out["tree"][1])
-        print(f"{expr_differ} of {len(EXPR_INPUTS)} expr inputs differ from {rev}", flush=True)
+        expr_differ = compare_inputs(
+            rev, trees, tmp, "expr",
+            [(["expr", action, text], f"expr {action} {shorten(text)!r}")
+             for action, text in EXPR_INPUTS])
+        spectrum_differ = compare_inputs(
+            rev, trees, tmp, "spectrum",
+            [(["spectrum", *args], " ".join(("spectrum", *args))) for args in SPECTRUM_INPUTS])
         kernel_differ = 0
         for seed in SEEDS:
             items = {name: kernel_items(src, seed, tmp / f"kernel-{name}-{seed}")
@@ -177,7 +207,7 @@ def main() -> int:
                   f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
                   f"{stopped_tree} in the tree)", flush=True)
         print(f"{kernel_differ} of {len(SEEDS)} kernel-stream runs differ from {rev}")
-    return 1 if differ or expr_differ or kernel_differ else 0
+    return 1 if differ or expr_differ or spectrum_differ or kernel_differ else 0
 
 
 if __name__ == "__main__":
