@@ -1,6 +1,12 @@
 """Command-line front end: verification suites, spectrum tables, equivalence
 transforms and expression round-trips.
 
+Each subcommand takes only the options it reads.  Every one takes --seed;
+the report commands (catalog verify, algebra, casimir) take --json PATH;
+catalog verify, the one command whose checks sample, takes --points and
+--tol, and the other report headers record the default policy.  Any other
+option is bad input.
+
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
 one check failed or stdout was closed before the output was written, 2 bad
 arguments or input.  Reruns with the same seed and inputs produce
@@ -20,10 +26,6 @@ from .symkernel import ExprError, ZeroTestPolicy, kernel_scope, normalize, parse
 from .symkernel.sexpr import ParseError
 
 
-def _policy_from(args) -> ZeroTestPolicy:
-    return ZeroTestPolicy(points=args.points, tol=args.tol, seed=args.seed)
-
-
 def _document(policy: ZeroTestPolicy) -> ReportDocument:
     return ReportDocument(
         seed=policy.seed, policy={"points": policy.points, "tol": policy.tol}
@@ -38,20 +40,27 @@ def _emit(doc: ReportDocument, args) -> int:
     return 0 if doc.passed else 1
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog_list(args) -> int:
     from . import catalog
 
-    policy = _policy_from(args)
-    if args.action == "list":
-        rows = catalog.load_catalog()
-        for eid in sorted(rows):
-            row = rows[eid]
-            f = to_sexpr(normalize(row.f))
-            V = to_sexpr(normalize(row.V))
-            print(f"{eid:>2}  f = {f}")
-            print(f"    V = {V}")
-            print(f"    integrals: {', '.join(row.integrals)}")
-        return 0
+    rows = catalog.load_catalog()
+    for eid in sorted(rows):
+        row = rows[eid]
+        f = to_sexpr(normalize(row.f))
+        V = to_sexpr(normalize(row.V))
+        print(f"{eid:>2}  f = {f}")
+        print(f"    V = {V}")
+        print(f"    integrals: {', '.join(row.integrals)}")
+    return 0
+
+
+def _cmd_catalog_verify(args) -> int:
+    from . import catalog
+
+    if args.worked and args.entry is not None:
+        print("catalog error: --worked goes with --all, not --entry", file=sys.stderr)
+        return 2
+    policy = ZeroTestPolicy(points=args.points, tol=args.tol, seed=args.seed)
     doc = _document(policy)
     if args.entry is not None:
         doc.add(catalog.verify_entry(args.entry, policy))
@@ -67,8 +76,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_algebra(args) -> int:
     from . import conformal
 
-    policy = _policy_from(args)
-    doc = _document(policy)
+    # no algebra check samples: the header records the default policy
+    doc = _document(ZeroTestPolicy(seed=args.seed))
     if args.subalgebras:
         for rep in conformal.verify_subalgebras():
             doc.add(rep)
@@ -102,9 +111,13 @@ def _cmd_spectrum(args) -> int:
             if args.dump and args.dump_index < 0:
                 raise ValueError(f"--dump-index must be at least 0, not {args.dump_index}")
             prob = spectral.RadialProblem(system="so4", l=args.l, grid_points=args.grid)
-            vals = spectral.fd_eigenvalues(prob, args.count)
             if args.dump:
-                spectral.dump_eigenfunction(prob, args.dump_index, args.dump)
+                # one solve serves the table and the dump
+                eig = spectral.fd_eigensystem(prob, max(args.count, args.dump_index + 1))
+                spectral.dump_eigenfunction(prob, eig, args.dump_index, args.dump)
+                vals = list(eig[0][:args.count])
+            else:
+                vals = spectral.fd_eigenvalues(prob, args.count)
     except (ValueError, OSError) as err:
         # a grid below 16 points, a negative l, more levels than grid
         # points, a negative index squared or omega, a dump path not writable
@@ -120,28 +133,26 @@ def _cmd_spectrum(args) -> int:
         print("system,kappa,Etilde,omega,index_beta,max_residual,points")
         print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
         return 0 if res < 1e-8 else 1
+    # level n = l + 1 + i has the radial eigenvalue Etilde - 4 = 4n^2 + 1
+    levels = [casimir.algebraic_spectrum_so4(args.l + 1 + i) for i in range(len(vals))]
     print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
-    rows = []
-    for i, v in enumerate(vals):
-        n = args.l + 1 + i
-        exact = spectral.exact_so4_eigenvalue(n)
-        rel = abs(v - exact) / exact
-        rows.append((i, v, exact, rel))
-        print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rel:.3e}")
+    rels = []
+    for i, (v, lv) in enumerate(zip(vals, levels)):
+        exact = lv.etilde - 4
+        rels.append(abs(v - exact) / exact)
+        print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rels[-1]:.3e}")
     print()
     print("n,Etilde,E_mu_coeff,E_const")
-    for i in range(len(vals)):
-        lv = casimir.algebraic_spectrum_so4(args.l + 1 + i)
+    for lv in levels:
         print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
-    ok = all(r[3] < args.rel_tol for r in rows)
-    return 0 if ok else 1
+    return 0 if all(rel < args.rel_tol for rel in rels) else 1
 
 
 def _cmd_casimir(args) -> int:
     from . import casimir
 
-    policy = _policy_from(args)
-    doc = _document(policy)
+    # no Casimir check samples: the header records the default policy
+    doc = _document(ZeroTestPolicy(seed=args.seed))
     doc.add(casimir.verify_casimir_identity(args.system))
     doc.add(casimir.verify_casimir_centrality(args.system))
     if args.system == "so4":
@@ -227,35 +238,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pdmlab {__version__}")
     defaults = ZeroTestPolicy()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="write the report as JSON")
-    common.add_argument("--seed", type=int, default=defaults.seed,
+    # --seed is taken by every command, so that one argument list runs any
+    # of them at a chosen seed; it sets the seed of the sampling checks and
+    # the seed that a report records
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=defaults.seed,
                         help="seed for the numeric zero-test tier")
-    common.add_argument("--points", type=int, default=defaults.points,
-                        help="sample points per numeric zero test")
-    common.add_argument("--tol", type=float, default=defaults.tol,
-                        help="relative tolerance of the numeric tier")
+    reported = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    reported.add_argument("--json", metavar="PATH", help="write the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cat = sub.add_parser("catalog", parents=[common],
-                           help="list or verify the eighteen-class catalog")
-    p_cat.add_argument("action", choices=["list", "verify"])
-    group = p_cat.add_mutually_exclusive_group()
+    p_cat = sub.add_parser("catalog", help="list or verify the eighteen-class catalog")
+    cat_sub = p_cat.add_subparsers(dest="action", required=True)
+    p_list = cat_sub.add_parser("list", parents=[seeded], help="print the eighteen rows")
+    p_list.set_defaults(func=_cmd_catalog_list)
+    p_ver = cat_sub.add_parser("verify", parents=[reported], help="verify rows")
+    group = p_ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--entry", type=int, choices=range(1, 19), metavar="N",
                        help="verify a single row (1..18)")
     group.add_argument("--all", action="store_true", help="verify every row")
-    p_cat.add_argument("--worked", action="store_true",
+    p_ver.add_argument("--worked", action="store_true",
                        help="with --all, also verify the worked solution families")
-    p_cat.set_defaults(func=_cmd_catalog)
+    p_ver.add_argument("--points", type=int, default=defaults.points,
+                       help="sample points per numeric zero test")
+    p_ver.add_argument("--tol", type=float, default=defaults.tol,
+                       help="relative tolerance of the numeric tier")
+    p_ver.set_defaults(func=_cmd_catalog_verify)
 
-    p_alg = sub.add_parser("algebra", parents=[common],
+    p_alg = sub.add_parser("algebra", parents=[reported],
                            help="structure-constant and subalgebra suites")
     g = p_alg.add_mutually_exclusive_group(required=True)
     g.add_argument("--check", choices=["c3", "so14", "so4", "so13"])
     g.add_argument("--subalgebras", action="store_true")
     p_alg.set_defaults(func=_cmd_algebra)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
+    p_spec = sub.add_parser("spectrum", parents=[seeded],
                             help="radial eigenvalue tables and Bessel residuals")
     p_spec.add_argument("--system", choices=["so4", "scale"], required=True)
     p_spec.add_argument("--l", type=int, default=0)
@@ -270,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--dump-index", type=int, default=0)
     p_spec.set_defaults(func=_cmd_spectrum)
 
-    p_cas = sub.add_parser("casimir", parents=[common],
+    p_cas = sub.add_parser("casimir", parents=[reported],
                            help="Casimir identity reports")
     p_cas.add_argument("--system", choices=["so4", "so13"], required=True)
     p_cas.set_defaults(func=_cmd_casimir)
 
-    p_tr = sub.add_parser("transform", parents=[common],
+    p_tr = sub.add_parser("transform", parents=[seeded],
                           help="equivalence transformations of catalog rows")
     p_tr.add_argument("--kind", choices=["shift", "rotation", "dilatation", "inversion"],
                       required=True)
@@ -290,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="inversion multiplier exponent, or 'auto' to search")
     p_tr.set_defaults(func=_cmd_transform)
 
-    p_expr = sub.add_parser("expr", parents=[common],
+    p_expr = sub.add_parser("expr", parents=[seeded],
                             help="parse or normalize a text-grammar expression")
     p_expr.add_argument("action", choices=["parse", "normalize"])
     p_expr.add_argument("expression")
@@ -304,11 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "verify":
-        if args.entry is None and not getattr(args, "all", False):
-            parser.error("catalog verify needs --entry N or --all")
+    args = build_parser().parse_args(argv)
     # one kernel scope per command: its checks share normal forms, and the
     # memo ends with the command
     try:

@@ -437,60 +437,6 @@ def proportional_factor(e1: Expr, e2: Expr):
         return None
 
 
-# ---------------------------------------------------------------------------
-# text-record serialization (shared expression grammar)
-# ---------------------------------------------------------------------------
-
-
-def first_order_to_records(q: FirstOrderOp) -> str:
-    """Tagged records xi1..xi3, eta in the expression text grammar."""
-    from .symkernel import to_sexpr
-
-    lines = [f"xi{a} = {to_sexpr(q.xi[a - 1])}" for a in AXES]
-    lines.append(f"eta = {to_sexpr(q.eta)}")
-    return "\n".join(lines) + "\n"
-
-
-def second_order_to_records(s: SecondOrderOp) -> str:
-    """Tagged records A11..A33 (upper triangle), B1..B3, C."""
-    from .symkernel import to_sexpr
-
-    lines = []
-    for a in range(3):
-        for b in range(a, 3):
-            lines.append(f"A{a + 1}{b + 1} = {to_sexpr(s.A[a][b])}")
-    for a in AXES:
-        lines.append(f"B{a} = {to_sexpr(s.B[a - 1])}")
-    lines.append(f"C = {to_sexpr(s.C)}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_records(text: str) -> dict:
-    from .symkernel import parse_sexpr
-
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = parse_sexpr(value.strip())
-    return out
-
-
-def first_order_from_records(text: str) -> FirstOrderOp:
-    rec = _parse_records(text)
-    return FirstOrderOp((rec["xi1"], rec["xi2"], rec["xi3"]), rec["eta"])
-
-
-def second_order_from_records(text: str) -> SecondOrderOp:
-    rec = _parse_records(text)
-    A = tuple(
-        tuple(rec[f"A{min(a, b)}{max(a, b)}"] for b in AXES) for a in AXES
-    )
-    return SecondOrderOp(A, (rec["B1"], rec["B2"], rec["B3"]), rec["C"])
-
-
 def reduced_determining(h: PDMHamiltonian, p: KillingParams):
     """Residuals of the two reduced determining equations for a Killing flow:
     xi.grad(f) - 2(omega - 2 lam.x) f  and  xi.grad(V) + 3 lam.grad(f).

@@ -130,11 +130,6 @@ def liouville_q_residual(system: str):
     return built - (4 * ll / sin2t**2 + s)
 
 
-def exact_so4_eigenvalue(n: int) -> float:
-    """Radial eigenvalue 4n^2 + 1 of the compact problem (n >= l+1)."""
-    return 4.0 * n * n + 1.0
-
-
 def _grid_and_bands(prob: RadialProblem):
     """(r, h, diag, off): the interior points of the uniform t-grid mapped
     to r, the step h in t, and the bands of -u'' + Q u with u = 0 at both
@@ -161,9 +156,11 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
         return []
     vals = _fd_solve(prob, count)[0]
     if check_refinement:
-        coarse = _fd_solve(replace(prob, grid_points=max(16, prob.grid_points // 2)),
-                           count)[0]
-        drift = np.max(np.abs(vals - coarse) / (1 + np.abs(vals)))
+        # the half grid may hold fewer than count levels: compare those it has
+        coarse_prob = replace(prob, grid_points=max(16, prob.grid_points // 2))
+        coarse = _fd_solve(coarse_prob, min(count, coarse_prob.grid_points))[0]
+        fine = vals[:len(coarse)]
+        drift = np.max(np.abs(fine - coarse) / (1 + np.abs(fine)))
         if drift > 1e-2:
             warnings.warn(
                 f"grid may be too coarse: refinement drift {drift:.2e}",
@@ -513,10 +510,19 @@ def so13_boundary_values(sol: ClosedFormSolution, eps: float = 1e-3):
     return f(eps), f(1.0 - eps)
 
 
-def dump_eigenfunction(prob: RadialProblem, index: int, path: str) -> None:
-    """Two-column (r, phi) plot-ready dump of one FD eigenfunction, with
-    unit weighted norm and its largest value positive."""
-    vals, r, phi = fd_eigensystem(prob, index + 1)
+def dump_eigenfunction(prob: RadialProblem, eigensystem, index: int, path: str) -> None:
+    """Two-column (r, phi) plot-ready dump of eigenfunction index of the
+    (eigenvalues, r, phi) that fd_eigensystem(prob, count) returned, with
+    count > index, with unit weighted norm and its largest value positive.
+
+    Each value is bisected to EIG_TOL whatever count is, so a caller that
+    solves max(table size, index + 1) levels once for both its table and
+    the dump gets the table of fd_eigenvalues: the same values when index
+    is below the table size, and values within EIG_TOL of them otherwise
+    (about 4e-11 measured on so4 grids of 4,000 to 100,000 points, below
+    the printed 10 digits).
+    """
+    vals, r, phi = eigensystem
     v = phi[:, index]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

@@ -105,6 +105,24 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.splitlines()[1].startswith("scale,0,")
 
+    def test_dump_solves_once(self, tmp_path, monkeypatch, capsys):
+        # one eigensystem solve serves the three-row table and level 5 of
+        # the dump, and the table prints as it does without --dump
+        from pdmlab import spectral
+
+        args = ["spectrum", "--system", "so4", "--count", "3", "--grid", "2000"]
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        calls = []
+        solve = spectral.eigh_tridiagonal
+        monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                            lambda *a, **kw: calls.append(kw) or solve(*a, **kw))
+        dump = tmp_path / "d.txt"
+        assert main([*args, "--dump", str(dump), "--dump-index", "5"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == table
+        assert dump.read_text().startswith("# system=so4 l=0 index=5 lambda=")
+
     def test_invalid_grid(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--system", "so4", "--grid", "notanint"])
@@ -333,3 +351,37 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(* 2 x1)"
+
+
+_COMMANDS = {
+    "algebra": ["algebra", "--check", "so4"],
+    "casimir": ["casimir", "--system", "so4"],
+    "spectrum": ["spectrum", "--system", "scale"],
+    "transform": ["transform", "--kind", "rotation", "--entry", "10"],
+    "expr": ["expr", "parse", "x1"],
+    "catalog list": ["catalog", "list"],
+}
+_UNREAD = [
+    *((name, ["--json", "out.json"]) for name in ("spectrum", "transform", "expr", "catalog list")),
+    *((name, opt) for name in _COMMANDS for opt in (["--points", "3"], ["--tol", "1e-3"])),
+    *(("catalog list", [opt]) for opt in ("--entry", "--all", "--worked")),
+]
+
+
+@pytest.mark.parametrize("command", [
+    _COMMANDS[name] + opt for name, opt in _UNREAD
+] + [["catalog", "verify", "--entry", "9", "--worked"]],
+    ids=[f"{name} {opt[0]}" for name, opt in _UNREAD] + ["catalog verify --entry --worked"])
+def test_unread_option_is_bad_input(command, tmp_path, monkeypatch, capsys):
+    # a subcommand takes only the options it reads: any other is rc 2,
+    # before any output or report file
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(command)
+    except SystemExit as exc:  # argparse: unrecognized arguments
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        ("pdmlab: error: unrecognized arguments: ", "catalog error: --worked"))
+    assert list(tmp_path.iterdir()) == []

@@ -226,31 +226,6 @@ class TestCommuteHQ:
         assert is_provably_zero(num(0, 1) * comm.C - inst[9])
 
 
-class TestRecordSerialization:
-    def test_first_order_round_trip(self):
-        from pdmlab.diffop import first_order_from_records, first_order_to_records
-
-        q = killing_to_op(KillingParams(lam=(0, 0, Fraction(1, 2)),
-                                        nu=(0, 0, Fraction(-1, 2)), c0=2))
-        text = first_order_to_records(q)
-        assert text.splitlines()[0].startswith("xi1 = ")
-        back = first_order_from_records(text)
-        assert (back - q).is_zero()
-
-    def test_second_order_round_trip(self):
-        from pdmlab.diffop import second_order_from_records, second_order_to_records
-
-        s = compose_first_order(op_J(3), op_K(1))
-        text = second_order_to_records(s)
-        assert "C = " in text
-        back = second_order_from_records(text)
-        assert op_equal_local(back, s)
-
-
-def op_equal_local(a, b):
-    return (a - b).is_zero()
-
-
 class TestDetermining:
     def test_matches_reference_system_up_to_rational_factor(self):
         second, first, zeroth = extract_determining()

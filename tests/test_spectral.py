@@ -105,6 +105,13 @@ class TestFDEigenvalues:
         with pytest.warns(GridCoarseWarning):
             fd_eigenvalues(RadialProblem(grid_points=24), 5, check_refinement=True)
 
+    def test_refinement_past_half_the_grid(self):
+        # the 20-point half grid holds 20 of the 30 levels: those 20 are
+        # compared, and all 30 come back
+        with pytest.warns(GridCoarseWarning):
+            vals = fd_eigenvalues(RadialProblem(grid_points=40), 30, check_refinement=True)
+        assert len(vals) == 30
+
     def test_oscillation_count(self):
         # number of eigenvalues below the third level's upper neighborhood
         # equals the number of admissible n

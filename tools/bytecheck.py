@@ -8,16 +8,17 @@ repository's git state is not touched.  Each command keyed in
 perfbench/expected.json runs under both source trees at seeds 271828 and 7,
 with `--json` added where its pin holds `checks`.  Exit codes, stdout,
 stderr and JSON reports are compared byte for byte.  Next each text of
-EXPR_INPUTS goes through `pdmlab expr parse|normalize`, and each argument
-list of SPECTRUM_INPUTS through `pdmlab spectrum`, under both trees, and
-the exit codes, stdout and stderr are compared.  Then
+EXPR_INPUTS goes through `pdmlab expr parse|normalize`, each argument
+list of SPECTRUM_INPUTS through `pdmlab spectrum`, and each command of
+OPTION_INPUTS through `pdmlab`, under both trees, and the exit codes,
+stdout and stderr are compared.  Then
 perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
 the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
 are counted apart and are not a difference.  Nothing is written under
 perfbench/.  One line is printed per command and seed, followed, when the
-stdout differs, by the first DIFF_LINES lines of its unified diff; the exit
-status is 1 on any difference.
+stdout differs, by the first DIFF_LINES lines of its unified diff, each cut
+to DIFF_WIDTH characters; the exit status is 1 on any difference.
 """
 
 import difflib
@@ -33,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (271828, 7)
 DIFF_LINES = 24
+DIFF_WIDTH = 160
 
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
@@ -83,6 +85,31 @@ SPECTRUM_INPUTS = (
     ("--system", "scale", "--omega", "0"),
 )
 
+# Options that a subcommand does not read, after a command that runs without
+# them, and --worked with --entry: each is bad input, rc 2 with no stdout.
+OPTION_INPUTS = (
+    ("spectrum", "--system", "scale", "--json", "out.json"),
+    ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
+    ("expr", "parse", "x1", "--json", "out.json"),
+    ("catalog", "list", "--json", "out.json"),
+    ("algebra", "--check", "so4", "--points", "3"),
+    ("algebra", "--check", "so4", "--tol", "1e-3"),
+    ("casimir", "--system", "so4", "--points", "3"),
+    ("casimir", "--system", "so4", "--tol", "1e-3"),
+    ("spectrum", "--system", "scale", "--points", "3"),
+    ("spectrum", "--system", "scale", "--tol", "1e-3"),
+    ("transform", "--kind", "rotation", "--entry", "10", "--points", "3"),
+    ("transform", "--kind", "rotation", "--entry", "10", "--tol", "1e-3"),
+    ("expr", "parse", "x1", "--points", "3"),
+    ("expr", "parse", "x1", "--tol", "1e-3"),
+    ("catalog", "list", "--points", "3"),
+    ("catalog", "list", "--tol", "1e-3"),
+    ("catalog", "list", "--entry", "3"),
+    ("catalog", "list", "--all"),
+    ("catalog", "list", "--worked"),
+    ("catalog", "verify", "--entry", "9", "--worked"),
+)
+
 
 def extract_src(rev: str, dest: Path) -> Path:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -111,13 +138,13 @@ def print_stdout_diff(rev: str, old: bytes, new: bytes) -> None:
                                      new.decode(errors="replace").splitlines(),
                                      rev, "tree", lineterm=""))
     for line in diff[:DIFF_LINES]:
-        print(f"    {line}", flush=True)
+        print(f"    {shorten(line, DIFF_WIDTH)}", flush=True)
     if len(diff) > DIFF_LINES:
         print(f"    ... {len(diff) - DIFF_LINES} more diff lines", flush=True)
 
 
-def shorten(text: str) -> str:
-    return text if len(text) <= 40 else text[:37] + "..."
+def shorten(text: str, width: int = 40) -> str:
+    return text if len(text) <= width else text[:width - 3] + "..."
 
 
 def compare_inputs(rev: str, trees: dict, tmp: Path, kind: str, commands: list) -> int:
@@ -196,6 +223,9 @@ def main() -> int:
         spectrum_differ = compare_inputs(
             rev, trees, tmp, "spectrum",
             [(["spectrum", *args], " ".join(("spectrum", *args))) for args in SPECTRUM_INPUTS])
+        option_differ = compare_inputs(
+            rev, trees, tmp, "option",
+            [(list(args), " ".join(args)) for args in OPTION_INPUTS])
         kernel_differ = 0
         for seed in SEEDS:
             items = {name: kernel_items(src, seed, tmp / f"kernel-{name}-{seed}")
@@ -207,7 +237,7 @@ def main() -> int:
                   f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
                   f"{stopped_tree} in the tree)", flush=True)
         print(f"{kernel_differ} of {len(SEEDS)} kernel-stream runs differ from {rev}")
-    return 1 if differ or expr_differ or spectrum_differ or kernel_differ else 0
+    return 1 if differ or expr_differ or spectrum_differ or option_differ or kernel_differ else 0
 
 
 if __name__ == "__main__":
