@@ -4,8 +4,9 @@ transforms and expression round-trips.
 Each subcommand takes only the options it reads.  Every one takes --seed;
 the report commands (catalog verify, algebra, casimir) take --json PATH;
 catalog verify, the one command whose checks sample, takes --points and
---tol, and the other report headers record the default policy.  Any other
-option is bad input.
+--tol, and the other report headers record the default policy.  `spectrum`
+and `transform` take the options of the chosen --system or --kind only.
+Any other option is bad input.
 
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
 one check failed or stdout was closed before the output was written, 2 bad
@@ -95,9 +96,42 @@ def _cmd_algebra(args) -> int:
     return _emit(doc, args)
 
 
+# The options that each --system of `spectrum` and each --kind of
+# `transform` reads, with their defaults.  Their parser defaults are None,
+# so an option given to a system or kind that does not read it is seen.
+SPECTRUM_OPTIONS = {
+    "so4": {"l": 0, "count": 3, "grid": 4000, "rel_tol": 5e-3, "dump": None, "dump_index": 0},
+    "scale": {"kappa": 0, "etilde": 1.0, "omega": 2.0},
+}
+TRANSFORM_OPTIONS = {
+    "shift": {"nu": "0,0,0"},
+    "dilatation": {"scale": "2"},
+    "rotation": {"axis": 3, "cos": "3/5", "sin": "4/5"},
+    "inversion": {"weight": "auto"},
+}
+
+
+def _take_options(args, table: dict, chosen: str, flag: str):
+    """Set the defaults of the options that `chosen` reads, and return the
+    error text for the first given option that it does not read, or None."""
+    for choice, options in table.items():
+        for name, default in options.items():
+            if choice == chosen:
+                if getattr(args, name) is None:
+                    setattr(args, name, default)
+            elif getattr(args, name) is not None:
+                option = "--" + name.replace("_", "-")
+                return f"{option} is not read by {flag} {chosen}"
+    return None
+
+
 def _cmd_spectrum(args) -> int:
     from . import casimir, spectral
 
+    unread = _take_options(args, SPECTRUM_OPTIONS, args.system, "--system")
+    if unread:
+        print(f"spectrum error: {unread}", file=sys.stderr)
+        return 2
     # every input is checked, and the dump written, before the first line of
     # output: a rejected input prints its one error line and nothing else
     try:
@@ -169,6 +203,10 @@ def _cmd_transform(args) -> int:
     from .conformal import FormError, TransformSpec, apply_transform, axis_rotation, find_inversion_weight
     from .diffop import PDMHamiltonian
 
+    unread = _take_options(args, TRANSFORM_OPTIONS, args.kind, "--kind")
+    if unread:
+        print(f"transform error: {unread}", file=sys.stderr)
+        return 2
     row = catalog.entry(args.entry)
     h = PDMHamiltonian(row.f, row.V)
     try:
@@ -275,16 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", parents=[seeded],
                             help="radial eigenvalue tables and Bessel residuals")
     p_spec.add_argument("--system", choices=["so4", "scale"], required=True)
-    p_spec.add_argument("--l", type=int, default=0)
-    p_spec.add_argument("--count", type=int, default=3)
-    p_spec.add_argument("--grid", type=int, default=4000)
-    p_spec.add_argument("--rel-tol", type=float, default=5e-3)
-    p_spec.add_argument("--kappa", type=int, default=0)
-    p_spec.add_argument("--etilde", type=float, default=1.0)
-    p_spec.add_argument("--omega", type=float, default=2.0)
+    # so4 reads --l ... --dump-index, scale reads --kappa, --etilde, --omega;
+    # the defaults are in SPECTRUM_OPTIONS
+    p_spec.add_argument("--l", type=int)
+    p_spec.add_argument("--count", type=int)
+    p_spec.add_argument("--grid", type=int)
+    p_spec.add_argument("--rel-tol", type=float)
     p_spec.add_argument("--dump", metavar="PATH",
                         help="write a two-column (r, phi) eigenfunction dump")
-    p_spec.add_argument("--dump-index", type=int, default=0)
+    p_spec.add_argument("--dump-index", type=int)
+    p_spec.add_argument("--kappa", type=int)
+    p_spec.add_argument("--etilde", type=float)
+    p_spec.add_argument("--omega", type=float)
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_cas = sub.add_parser("casimir", parents=[reported],
@@ -298,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True)
     p_tr.add_argument("--entry", type=int, choices=range(1, 19), metavar="N",
                       required=True)
-    p_tr.add_argument("--nu", default="0,0,0", help="shift vector a,b,c (rationals)")
-    p_tr.add_argument("--scale", default="2", help="dilatation factor (rational)")
-    p_tr.add_argument("--axis", type=int, default=3, help="rotation axis")
-    p_tr.add_argument("--cos", default="3/5", help="rotation cosine (rational)")
-    p_tr.add_argument("--sin", default="4/5", help="rotation sine (rational)")
-    p_tr.add_argument("--weight", default="auto",
+    # each kind reads its own options; the defaults are in TRANSFORM_OPTIONS
+    p_tr.add_argument("--nu", help="shift vector a,b,c (rationals)")
+    p_tr.add_argument("--scale", help="dilatation factor (rational)")
+    p_tr.add_argument("--axis", type=int, help="rotation axis")
+    p_tr.add_argument("--cos", help="rotation cosine (rational)")
+    p_tr.add_argument("--sin", help="rotation sine (rational)")
+    p_tr.add_argument("--weight",
                       help="inversion multiplier exponent, or 'auto' to search")
     p_tr.set_defaults(func=_cmd_transform)
 

@@ -38,7 +38,7 @@ from .symkernel import (
     x3,
 )
 from .symkernel.expr import NUM_ZERO, Num, add
-from .symkernel.ratform import kernel_scope, rf_canon, to_rf
+from .symkernel.ratform import kernel_scope, m_key, rf_canon, to_rf
 
 AXES = (1, 2, 3)
 MINUS_I = num(0, -1)
@@ -427,7 +427,7 @@ def proportional_factor(e1: Expr, e2: Expr):
             return None
         if r1.is_zero():
             return None
-        mono, c2 = next(iter(sorted(r2.num.items(), key=lambda kv: str(kv[0]))))
+        mono, c2 = min(r2.num.items(), key=lambda kv: m_key(kv[0]))
         c1 = r1.num.get(mono)
         if c1 is None:
             return None

@@ -17,15 +17,29 @@ that with univariate images modulo a prime (`_coprime_certified`) and runs
 the pseudo-remainder sequence only when the images cannot decide.  The proof
 is exact, not probabilistic; it is spelled out in `_coprime_certified`.
 
+Packed monomials (after Monagan & Pearce, CASC 2007): the scope's atom table
+gives each atom, in the order it is first met, a field of _W = 32 bits, and
+a monomial is one non-negative int that holds each exponent in its atom's
+field: x**e for the k-th atom is e << 32*k, and 1 is 0.  The top bit of a
+field is a guard bit, zero in every monomial, so a product is a + b with
+one test of the guard bits, a quotient is b - a, and divisibility is one
+subtraction with the guard bits set.  An exponent must stay below
+_LIMIT = 2**31; one at or above it raises ExprError.  The field order is
+the order of first use, not the canonical one: the graded-lex order of
+`m_key`, the order of a printed monomial's factors, the gcd's main variable
+and the coprimality check's point ranks all go by the atoms' s-expression
+text, as they did when a monomial was a tuple of (atom, exponent) pairs,
+so every canonical form is the same.
+
 Memo lifetime: the rational forms and normal forms of subtrees, the atom
-table and the root-atom bases live for one kernel scope, `kernel_scope`.
-`normalize`, `raw_form` (so `is_zero`), `is_provably_zero` and
-`poly_degree_in_vars` enter it, and the outermost exit empties them, so a
-library caller's memory is that of one outermost call.  `pdmlab.cli.main`
-holds one scope for a whole command, whose checks then share normal forms.
-A form, monomial or atom returned by the internal helpers (`to_rf`,
-`rf_canon`, ...) is valid only inside the scope that made it; call them
-inside one.
+table, the root-atom bases and the per-monomial memos live for one kernel
+scope, `kernel_scope`.  `normalize`, `raw_form` (so `is_zero`),
+`is_provably_zero` and `poly_degree_in_vars` enter it, and the outermost
+exit empties them, so a library caller's memory is that of one outermost
+call.  `pdmlab.cli.main` holds one scope for a whole command, whose checks
+then share normal forms.  A form or monomial returned by the internal
+helpers (`to_rf`, `rf_canon`, ...) is valid only inside the scope that made
+it; call them inside one.
 """
 
 from __future__ import annotations
@@ -51,25 +65,35 @@ from .expr import (
 )
 from .sexpr import to_sexpr
 
-# monomial: tuple of (atom, exponent) pairs, sorted by atom sort key
+# monomial: int of packed exponent fields (module docstring)
 # polynomial: dict monomial -> GRat (zero polynomial is the empty dict)
 
+_W = 32
+_LIMIT = 1 << (_W - 1)
+_FIELD = _LIMIT - 1
+
 # Memo state of one kernel scope (below); empty outside every scope.
-_SKEY: dict = {}
-_ROOT_BASE: dict = {}
 _NORM_CACHE: dict = {}
 _RF_CACHE: dict = {}
-_ATOM_INTERN: dict = {}
+_MKEY: dict = {}  # monomial -> m_key
+_MFACTORS: dict = {}  # monomial -> its printed factors, in atom-key order
+_POINTS: dict = {}  # atom support -> field -> value, for _coprime_certified
+_ROOT_BASE: dict = {}  # field of a root atom -> (q, base polynomial)
+# the atom table, a field named by its bit offset: atom -> field, and
+# field -> (sort key, atom); _GUARDS holds the guard bit of every field
+_SHIFT: dict = {}
+_ATOMS: dict = {}
+_GUARDS = 0
 
 
 class _KernelScope:
-    """Reentrant lifetime of the memo dicts: `with kernel_scope:`.
+    """Reentrant lifetime of the memo state: `with kernel_scope:`.
 
-    The public entry points enter it, and the outermost exit clears every
-    dict, also when a BaseException (an interrupt, a timeout signal) ends
-    the call.  The cached forms go first: a rational form with a root atom
-    needs that atom's entry in _ROOT_BASE, so an exit cut short between two
-    clears leaves no form without its base.
+    The public entry points enter it, and the outermost exit clears it,
+    also when a BaseException (an interrupt, a timeout signal) ends the
+    call.  What refers to fields goes before the atom table: an exit cut
+    short between two clears leaves no form, memo or root base that a later
+    atom could take the field of.
     """
 
     __slots__ = ("depth",)
@@ -81,95 +105,107 @@ class _KernelScope:
         self.depth += 1
 
     def __exit__(self, *exc):
+        global _GUARDS
         self.depth -= 1
         if not self.depth:
             _NORM_CACHE.clear()
             _RF_CACHE.clear()
+            _MKEY.clear()
+            _MFACTORS.clear()
+            _POINTS.clear()
             _ROOT_BASE.clear()
-            _ATOM_INTERN.clear()
-            _SKEY.clear()
+            _SHIFT.clear()
+            _ATOMS.clear()
+            _GUARDS = 0
 
 
 kernel_scope = _KernelScope()
 
 
-def _skey(atom: Expr) -> str:
-    k = _SKEY.get(atom)
-    if k is None:
-        k = to_sexpr(atom)
-        _SKEY[atom] = k
-    return k
+def _shift(atom: Expr) -> int:
+    """Bit offset of atom's field, given on first use."""
+    global _GUARDS
+    s = _SHIFT.get(atom)
+    if s is None:
+        s = _W * len(_ATOMS)
+        _ATOMS[s] = (to_sexpr(atom), atom)
+        _GUARDS |= _LIMIT << s
+        _SHIFT[atom] = s
+    return s
 
 
-def _intern(atom: Expr) -> Expr:
-    """Structurally equal atoms become the same object, so monomial
-    bookkeeping runs on identity comparisons."""
-    got = _ATOM_INTERN.get(atom)
-    if got is not None:
-        return got
-    _ATOM_INTERN[atom] = atom
-    _skey(atom)
-    return atom
+def _unpack(m: int) -> list:
+    """(field, exponent) of every nonzero field of m, lowest first."""
+    out = []
+    while m:
+        s = (m & -m).bit_length() - 1
+        s -= s % _W
+        e = (m >> s) & _FIELD
+        out.append((s, e))
+        m ^= e << s
+    return out
+
+
+def _support(m: int) -> int:
+    """The guard bits of the nonzero fields of m (an OR of monomials)."""
+    return (m + _GUARDS - (_GUARDS >> (_W - 1))) & _GUARDS
+
+
+def _support_fields(support: int) -> list:
+    return [s for s, _ in _unpack(support >> (_W - 1))]
+
+
+def _atom_key(s: int) -> str:
+    """Sort key of field s's atom: its s-expression text."""
+    return _ATOMS[s][0]
+
+
+def _too_large():
+    return ExprError(f"exponent too large: a monomial holds exponents below 2^{_W - 1}")
 
 
 # ---------------------------------------------------------------------------
 # monomials
 # ---------------------------------------------------------------------------
 
-M_ONE: tuple = ()
+M_ONE = 0
 
 
-def m_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = {}
-    for atom, e in a:
-        out[atom] = out.get(atom, 0) + e
-    for atom, e in b:
-        out[atom] = out.get(atom, 0) + e
-    return tuple(sorted(((k, v) for k, v in out.items() if v), key=lambda p: _skey(p[0])))
+def m_mul(a: int, b: int) -> int:
+    m = a + b
+    if m & _GUARDS:
+        raise _too_large()
+    return m
 
 
-def m_divides(a: tuple, b: tuple) -> bool:
-    """True if monomial a divides monomial b."""
-    db = dict(b)
-    for atom, e in a:
-        if db.get(atom, 0) < e:
-            return False
-    return True
+def m_divides(a: int, b: int) -> bool:
+    """True if monomial a divides monomial b: no field of b - a borrows."""
+    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
 
 
-def m_div(b: tuple, a: tuple) -> tuple:
+def m_div(b: int, a: int) -> int:
     """b / a, assuming divisibility."""
-    da = dict(a)
-    out = []
-    for atom, e in b:
-        r = e - da.get(atom, 0)
-        if r:
-            out.append((atom, r))
-    return tuple(out)
+    return b - a
 
 
-def m_gcd(a: tuple, b: tuple) -> tuple:
-    da = dict(a)
-    out = []
-    for atom, e in b:
-        g = min(e, da.get(atom, 0))
-        if g:
-            out.append((atom, g))
-    return tuple(sorted(out, key=lambda p: _skey(p[0])))
+def m_gcd(a: int, b: int) -> int:
+    """Fieldwise minimum: a field of (a | guards) - b keeps its guard bit
+    where a's exponent is at least b's, and takes b's there."""
+    ge = ((a | _GUARDS) - b) & _GUARDS
+    ge -= ge >> (_W - 1)
+    return (b & ge) | (a & ~ge)
 
 
-def m_degree(m: tuple) -> int:
-    return sum(e for _, e in m)
-
-
-def m_key(m: tuple):
+def m_key(m: int):
     # graded lex; pairs listed by descending atom key so the induced order is
     # multiplicative (required by the division algorithm inside the gcd)
-    return (m_degree(m), tuple(sorted(((_skey(a), e) for a, e in m), reverse=True)))
+    k = _MKEY.get(m)
+    if k is None:
+        pairs = _unpack(m)
+        k = (sum(e for _, e in pairs),
+             tuple(sorted(((_ATOMS[s][0], e) for s, e in pairs), reverse=True)))
+        _MKEY[m] = k
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +221,9 @@ def p_const(c: GRat) -> dict:
 
 
 def p_atom(atom: Expr, e: int = 1) -> dict:
-    return {((atom, e),): ONE}
+    if e >= _LIMIT:
+        raise _too_large()
+    return {e << _shift(atom): ONE}
 
 
 def p_add(a: dict, b: dict) -> dict:
@@ -217,8 +255,11 @@ def p_scale(a: dict, c: GRat) -> dict:
     return {m: v * c for m, v in a.items()}
 
 
-def p_mul_mono(a: dict, mono: tuple, c: GRat) -> dict:
-    return {m_mul(m, mono): v * c for m, v in a.items()}
+def p_mul_mono(a: dict, mono: int, c: GRat) -> dict:
+    out = {m + mono: v * c for m, v in a.items()}
+    if p_atoms(out) & _GUARDS:
+        raise _too_large()
+    return out
 
 
 def p_mul_raw(a: dict, b: dict) -> dict:
@@ -232,9 +273,11 @@ def p_mul_raw(a: dict, b: dict) -> dict:
             return p_scale(b, c1)
         return p_mul_mono(b, m1, c1)
     out: dict = {}
+    over = 0
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = m_mul(m1, m2)
+            m = m1 + m2
+            over |= m
             s = out.get(m)
             if s is None:
                 out[m] = c1 * c2
@@ -244,6 +287,8 @@ def p_mul_raw(a: dict, b: dict) -> dict:
                     del out[m]
                 else:
                     out[m] = s
+    if over & _GUARDS:
+        raise _too_large()
     return out
 
 
@@ -268,15 +313,15 @@ def p_lead(a: dict):
     return m, a[m]
 
 
-def p_atoms(a: dict) -> set:
-    out = set()
+def p_atoms(a: dict) -> int:
+    """The OR of a's monomials: a field is nonzero iff its atom occurs."""
+    out = 0
     for m in a:
-        for atom, _ in m:
-            out.add(atom)
+        out |= m
     return out
 
 
-def p_mono_content(a: dict) -> tuple:
+def p_mono_content(a: dict) -> int:
     """gcd of all monomials of a (the common monomial factor)."""
     it = iter(a)
     g = next(it)
@@ -361,32 +406,27 @@ class _NegKey:
 # -- gcd ----------------------------------------------------------------------
 
 
-def _to_univ(p: dict, atom: Expr):
-    """Coefficient list (index = degree in atom) with polynomial entries."""
+def _to_univ(p: dict, s: int):
+    """Coefficient list (index = degree in the atom of field s) with
+    polynomial entries."""
     coeffs: dict = {}
     for m, c in p.items():
-        d = 0
-        rest = []
-        for a, e in m:
-            if a == atom:
-                d = e
-            else:
-                rest.append((a, e))
+        d = (m >> s) & _FIELD
         entry = coeffs.setdefault(d, {})
-        rest_t = tuple(rest)
-        entry[rest_t] = entry.get(rest_t, ZERO) + c
+        rest = m ^ (d << s)
+        entry[rest] = entry.get(rest, ZERO) + c
     top = max(coeffs)
     return [coeffs.get(d, P_ZERO) for d in range(top + 1)]
 
 
-def _from_univ(coeffs, atom: Expr) -> dict:
+def _from_univ(coeffs, s: int) -> dict:
     out: dict = {}
     for d, p in enumerate(coeffs):
         if not p:
             continue
-        mono = ((atom, d),) if d else M_ONE
+        mono = d << s
         for m, c in p.items():
-            mm = m_mul(m, mono)
+            mm = m + mono
             out[mm] = out.get(mm, ZERO) + c
     return {m: c for m, c in out.items() if not c.is_zero()}
 
@@ -441,7 +481,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def _point_value(k: int) -> int:
-    """Fixed nonzero value in F_p of the k-th atom in _skey order.
+    """Fixed nonzero value in F_p of the k-th atom in atom-key order.
 
     The rank goes through the SplitMix64 finalizer, so the values satisfy no
     small multiplicative relation.  Values in arithmetic progression would:
@@ -454,18 +494,16 @@ def _point_value(k: int) -> int:
     return (z ^ (z >> 31)) % _P or 1
 
 
-def _image_mod_p(p: dict, x: Expr, point: dict) -> list:
-    """Coefficient list over F_p (index = degree in x) of a Gaussian-integer
-    polynomial, every atom but x evaluated at point."""
+def _image_mod_p(p: dict, x: int, point: dict) -> list:
+    """Coefficient list over F_p (index = degree in the atom of field x) of a
+    Gaussian-integer polynomial, every other atom evaluated at point (field
+    -> value)."""
     out: dict = {}
     for m, c in p.items():
         v = (c.a + _S * c.b) % _P
-        d = 0
-        for atom, e in m:
-            if atom == x:
-                d = e
-            else:
-                v = v * pow(point[atom], e, _P) % _P
+        d = (m >> x) & _FIELD
+        for s, e in _unpack(m ^ (d << x)):
+            v = v * pow(point[s], e, _P) % _P
         out[d] = (out.get(d, 0) + v) % _P
     return [out.get(d, 0) for d in range(max(out) + 1)]
 
@@ -505,16 +543,18 @@ def _coprime_certified(a: dict, b: dict) -> bool:
     contain atoms shared by a and b, so g is constant.  An unlucky prime or
     point only makes the check return False.
     """
-    atoms_a = p_atoms(a)
-    atoms_b = p_atoms(b)
-    common = atoms_a & atoms_b
-    ordered = sorted(atoms_a | atoms_b, key=_skey)
-    point = {atom: _point_value(k) for k, atom in enumerate(ordered)}
+    atoms_a = _support(p_atoms(a))
+    atoms_b = _support(p_atoms(b))
+    union = atoms_a | atoms_b
+    point = _POINTS.get(union)
+    if point is None:
+        ordered = sorted(_support_fields(union), key=_atom_key)
+        point = _POINTS[union] = {s: _point_value(r) for r, s in enumerate(ordered)}
     _, ca = content_normalize(list(a.values()))
     _, cb = content_normalize(list(b.values()))
     a = dict(zip(a, ca))
     b = dict(zip(b, cb))
-    for x in common:
+    for x in _support_fields(atoms_a & atoms_b):
         fa = _image_mod_p(a, x, point)
         fb = _image_mod_p(b, x, point)
         # each list is as long as the x-degree of its polynomial + 1
@@ -562,10 +602,10 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
         return b
     if p_divexact(b, a) is not None:
         return a
-    atoms = p_atoms(a) & p_atoms(b)
+    atoms = _support(p_atoms(a)) & _support(p_atoms(b))
     if not atoms:
         return P_ONE
-    main = min(atoms, key=_skey)
+    main = min(_support_fields(atoms), key=_atom_key)
     ua = _to_univ(a, main)
     ub = _to_univ(b, main)
     ca = _u_content(ua)
@@ -593,10 +633,11 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _overflow_atom(m: tuple):
-    for atom, e in m:
-        if atom in _ROOT_BASE and e >= atom.exponent.denominator:
-            return atom
+def _overflow_atom(m: int):
+    """Field of a root atom whose exponent in m has reached its q, or None."""
+    for s, (q, _) in _ROOT_BASE.items():
+        if (m >> s) & _FIELD >= q:
+            return s
     return None
 
 
@@ -631,23 +672,15 @@ def _p_reduce(p: dict) -> dict:
                     break
             if hit is None:
                 break
-            q = hit.exponent.denominator
-            base = _ROOT_BASE[hit]
+            q, base = _ROOT_BASE[hit]
             stay: dict = {}
             grouped: dict = {}
             for mm, cc in tn.items():
-                d = dict(mm)
-                e = d.get(hit, 0)
-                k, r = divmod(e, q)
+                k, r = divmod((mm >> hit) & _FIELD, q)
                 if k == 0:
                     stay[mm] = stay.get(mm, ZERO) + cc
                     continue
-                if r:
-                    d[hit] = r
-                else:
-                    d.pop(hit)
-                mm2 = tuple(sorted(d.items(), key=lambda kv: _skey(kv[0])))
-                grouped.setdefault(k, {})[mm2] = cc
+                grouped.setdefault(k, {})[mm - ((k * q) << hit)] = cc
             tn = stay
             for k, poly in grouped.items():
                 tn = p_add(tn, p_mul_raw(poly, p_ipow(base, k)))
@@ -827,25 +860,20 @@ def rf_ipow(a: RF, n: int) -> RF:
 def _conjugate_out(num: dict, den: dict):
     """Multiply num and den so that den is free of root atoms (square roots)."""
     for _ in range(32):
-        target = None
-        for atom in p_atoms(den):
-            if atom in _ROOT_BASE:
-                target = atom
-                break
+        atoms = p_atoms(den)
+        target = next((s for s in _ROOT_BASE if (atoms >> s) & _FIELD), None)
         if target is None:
             return num, den
-        q = target.exponent.denominator
-        if q != 2:
+        if _ROOT_BASE[target][0] != 2:
             raise ExprError("cannot rationalize denominators with roots of order > 2")
         a_part: dict = {}
         b_part: dict = {}
         for m, c in den.items():
-            d = dict(m)
-            e = d.pop(target, 0)
-            mm = tuple(sorted(d.items(), key=lambda kv: _skey(kv[0])))
+            e = (m >> target) & _FIELD
+            mm = m ^ (e << target)
             part = a_part if e == 0 else b_part
             part[mm] = part.get(mm, ZERO) + c
-        conj = p_add(a_part, p_neg(p_mul_mono(b_part, ((target, 1),), ONE)))
+        conj = p_add(a_part, p_neg(p_mul_mono(b_part, 1 << target, ONE)))
         den2 = p_mul(den, conj)
         if not den2:
             raise ExprError("degenerate root atom: base is a perfect square")
@@ -905,7 +933,7 @@ def _to_rf(e: Expr) -> RF:
     if isinstance(e, Num):
         return RF(p_const(e.val), DEN_ONE)
     if isinstance(e, (Var, Param)):
-        return RF(p_atom(_intern(e)), DEN_ONE)
+        return RF(p_atom(e), DEN_ONE)
     if isinstance(e, Add):
         out = RF_ZERO
         for t in e.terms:
@@ -939,23 +967,26 @@ def _to_rf(e: Expr) -> RF:
             raise ExprError(
                 "fractional powers are supported for polynomial bases only"
             )
-        atom = _intern(Pow(cb, Fraction(1, q)))
-        _ROOT_BASE.setdefault(atom, crb.num)
+        atom = Pow(cb, Fraction(1, q))
+        _ROOT_BASE.setdefault(_shift(atom), (q, crb.num))
         n, m = divmod(p, q)
         out = rf_ipow(crb, n)
         if m:
             out = rf_mul(out, RF(p_atom(atom, m), DEN_ONE))
         return out
     if isinstance(e, App):
-        return RF(p_atom(_intern(App(e.fn, normalize(e.arg)))), DEN_ONE)
+        return RF(p_atom(App(e.fn, normalize(e.arg))), DEN_ONE)
     if isinstance(e, AbsApp):
         atom = AbsApp(e.name, e.dcounts, tuple(normalize(a) for a in e.args))
-        return RF(p_atom(_intern(atom)), DEN_ONE)
+        return RF(p_atom(atom), DEN_ONE)
     raise ExprError(f"cannot normalize {type(e).__name__}")
 
 
-def _mono_expr(m: tuple, c: GRat) -> Expr:
-    factors = [pow_(atom, Fraction(e)) for atom, e in m]
+def _mono_expr(m: int, c: GRat) -> Expr:
+    factors = _MFACTORS.get(m)
+    if factors is None:
+        pairs = sorted((_ATOMS[s] + (e,) for s, e in _unpack(m)), key=lambda t: t[0])
+        factors = _MFACTORS[m] = tuple(pow_(atom, Fraction(e)) for _, atom, e in pairs)
     return mul(Num(c), *factors)
 
 
@@ -1012,15 +1043,16 @@ def poly_degree_in_vars(e: Expr):
     """Total degree in x1,x2,x3 when e is polynomial in them, else None."""
     with kernel_scope:
         rf = rf_canon(to_rf(e))
-    if rf.den != DEN_ONE:
-        return None
-    deg = 0
-    for m in rf.num:
-        d = 0
-        for atom, ex in m:
-            if isinstance(atom, Var):
-                d += ex
-            elif not isinstance(atom, Param):
-                return None
-        deg = max(deg, d)
-    return deg
+        if rf.den != DEN_ONE:
+            return None
+        deg = 0
+        for m in rf.num:
+            d = 0
+            for s, ex in _unpack(m):
+                atom = _ATOMS[s][1]
+                if isinstance(atom, Var):
+                    d += ex
+                elif not isinstance(atom, Param):
+                    return None
+            deg = max(deg, d)
+        return deg

@@ -282,10 +282,17 @@ class TestExprFuzz:
          "parse error: bad atom '\u0661/\u0662' at offset 6\n"),
         ("parse", "(gauss \u0661 2)", 2, "", "parse error: bad atom '\u0661' at offset 7\n"),
         ("parse", "(D\u0661 (F x1))", 2, "", "parse error: unknown head 'D\u0661' at offset 1\n"),
+        ("normalize", "(^ x1 2147483647)", 0, "(^ x1 2147483647)\n", ""),
+        ("normalize", "(^ x1 4294967296)", 2, "",
+         "expression error: exponent too large: a monomial holds exponents below 2^31\n"),
+        ("normalize", "(* (^ x1 2147483647) x1)", 2, "",
+         "expression error: exponent too large: a monomial holds exponents below 2^31\n"),
     ], ids=["minus-rational", "minus-ident", "arabic-indic-exponent", "arabic-indic-gauss",
-            "arabic-indic-derivative"])
+            "arabic-indic-derivative", "exponent-below-limit", "exponent-2^32",
+            "product-at-limit"])
     def test_pinned_texts(self, action, text, code, stdout, stderr, capsys):
-        # a text starting with "-" reaches the parser; DIGITS are ASCII only
+        # a text starting with "-" reaches the parser; DIGITS are ASCII only;
+        # a monomial's exponents stay below 2^31
         assert main(["expr", action, text]) == code
         assert capsys.readouterr() == (stdout, stderr)
 
@@ -384,4 +391,37 @@ def test_unread_option_is_bad_input(command, tmp_path, monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith(
         ("pdmlab: error: unrecognized arguments: ", "catalog error: --worked"))
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each option that one --system or --kind reads, given to another: rc 2,
+# one error line naming the first such option, no output and no dump.
+_OTHER_CHOICE = [
+    *((["spectrum", "--system", "scale", opt, value], f"spectrum error: {opt} is not read by "
+      "--system scale")
+      for opt, value in (("--l", "1"), ("--count", "3"), ("--grid", "8"), ("--rel-tol", "0.1"),
+                         ("--dump", "d.txt"), ("--dump-index", "1"))),
+    *((["spectrum", "--system", "so4", opt, value], f"spectrum error: {opt} is not read by "
+      "--system so4")
+      for opt, value in (("--kappa", "1"), ("--etilde", "1"), ("--omega", "3"))),
+    *((["transform", "--kind", kind, "--entry", "10", opt, value],
+       f"transform error: {opt} is not read by --kind {kind}")
+      for kind, opt, value in (("rotation", "--nu", "x"), ("rotation", "--scale", "2"),
+                               ("rotation", "--weight", "auto"), ("shift", "--axis", "1"),
+                               ("shift", "--cos", "0"), ("dilatation", "--sin", "1"),
+                               ("inversion", "--nu", "0,0,1"))),
+    (["spectrum", "--system", "scale", "--grid", "8", "--dump", "d.txt"],
+     "spectrum error: --grid is not read by --system scale"),
+    (["transform", "--kind", "rotation", "--entry", "10", "--nu", "x", "--weight", "5"],
+     "transform error: --nu is not read by --kind rotation"),
+]
+
+
+@pytest.mark.parametrize("command, stderr", _OTHER_CHOICE,
+                         ids=[" ".join(command) for command, _ in _OTHER_CHOICE])
+def test_option_of_another_system_or_kind_is_bad_input(command, stderr, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert capsys.readouterr() == ("", stderr + "\n")
     assert list(tmp_path.iterdir()) == []

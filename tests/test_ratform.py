@@ -1,5 +1,10 @@
 """The modular coprimality check in front of the gcd's pseudo-remainder
-sequence (PRS), and the lifetime of the normal form's memo."""
+sequence (PRS), the packed monomials, and the lifetime of the normal form's
+memo.
+
+A monomial is valid only inside the kernel scope that packed it, so the
+polynomial strategies draw terms, and each test builds its polynomials
+inside one scope."""
 
 import hashlib
 import random
@@ -11,7 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 from pdmlab import catalog
 from pdmlab.symkernel import (
     NUM_ZERO,
+    ExprError,
     ProvedZero,
+    exp,
     is_zero,
     kernel_scope,
     normalize,
@@ -27,7 +34,12 @@ from pdmlab.symkernel import ratform
 from pdmlab.symkernel.ratform import (
     _coprime_certified,
     _p_gcd_core,
+    _p_reduce,
     m_div,
+    m_divides,
+    m_gcd,
+    m_key,
+    m_mul,
     p_add,
     p_atom,
     p_atoms,
@@ -42,10 +54,11 @@ from pdmlab.symkernel.ratform import (
 from pdmlab.symkernel.scalars import GRat
 
 # the square-root atom is an independent variable in the gcd's model
-ATOMS = (x1, x2, param("a"), next(iter(p_atoms(to_rf(sqrt(x3 + 1)).num))))
+ATOMS = (x1, x2, param("a"), sqrt(x3 + 1))
 
 
 def _poly(terms) -> dict:
+    """The polynomial of ((re, im), exponents) terms; call it in a scope."""
     out: dict = {}
     for (re, im), exps in terms:
         t = p_const(GRat(re, im))
@@ -56,9 +69,18 @@ def _poly(terms) -> dict:
     return out
 
 
+def _nonzero(terms) -> bool:
+    """Whether the terms leave a nonzero polynomial, summed like terms."""
+    sums: dict = {}
+    for (re, im), exps in terms:
+        a, b = sums.get(exps, (0, 0))
+        sums[exps] = (a + re, b + im)
+    return any(c != (0, 0) for c in sums.values())
+
+
 _coeff = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: c != (0, 0))
 _term = st.tuples(_coeff, st.tuples(*(st.integers(0, 2) for _ in ATOMS)))
-polys = st.lists(_term, min_size=1, max_size=4).map(_poly).filter(bool)
+polys = st.lists(_term, min_size=1, max_size=4).filter(_nonzero)
 
 
 def _strip_monomial_content(p: dict) -> dict:
@@ -79,27 +101,25 @@ class TestCoprimeCertified:
     @settings(max_examples=150, deadline=None)
     @given(polys, polys, polys)
     def test_never_certifies_a_common_factor(self, a, b, c):
-        assume(not p_is_const(c))
-        assert not _coprime_certified(p_mul_raw(a, c), p_mul_raw(b, c))
+        with kernel_scope:
+            a, b, c = _poly(a), _poly(b), _poly(c)
+            assume(not p_is_const(c))
+            assert not _coprime_certified(p_mul_raw(a, c), p_mul_raw(b, c))
 
     @settings(max_examples=150, deadline=None)
     @given(polys, polys)
     def test_certified_pairs_have_constant_prs_gcd(self, a, b):
-        a = _strip_monomial_content(a)
-        b = _strip_monomial_content(b)
-        assume(len(a) > 1 and len(b) > 1)
-        if _coprime_certified(a, b):
-            assert p_is_const(_prs_gcd(a, b))
+        with kernel_scope:
+            a = _strip_monomial_content(_poly(a))
+            b = _strip_monomial_content(_poly(b))
+            assume(len(a) > 1 and len(b) > 1)
+            if _coprime_certified(a, b):
+                assert p_is_const(_prs_gcd(a, b))
 
     def test_prs_remainders_stay_small(self):
         # a certified pair on which the PRS, keeping each remainder's
         # numeric content, grew coefficients past a million bits; with the
         # content removed none passes 125
-        a = _poly([((-3, -1), (0, 0, 2, 0)), ((2, -2), (1, 2, 1, 2)),
-                   ((0, -3), (2, 0, 1, 0)), ((1, 0), (0, 0, 0, 2))])
-        b = _poly([((0, 1), (0, 1, 0, 1)), ((1, 3), (2, 0, 2, 2)),
-                   ((-2, 1), (0, 2, 1, 0)), ((3, 1), (2, 0, 2, 1))])
-        assert _coprime_certified(a, b)
         bits = []
         prem = ratform._u_prem
 
@@ -109,8 +129,14 @@ class TestCoprimeCertified:
                         for p in (*f, *g, *r) for c in p.values())
             return r
 
-        with mock.patch.object(ratform, "_u_prem", spy):
-            assert p_is_const(_prs_gcd(a, b))
+        with kernel_scope:
+            a = _poly([((-3, -1), (0, 0, 2, 0)), ((2, -2), (1, 2, 1, 2)),
+                       ((0, -3), (2, 0, 1, 0)), ((1, 0), (0, 0, 0, 2))])
+            b = _poly([((0, 1), (0, 1, 0, 1)), ((1, 3), (2, 0, 2, 2)),
+                       ((-2, 1), (0, 2, 1, 0)), ((3, 1), (2, 0, 2, 1))])
+            assert _coprime_certified(a, b)
+            with mock.patch.object(ratform, "_u_prem", spy):
+                assert p_is_const(_prs_gcd(a, b))
         assert bits and max(bits) <= 4096
 
     def test_vanishing_leading_coefficient_falls_through(self):
@@ -119,20 +145,22 @@ class TestCoprimeCertified:
         # images of g are constant: only the degree test stops the check
         # from certifying g*h and g*k
         v1, v2 = ratform._point_value(0), ratform._point_value(1)
-        g = p_add(p_mul_raw(_shifted(x1, v1), _shifted(x2, v2)), p_const(GRat(1)))
-        a = p_mul_raw(g, _shifted(x1, -2))
-        b = p_mul_raw(g, _shifted(x1, -3))
-        assert not _coprime_certified(a, b)
-        assert p_gcd(a, b) == p_canonical(g)
+        with kernel_scope:
+            g = p_add(p_mul_raw(_shifted(x1, v1), _shifted(x2, v2)), p_const(GRat(1)))
+            a = p_mul_raw(g, _shifted(x1, -2))
+            b = p_mul_raw(g, _shifted(x1, -3))
+            assert not _coprime_certified(a, b)
+            assert p_gcd(a, b) == p_canonical(g)
 
     def test_structured_leading_coefficient_is_certified(self):
         # a kernel-stream pair: a's x2-coefficient contains x1^2 - a*x3,
         # which vanishes at any point whose values are in arithmetic
         # progression in the atoms' order a, x1, x2, x3
-        a = to_rf(parse_sexpr("(* 8 (+ (^ x1 2) (* -1 a x3))"
-                              " (+ (* 7 (^ x1 2) x2) (* -2 a x1) 1))")).num
-        b = to_rf(parse_sexpr("(+ (* (^ x2 3) (^ x3 3)) (* -1 (^ x1 3)))")).num
-        assert _coprime_certified(a, b)
+        with kernel_scope:
+            a = to_rf(parse_sexpr("(* 8 (+ (^ x1 2) (* -1 a x3))"
+                                  " (+ (* 7 (^ x1 2) x2) (* -2 a x1) 1))")).num
+            b = to_rf(parse_sexpr("(+ (* (^ x2 3) (^ x3 3)) (* -1 (^ x1 3)))")).num
+            assert _coprime_certified(a, b)
 
     def test_field_constants(self):
         p, s = ratform._P, ratform._S
@@ -196,7 +224,7 @@ class TestDecidedWithoutPrs:
 
 _plain_term = st.tuples(_coeff, st.tuples(*(st.integers(0, 2) for _ in range(3))))
 # Gaussian-integer polynomials in x1, x2, a (no root atom)
-plain_polys = st.lists(_plain_term, min_size=1, max_size=4).map(_poly).filter(bool)
+plain_polys = st.lists(_plain_term, min_size=1, max_size=4).filter(_nonzero)
 
 
 class TestGaussianContent:
@@ -225,18 +253,106 @@ class TestGaussianContent:
     @given(plain_polys, plain_polys, plain_polys)
     def test_common_factor_cancels(self, p, q, g):
         # P*G and Q*G enter expanded, so the PRS has to find G
-        assume(not p_is_const(g))
-        P, Q, PG, QG = (ratform._poly_expr(f)
-                        for f in (p, q, p_mul_raw(p, g), p_mul_raw(q, g)))
-        assert normalize(PG / QG) == normalize(P / Q)
+        with kernel_scope:
+            p, q, g = _poly(p), _poly(q), _poly(g)
+            assume(not p_is_const(g))
+            P, Q, PG, QG = (ratform._poly_expr(f)
+                            for f in (p, q, p_mul_raw(p, g), p_mul_raw(q, g)))
+            assert normalize(PG / QG) == normalize(P / Q)
+
+
+# -- packed monomials against dicts of exponents --------------------------------
+
+LIMIT = ratform._LIMIT
+# the monomials' atoms are interned among forty others in a drawn order, so
+# most of them sit in fields past the fortieth
+_OTHERS = tuple(param(f"p{k}") for k in range(40))
+_USED = (x1, x2, param("a"), param("b"), exp(x3))
+_exponent = st.integers(1, 3) | st.integers(LIMIT - 3, LIMIT - 1)
+_monos = st.dictionaries(st.integers(0, len(_USED) - 1), _exponent, max_size=4)
+_orders = st.permutations(_OTHERS + _USED)
+
+
+def _pack(exps: dict) -> int:
+    """The monomial of {index in _USED: exponent}, from p_atom's fields."""
+    return sum(e * next(iter(p_atom(_USED[k]))) for k, e in exps.items() if e)
+
+
+def _ref_key(exps: dict):
+    """Graded lex over the atoms' s-expression texts, largest text first."""
+    return (sum(exps.values()),
+            tuple(sorted(((to_sexpr(_USED[k]), e) for k, e in exps.items() if e), reverse=True)))
+
+
+class TestPackedMonomials:
+    @settings(max_examples=200, deadline=None)
+    @given(_orders, _monos, _monos)
+    def test_monomial_operations_match_exponent_dicts(self, order, a, b):
+        with kernel_scope:
+            for atom in order:
+                p_atom(atom)
+            pa, pb = _pack(a), _pack(b)
+            total = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+            if max(total.values(), default=0) >= LIMIT:
+                with pytest.raises(ExprError, match="exponent too large"):
+                    m_mul(pa, pb)
+            else:
+                assert m_mul(pa, pb) == _pack(total)
+            divides = all(e <= b.get(k, 0) for k, e in a.items())
+            assert m_divides(pa, pb) == divides
+            if divides:
+                assert m_div(pb, pa) == _pack({k: e - a.get(k, 0) for k, e in b.items()})
+            assert m_gcd(pa, pb) == _pack({k: min(e, b.get(k, 0)) for k, e in a.items()})
+            assert m_key(pa) == _ref_key(a) and m_key(pb) == _ref_key(b)
+            support = p_atoms({pa: GRat(1), pb: GRat(2)})
+            assert {k for k in range(len(_USED)) if support & _pack({k: LIMIT - 1})} \
+                == a.keys() | b.keys()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_orders, st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 7),
+                                       st.integers(0, 2), st.sampled_from([0, LIMIT - 1])),
+                             min_size=1, max_size=4))
+    def test_root_reduction_matches_exponent_dicts(self, order, terms):
+        # r = (x1 + 2)^(1/3), interned after the other 45 atoms; a term
+        # c * r^e * x2^d * a^g reduces to c * (x1 + 2)^(e // 3) * r^(e % 3) * ...
+        from math import comb
+
+        want: dict = {}
+        for c, e, d, g in terms:
+            k, rest = divmod(e, 3)
+            for j in range(k + 1):
+                key = (j, rest, d, g)
+                want[key] = want.get(key, 0) + c * comb(k, j) * 2 ** (k - j)
+        with kernel_scope:
+            for atom in order:
+                p_atom(atom)
+            (r,) = to_rf(parse_sexpr("(^ (+ x1 2) 1/3)")).num
+            assert r.bit_length() > 45 * ratform._W
+            poly: dict = {}
+            for c, e, d, g in terms:
+                poly = p_add(poly, {e * r + _pack({1: d, 2: g}): GRat(c)})
+            reduced = {j * next(iter(p_atom(x1))) + rest * r + _pack({1: d, 2: g}): GRat(c)
+                       for (j, rest, d, g), c in want.items() if c}
+            assert _p_reduce(poly) == reduced
+
+    def test_exponent_limit(self):
+        with kernel_scope:
+            assert to_sexpr(normalize(parse_sexpr(f"(^ x1 {LIMIT - 1})"))) == f"(^ x1 {LIMIT - 1})"
+            for text in (f"(^ x1 {LIMIT})", f"(* (^ x1 {LIMIT - 1}) x1)",
+                         f"(^ (* x2 a) {-LIMIT})", f"(^ x1 {2 * LIMIT - 1}/{2 * LIMIT})"):
+                with pytest.raises(ExprError, match="exponent too large"):
+                    normalize(parse_sexpr(text))
 
 
 # -- the kernel scope ----------------------------------------------------------
 
 
 def _memo_sizes() -> dict:
-    return {name: len(getattr(ratform, name))
-            for name in ("_NORM_CACHE", "_RF_CACHE", "_ROOT_BASE", "_ATOM_INTERN", "_SKEY")}
+    sizes = {name: len(getattr(ratform, name))
+             for name in ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_POINTS",
+                          "_ROOT_BASE", "_SHIFT", "_ATOMS")}
+    sizes["_GUARDS"] = ratform._GUARDS.bit_count()
+    return sizes
 
 
 def _factor_text(rng: random.Random, atom: str) -> str:

@@ -36,10 +36,15 @@ SEEDS = (271828, 7)
 DIFF_LINES = 24
 DIFF_WIDTH = 160
 
+# Forty-one parameters and a cube root: the widest monomials of EXPR_INPUTS,
+# whose fields lie past the fortieth atom's.
+_WIDE_SUM = "(+ " + " ".join(f"a{k}" for k in range(41)) + " (^ (+ x1 2) 1/3))"
+_WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
+
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
 # rejections; nesting past the interpreter's recursion limit; texts that
-# start with "-"; and digits that are not ASCII.
+# start with "-"; digits that are not ASCII; and wide monomials.
 EXPR_INPUTS = (
     ("parse", "(+ x1 (* 2 x2))"),
     ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
@@ -70,6 +75,8 @@ EXPR_INPUTS = (
     ("normalize", "(^ x1 \u0661/\u0662)"),
     ("parse", "(gauss \u0661 2)"),
     ("parse", "(D\u0661 (F x1))"),
+    ("normalize", f"(* {_WIDE_SUM} (+ (^ (+ x1 2) 2/3) (* a40 a0) x3) {_WIDE_DEN} {_WIDE_DEN})"),
+    ("normalize", f"(+ (^ {_WIDE_SUM} 3) (* -1 {_WIDE_SUM} {_WIDE_SUM} {_WIDE_SUM}))"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
@@ -85,8 +92,10 @@ SPECTRUM_INPUTS = (
     ("--system", "scale", "--omega", "0"),
 )
 
-# Options that a subcommand does not read, after a command that runs without
-# them, and --worked with --entry: each is bad input, rc 2 with no stdout.
+# Options that a subcommand, or the chosen --system or --kind, does not read,
+# after a command that runs without them, and --worked with --entry: each is
+# bad input, rc 2 with no stdout.  The seven after --worked were accepted and
+# ignored before `spectrum` and `transform` took only their own options.
 OPTION_INPUTS = (
     ("spectrum", "--system", "scale", "--json", "out.json"),
     ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
@@ -108,6 +117,13 @@ OPTION_INPUTS = (
     ("catalog", "list", "--all"),
     ("catalog", "list", "--worked"),
     ("catalog", "verify", "--entry", "9", "--worked"),
+    ("spectrum", "--system", "scale", "--grid", "8", "--dump", "d.txt"),
+    ("spectrum", "--system", "so4", "--omega", "3"),
+    ("transform", "--kind", "rotation", "--entry", "10", "--nu", "x", "--weight", "5"),
+    ("transform", "--kind", "shift", "--nu", "0,0,1", "--entry", "10", "--axis", "1"),
+    ("transform", "--kind", "dilatation", "--scale", "3/2", "--entry", "14", "--sin", "0"),
+    ("transform", "--kind", "inversion", "--entry", "18", "--scale", "2"),
+    ("transform", "--kind", "rotation", "--entry", "10", "--weight", "auto"),
 )
 
 
