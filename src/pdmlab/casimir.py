@@ -5,14 +5,16 @@ For the compact realization (inverse mass (1+r^2)^2) the shifted Hamiltonian
 satisfies C1 = (H - 9)/4 and C2 = 0; for the Lorentz realization
 ((1-r^2)^2) it satisfies C1 = (H + 9)/4 and C2 = 0.  The spectrum of the
 compact system follows algebraically: C1 has eigenvalues n^2 - 1, giving
-E = mu(4n^2 + 5) + nu with angular momentum bounded by l <= n - 1.
+E = mu(4n^2 + 5) + nu with angular momentum bounded by l <= n - 1.  Those
+levels are spectral.algebraic_spectrum_so4, which the spectrum table reads
+without the operator stack imported here.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conformal import combo_to_op, generator, so4_basis, so13_basis
 from .diffop import (
@@ -26,13 +28,12 @@ from .diffop import (
     second_order_zero,
 )
 from .report import Check, VerificationReport, annotation
-from .symkernel import Expr, as_expr, normalize, param, x1, x2, x3
+from .symkernel import as_expr, normalize, x1, x2, x3
 
 R2 = x1 * x1 + x2 * x2 + x3 * x3
 
 
-@dataclass(frozen=True)
-class CasimirPair:
+class CasimirPair(NamedTuple):
     C1: SecondOrderOp
     C2: SecondOrderOp
     algebra_tag: str  # "so4" | "so13"
@@ -200,45 +201,13 @@ def verify_casimir_centrality(tag: str = "so4") -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class So4Level:
-    n: int
-    etilde: int                      # 4 n^2 + 5
-    energy: Expr                     # mu (4 n^2 + 5) + nu
-    mu_coeff: int
-    nu_coeff: int
-    allowed_l: tuple
-    degeneracy: int                  # sum of 2l+1 over allowed l
-
-
-def algebraic_spectrum_so4(n: int) -> So4Level:
-    """Level n >= 1 of the compact system: Casimir eigenvalue n^2 - 1 gives
-    the rescaled energy 4n^2 + 5; angular momentum runs over l <= n - 1."""
-    if n < 1:
-        raise ValueError("level index must be a positive integer")
-    etilde = 4 * n * n + 5
-    mu, nu = param("mu"), param("nu")
-    energy = normalize(mu * etilde + nu)
-    allowed = tuple(range(0, n))
-    return So4Level(
-        n=n,
-        etilde=etilde,
-        energy=energy,
-        mu_coeff=etilde,
-        nu_coeff=1,
-        allowed_l=allowed,
-        degeneracy=sum(2 * l + 1 for l in allowed),
-    )
-
-
 def casimir_bridge_holds(n: int) -> bool:
     """4q(q+1) with q = (n-1)/2 equals n^2 - 1."""
     q = Fraction(n - 1, 2)
     return 4 * q * (q + 1) == n * n - 1
 
 
-@dataclass(frozen=True)
-class So13Window:
+class So13Window(NamedTuple):
     j1_squared: float
     etilde: float                    # tabulated formula: -5 - j1^2
     windows: tuple                   # window tags the value falls in

@@ -12,8 +12,8 @@ verbatim failure is reported as an annotation and the variant must pass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .conformal import (
     SO4_METRIC,
@@ -63,8 +63,7 @@ R2 = x1**2 + x2**2 + x3**2
 RT2 = x1**2 + x2**2
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One catalog row: id, declared parameters, profile f, potential V and
     the listed integrals (combo strings); optional corrected variant."""
 

@@ -126,7 +126,8 @@ def _take_options(args, table: dict, chosen: str, flag: str):
 
 
 def _cmd_spectrum(args) -> int:
-    from . import casimir, spectral
+    # spectral alone: the table needs none of the operator modules
+    from . import spectral
 
     unread = _take_options(args, SPECTRUM_OPTIONS, args.system, "--system")
     if unread:
@@ -168,7 +169,7 @@ def _cmd_spectrum(args) -> int:
         print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
         return 0 if res < 1e-8 else 1
     # level n = l + 1 + i has the radial eigenvalue Etilde - 4 = 4n^2 + 1
-    levels = [casimir.algebraic_spectrum_so4(args.l + 1 + i) for i in range(len(vals))]
+    levels = [spectral.algebraic_spectrum_so4(args.l + 1 + i) for i in range(len(vals))]
     print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
     rels = []
     for i, (v, lv) in enumerate(zip(vals, levels)):

@@ -15,10 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
+from . import read_only
 from .diffop import (
     AXES,
     FirstOrderOp,
@@ -611,8 +612,7 @@ def verify_killing_table() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
+class SubalgebraSpec(NamedTuple):
     id: str
     dimension: int
     params: tuple
@@ -684,31 +684,32 @@ def verify_subalgebras() -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransformSpec:
     """shift(nu), rotation(R), dilatation(scale), or inversion_conjugation
     (weight_exponent w, multiplier |x|^w with the substitution x -> x/r^2)."""
 
-    kind: str
-    nu: tuple = (0, 0, 0)
-    rotation: tuple = ()
-    scale: object = 1
-    weight_exponent: int = 0
+    __slots__ = ("kind", "nu", "rotation", "scale", "weight_exponent")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if self.kind not in ("shift", "rotation", "dilatation", "inversion_conjugation"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "rotation":
-            R = tuple(tuple(as_expr(v) for v in row) for row in self.rotation)
-            if len(R) != 3 or any(len(r) != 3 for r in R):
+    def __init__(self, kind: str, nu: tuple = (0, 0, 0), rotation: tuple = (), scale=1,
+                 weight_exponent: int = 0):
+        if kind not in ("shift", "rotation", "dilatation", "inversion_conjugation"):
+            raise ValueError(f"unknown transform kind {kind!r}")
+        if kind == "rotation":
+            rotation = tuple(tuple(as_expr(v) for v in row) for row in rotation)
+            if len(rotation) != 3 or any(len(r) != 3 for r in rotation):
                 raise ValueError("rotation needs a 3x3 matrix")
             for i in range(3):
                 for j in range(3):
-                    dot = add(*(mul(R[k][i], R[k][j]) for k in range(3)))
+                    dot = add(*(mul(rotation[k][i], rotation[k][j]) for k in range(3)))
                     want = 1 if i == j else 0
                     if not is_provably_zero(dot - want):
                         raise ValueError("rotation matrix is not exactly orthogonal")
-            object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weight_exponent", weight_exponent)
 
 
 def axis_rotation(axis: int, cos_t, sin_t):

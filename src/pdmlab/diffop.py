@@ -20,9 +20,9 @@ never forms a third-order term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import read_only
 from .symkernel import (
     AbstractFn,
     Expr,
@@ -48,16 +48,15 @@ def _e3(x):
     return tuple(as_expr(v) for v in x)
 
 
-@dataclass(frozen=True)
 class FirstOrderOp:
     """Q = -i(xi^a d_a + eta)."""
 
-    xi: tuple
-    eta: Expr
+    __slots__ = ("xi", "eta")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "xi", _e3(self.xi))
-        object.__setattr__(self, "eta", as_expr(self.eta))
+    def __init__(self, xi: tuple, eta):
+        object.__setattr__(self, "xi", _e3(xi))
+        object.__setattr__(self, "eta", as_expr(eta))
 
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
         return FirstOrderOp(
@@ -86,19 +85,17 @@ class FirstOrderOp:
         return normalize(MINUS_I * (self.eta - Fraction(1, 2) * div))
 
 
-@dataclass(frozen=True)
 class SecondOrderOp:
     """A^{ab} d_a d_b + B^a d_a + C with A stored symmetric."""
 
-    A: tuple  # 3x3 nested tuple, A[a][b] == A[b][a]
-    B: tuple
-    C: Expr
+    __slots__ = ("A", "B", "C")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        A = tuple(tuple(as_expr(v) for v in row) for row in self.A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", _e3(self.B))
-        object.__setattr__(self, "C", as_expr(self.C))
+    def __init__(self, A: tuple, B: tuple, C):
+        # A: 3x3 nested tuple, A[a][b] == A[b][a]
+        object.__setattr__(self, "A", tuple(_e3(row) for row in A))
+        object.__setattr__(self, "B", _e3(B))
+        object.__setattr__(self, "C", as_expr(C))
 
     def slots(self):
         """The ten coefficient slots: 6 upper-triangle A, 3 B, 1 C."""
@@ -149,19 +146,17 @@ def second_order_zero() -> SecondOrderOp:
     return SecondOrderOp(((z, z, z), (z, z, z), (z, z, z)), (z, z, z), z)
 
 
-@dataclass(frozen=True)
 class PDMHamiltonian:
     """H = p_a f p_a - V with f = 1/(2m) the inverse-mass profile."""
 
-    f: Expr
-    V: Expr
+    __slots__ = ("f", "V")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", as_expr(self.f))
-        object.__setattr__(self, "V", as_expr(self.V))
+    def __init__(self, f, V):
+        object.__setattr__(self, "f", as_expr(f))
+        object.__setattr__(self, "V", as_expr(V))
 
 
-@dataclass(frozen=True)
 class KillingParams:
     """Parameters of the general 3d conformal Killing vector.
 
@@ -172,18 +167,16 @@ class KillingParams:
     lam.K + mu.J + omega D + nu.P + c0 exactly in the P/J/D/K realization.
     """
 
-    lam: tuple = (0, 0, 0)
-    mu_rot: tuple = (0, 0, 0)
-    omega: object = 0
-    nu: tuple = (0, 0, 0)
-    c0: object = 0
+    __slots__ = ("lam", "mu_rot", "omega", "nu", "c0")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _e3(self.lam))
-        object.__setattr__(self, "mu_rot", _e3(self.mu_rot))
-        object.__setattr__(self, "omega", as_expr(self.omega))
-        object.__setattr__(self, "nu", _e3(self.nu))
-        object.__setattr__(self, "c0", as_expr(self.c0))
+    def __init__(self, lam: tuple = (0, 0, 0), mu_rot: tuple = (0, 0, 0), omega=0,
+                 nu: tuple = (0, 0, 0), c0=0):
+        object.__setattr__(self, "lam", _e3(lam))
+        object.__setattr__(self, "mu_rot", _e3(mu_rot))
+        object.__setattr__(self, "omega", as_expr(omega))
+        object.__setattr__(self, "nu", _e3(nu))
+        object.__setattr__(self, "c0", as_expr(c0))
 
 
 _EPS = {}

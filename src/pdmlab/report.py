@@ -9,7 +9,6 @@ failures (encoding discrepancies, derivation mismatches).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .symkernel.zerotest import (
@@ -26,15 +25,19 @@ STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_ANNOTATION = "annotation"
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    tier: str = "none"
-    detail: str = ""
-    max_residual: float | None = None
-    points: int | None = None
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "tier", "detail", "max_residual", "points", "extra")
+
+    def __init__(self, name: str, status: str, tier: str = "none", detail: str = "",
+                 max_residual: float | None = None, points: int | None = None,
+                 extra: dict | None = None):
+        self.name = name
+        self.status = status
+        self.tier = tier
+        self.detail = detail
+        self.max_residual = max_residual
+        self.points = points
+        self.extra = {} if extra is None else extra
 
     @property
     def failed(self) -> bool:
@@ -82,14 +85,16 @@ def annotation(name: str, detail: str, extra: dict | None = None) -> Check:
     return Check(name, STATUS_ANNOTATION, "none", detail, extra=extra or {})
 
 
-@dataclass
 class VerificationReport:
     """Pass/fail record for one verification unit (an algebra, a catalog
     entry, an identity)."""
 
-    id: str
-    title: str = ""
-    checks: list = field(default_factory=list)
+    __slots__ = ("id", "title", "checks")
+
+    def __init__(self, id: str, title: str = "", checks: list | None = None):
+        self.id = id
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, check: Check) -> Check:
         self.checks.append(check)
@@ -122,14 +127,17 @@ class VerificationReport:
         }
 
 
-@dataclass
 class ReportDocument:
     """Top-level run record: deterministic for fixed inputs, seed, version."""
 
-    seed: int
-    policy: dict = field(default_factory=dict)
-    sections: list = field(default_factory=list)
-    version: str = __version__
+    __slots__ = ("seed", "policy", "sections", "version")
+
+    def __init__(self, seed: int, policy: dict | None = None, sections: list | None = None,
+                 version: str = __version__):
+        self.seed = seed
+        self.policy = {} if policy is None else policy
+        self.sections = [] if sections is None else sections
+        self.version = version
 
     def add(self, section: VerificationReport) -> VerificationReport:
         self.sections.append(section)

@@ -1,5 +1,6 @@
 """Numerical verification of the exactly solvable systems: finite-difference
-Sturm-Liouville eigenvalues for the radial problems, closed-form residual
+Sturm-Liouville eigenvalues for the radial problems, the algebraic levels of
+the compact system that they are compared with, closed-form residual
 oracles for the hypergeometric and Bessel solutions, and
 normalization-integral diagnostics.
 
@@ -31,10 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from . import read_only
 
 # Absolute bisection tolerance of every eigenvalue solve.  scipy's default,
 # eps * ||T||, is about 8e-3 on a 100,000-point grid, coarser than the
@@ -46,7 +49,6 @@ class GridCoarseWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
 class RadialProblem:
     """The radial problem of system 'so4' (compact) on the whole half-line
     r > 0, or of 'so13' (lorentz) on a subdomain (r_min, r_max) of (0, 1),
@@ -56,28 +58,33 @@ class RadialProblem:
     Bessel solutions are checked by closed_form_residual.
     """
 
-    system: str = "so4"
-    l: int = 0
-    r_min: float | None = None
-    r_max: float | None = None
-    grid_points: int = 4000
+    __slots__ = ("system", "l", "r_min", "r_max", "grid_points")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if self.system not in ("so4", "so13"):
-            raise ValueError(f"no radial FD problem for system {self.system!r}"
+    def __init__(self, system: str = "so4", l: int = 0, r_min: float | None = None,
+                 r_max: float | None = None, grid_points: int = 4000):
+        if system not in ("so4", "so13"):
+            raise ValueError(f"no radial FD problem for system {system!r}"
                              " (the scale system is handled by the Bessel path)")
-        if self.grid_points < 16:
+        if grid_points < 16:
             raise ValueError("grid too small (need at least 16 points)")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be nonnegative")
-        if self.system == "so4" and (self.r_min, self.r_max) != (None, None):
+        if system == "so4" and (r_min, r_max) != (None, None):
             raise ValueError("the compact radial problem is solved on the whole"
                              " half-line and takes no r_min or r_max")
-        if self.system == "so13" and not (
-                self.r_min is not None and self.r_max is not None
-                and 0 < self.r_min < self.r_max < 1):
+        if system == "so13" and not (
+                r_min is not None and r_max is not None and 0 < r_min < r_max < 1):
             raise ValueError("the lorentz radial problem lives on a subdomain"
                              " (r_min, r_max) of (0,1)")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "grid_points", grid_points)
+
+    def with_grid(self, grid_points: int) -> "RadialProblem":
+        return RadialProblem(self.system, self.l, self.r_min, self.r_max, grid_points)
 
 
 def sturm_liouville_form(prob: RadialProblem):
@@ -157,7 +164,7 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     vals = _fd_solve(prob, count)[0]
     if check_refinement:
         # the half grid may hold fewer than count levels: compare those it has
-        coarse_prob = replace(prob, grid_points=max(16, prob.grid_points // 2))
+        coarse_prob = prob.with_grid(max(16, prob.grid_points // 2))
         coarse = _fd_solve(coarse_prob, min(count, coarse_prob.grid_points))[0]
         fine = vals[:len(coarse)]
         drift = np.max(np.abs(fine - coarse) / (1 + np.abs(fine)))
@@ -207,7 +214,7 @@ def fd_eigensystem(prob: RadialProblem, count: int):
 def richardson_eigenvalues(prob: RadialProblem, count: int):
     """Richardson extrapolation of the O(h^2) scheme from N and 2N points."""
     coarse = _fd_solve(prob, count)[0]
-    fine = _fd_solve(replace(prob, grid_points=2 * prob.grid_points), count)[0]
+    fine = _fd_solve(prob.with_grid(2 * prob.grid_points), count)[0]
     return list((4.0 * fine - coarse) / 3.0)
 
 
@@ -295,39 +302,79 @@ def besselj(beta: float, s: float, derivative: int = 0, tol: float = 1e-17) -> f
 
 
 # ---------------------------------------------------------------------------
+# the algebraic spectrum of the compact system
+# ---------------------------------------------------------------------------
+
+
+class So4Level(NamedTuple):
+    n: int
+    etilde: int                      # 4 n^2 + 5
+    energy: object                   # the kernel expression mu (4 n^2 + 5) + nu
+    mu_coeff: int
+    nu_coeff: int
+    allowed_l: tuple
+    degeneracy: int                  # sum of 2l+1 over allowed l
+
+
+def algebraic_spectrum_so4(n: int) -> So4Level:
+    """Level n >= 1 of the compact system: the Casimir C1 of the so(4)
+    realization (pdmlab.casimir) has the eigenvalue n^2 - 1, which gives the
+    rescaled energy 4n^2 + 5; angular momentum runs over l <= n - 1."""
+    from .symkernel import normalize, param
+
+    if n < 1:
+        raise ValueError("level index must be a positive integer")
+    etilde = 4 * n * n + 5
+    mu, nu = param("mu"), param("nu")
+    energy = normalize(mu * etilde + nu)
+    allowed = tuple(range(0, n))
+    return So4Level(
+        n=n,
+        etilde=etilde,
+        energy=energy,
+        mu_coeff=etilde,
+        nu_coeff=1,
+        allowed_l=allowed,
+        degeneracy=sum(2 * l + 1 for l in allowed),
+    )
+
+
+# ---------------------------------------------------------------------------
 # closed-form solutions and residual oracles
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ClosedFormSolution:
     """system 'so4': quantum numbers (n, l), terminating polynomial solution;
     system 'so13': (k, l) with k in (0,1), infinite series inside r < 1;
     system 'scale': (kappa, etilde, omega) Bessel solution with index
     beta = sqrt(kappa^2 + 1 - etilde)."""
 
-    system: str
-    n: int = 0
-    l: int = 0
-    k: float = 0.0
-    kappa: int = 0
-    etilde: float = 0.0
-    omega: float = 1.0
+    __slots__ = ("system", "n", "l", "k", "kappa", "etilde", "omega")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self):
-        if self.system == "so4":
-            if not (self.n >= 1 and 0 <= self.l <= self.n - 1):
+    def __init__(self, system: str, n: int = 0, l: int = 0, k: float = 0.0, kappa: int = 0,
+                 etilde: float = 0.0, omega: float = 1.0):
+        if system == "so4":
+            if not (n >= 1 and 0 <= l <= n - 1):
                 raise ValueError("need n >= 1 and l <= n-1 (terminating series)")
-        elif self.system == "so13":
-            if not 0 < self.k < 1:
+        elif system == "so13":
+            if not 0 < k < 1:
                 raise ValueError("need 0 < k < 1")
-        elif self.system == "scale":
-            if self.kappa**2 + 1 - self.etilde < 0:
+        elif system == "scale":
+            if kappa**2 + 1 - etilde < 0:
                 raise ValueError("index squared kappa^2 + 1 - Etilde is negative")
-            if self.omega <= 0:
+            if omega <= 0:
                 raise ValueError("need omega > 0 (J_beta is evaluated at omega t, t > 0)")
         else:
-            raise ValueError(f"unknown system {self.system!r}")
+            raise ValueError(f"unknown system {system!r}")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "etilde", etilde)
+        object.__setattr__(self, "omega", omega)
 
 
 def so4_wavefunction_expr(n: int, l: int):
@@ -451,8 +498,7 @@ def closed_form_residual(sol: ClosedFormSolution, sample_points) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     value: float
     finite: bool
     tail_exponent: float

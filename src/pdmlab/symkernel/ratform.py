@@ -292,7 +292,23 @@ def p_mul_raw(a: dict, b: dict) -> dict:
     return out
 
 
+# A t-term sum to the power n expands into at most C(n+t-1, t-1) terms.
+# p_ipow refuses a power whose bound is above EXPANSION_LIMIT, so one short
+# input cannot hold the kernel for minutes.  (^ (+ x1 x2 1) 100) is 5,151
+# terms and the cube of a 42-term sum 13,244; (^ (+ x1 x2 1) 200) would be
+# 20,301, and the denominator of (^ (+ x1 1) -2147483648) 2^31 + 1.
+EXPANSION_LIMIT = 15_000
+
+
 def p_ipow(a: dict, n: int) -> dict:
+    if n > 1:
+        bound = 1
+        for k in range(1, len(a)):
+            bound = bound * (n + k) // k    # C(n+k, k)
+            if bound > EXPANSION_LIMIT:
+                raise ExprError(
+                    f"expansion too large: a {len(a)}-term sum to the power {n} has up to"
+                    f" C({n + len(a) - 1}, {len(a) - 1}) terms, above {EXPANSION_LIMIT}")
     out = P_ONE
     base = a
     while n:

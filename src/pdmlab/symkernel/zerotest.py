@@ -33,9 +33,10 @@ import cmath
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from .. import read_only
 from .expr import (
     AbsApp,
     Add,
@@ -70,8 +71,7 @@ class EvalDomainError(ArithmeticError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ZeroTestPolicy:
+class ZeroTestPolicy(NamedTuple):
     """Sampling policy for the numeric tier: the point count, the relative
     tolerance and the seed.
 
@@ -102,45 +102,63 @@ DEFAULT_POLICY = ZeroTestPolicy()
 # -- zero statuses -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProvedZero:
+class ZeroStatus:
+    """A zero-test verdict.  Read-only; equal only to a verdict of the same
+    type with equal fields, so ProvedZero() is not (); printed as
+    Type(field=value, ...), a text that callers hash."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = read_only
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ProvedZero(ZeroStatus):
+    __slots__ = ()
     tier = "symbolic"
-
-    @property
-    def is_zero(self) -> bool:
-        return True
+    is_zero = True
 
 
-@dataclass(frozen=True)
-class NumericZero:
-    points_tested: int
-    max_residual: float
+class NumericZero(ZeroStatus):
+    __slots__ = ("points_tested", "max_residual")
     tier = "numeric"
+    is_zero = True
 
-    @property
-    def is_zero(self) -> bool:
-        return True
+    def __init__(self, points_tested: int, max_residual: float):
+        object.__setattr__(self, "points_tested", points_tested)
+        object.__setattr__(self, "max_residual", max_residual)
 
 
-@dataclass(frozen=True)
-class NonZero:
-    witness: dict
-    value: complex
+class NonZero(ZeroStatus):
+    __slots__ = ("witness", "value")
     tier = "numeric"
+    is_zero = False
 
-    @property
-    def is_zero(self) -> bool:
-        return False
+    def __init__(self, witness: dict, value: complex):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Inconclusive:
-    reason: str
+class Inconclusive(ZeroStatus):
+    __slots__ = ("reason",)
     tier = "none"
+    is_zero = False
 
-    @property
-    def is_zero(self) -> bool:
-        return False
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 # -- evaluation ---------------------------------------------------------------

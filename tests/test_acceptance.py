@@ -131,8 +131,12 @@ def test_criterion_6_spectrum_reproduction():
     (0, pi/2)) with 4000 points match {5, 17, 37} within 0.5% (0.1% after
     Richardson); the derived levels print exactly.  Under thirty seconds."""
     t0 = time.perf_counter()
-    from pdmlab.casimir import algebraic_spectrum_so4
-    from pdmlab.spectral import RadialProblem, fd_eigenvalues, richardson_eigenvalues
+    from pdmlab.spectral import (
+        RadialProblem,
+        algebraic_spectrum_so4,
+        fd_eigenvalues,
+        richardson_eigenvalues,
+    )
     from pdmlab.symkernel import evaluate
 
     prob = RadialProblem(system="so4", l=0, grid_points=4000)

@@ -3,7 +3,6 @@
 import pytest
 
 from pdmlab.casimir import (
-    algebraic_spectrum_so4,
     build_casimirs,
     casimir_bridge_holds,
     qg_operators,
@@ -13,6 +12,7 @@ from pdmlab.casimir import (
     verify_casimir_identity,
     verify_qg_decoupling,
 )
+from pdmlab.spectral import algebraic_spectrum_so4
 from pdmlab.symkernel import evaluate
 
 

@@ -3,6 +3,7 @@ worked families, abstract-family instantiation."""
 
 import pytest
 
+from pdmlab import catalog
 from pdmlab.catalog import (
     WORKED_FAMILIES,
     entry,
@@ -13,17 +14,22 @@ from pdmlab.catalog import (
 from pdmlab.conformal import combo_column, combo_to_op, killing_params
 from pdmlab.diffop import PDMHamiltonian, commute_hq, reduced_determining
 from pdmlab.symkernel import (
+    Add,
     AbstractFn,
     ZeroTestPolicy,
+    add,
     instantiate,
     is_provably_zero,
     is_zero,
+    mul,
     param,
     sqrt,
+    subst,
     x1,
     x2,
     x3,
 )
+from pdmlab.symkernel.expr import walk
 
 R2 = x1**2 + x2**2 + x3**2
 RT2 = x1**2 + x2**2
@@ -106,6 +112,51 @@ class TestVerification:
             rep = verify_entry(eid, FAST)
             assert rep.passed, eid
             assert not any(c.extra.get("verbatim_failure") for c in rep.checks), eid
+
+
+def _flip_first_term(e):
+    """e with the sign of the first term of its first sum (in pre-order)
+    flipped, or None when e holds no sum."""
+    for node in walk(e):
+        if isinstance(node, Add):
+            return subst(e, {node: add(mul(-1, node.terms[0]), *node.terms[1:])})
+    return None
+
+
+def _mutated(row):
+    """The row with one sign flipped in V, or in f where V holds no sum, and
+    likewise in its variant.  In rows 2 and 10 neither f nor V holds a sum,
+    and flipping the sign of all of f, of all of V or of an argument leaves
+    every listed integral one (each is a translation or a rotation), so
+    the sign of one term of the first integral is flipped instead."""
+    changes = {}
+    for fields in (("V", "f"), ("variant_V", "variant_f")):
+        for name in fields:
+            e = getattr(row, name)
+            flipped = _flip_first_term(e) if e is not None else None
+            if flipped is not None:
+                changes[name] = flipped
+                break
+    if not changes:
+        first, *rest = row.integrals
+        changes["integrals"] = (first.replace("-", "+", 1), *rest)
+    return row._replace(**changes)
+
+
+class TestPlantedMutations:
+    @pytest.mark.parametrize("eid", range(1, 12))
+    def test_sign_flip_fails_at_the_numeric_tier(self, eid, monkeypatch):
+        # rows 1-11 hold abstract or transcendental functions, so only the
+        # numeric tier can catch the mutation
+        assert verify_entry(eid).passed
+        rows = dict(load_catalog())
+        rows[eid] = _mutated(rows[eid])
+        monkeypatch.setattr(catalog, "load_catalog", lambda: rows)
+        rep = verify_entry(eid)
+        assert not rep.passed
+        assert any(c.failed and c.tier == "numeric" for c in rep.checks)
+        if entry(eid).has_variant:
+            assert any(c.failed and "[variant]" in c.name for c in rep.checks)
 
 
 class TestClosure:

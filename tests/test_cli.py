@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdmlab.cli import main
+from pdmlab.symkernel import parse_sexpr
 
 
 def run_cli(argv, capsys):
@@ -260,6 +263,8 @@ class TestExprFuzz:
     @example("parse", "x1\x00")
     @example("parse", "-x1")  # reaches the parser, not argparse: rc 2 and a parse error
     @example("normalize", "(^ (+ (sqrt x1) (* -1 (sqrt x1))) -1)")
+    @example("normalize", "(^ (+ x1 x2 1) 200)")  # past the expansion budget: rc 2 at once
+    @example("normalize", "(^ (+ x1 1) -2147483648)")
     def test_exit_code_is_0_or_2_without_traceback(self, action, text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -287,14 +292,31 @@ class TestExprFuzz:
          "expression error: exponent too large: a monomial holds exponents below 2^31\n"),
         ("normalize", "(* (^ x1 2147483647) x1)", 2, "",
          "expression error: exponent too large: a monomial holds exponents below 2^31\n"),
+        ("normalize", "(^ (+ x1 x2 1) 200)", 2, "",
+         "expression error: expansion too large: a 3-term sum to the power 200 has up to"
+         " C(202, 2) terms, above 15000\n"),
+        ("normalize", "(^ (+ x1 1) -2147483648)", 2, "",
+         "expression error: expansion too large: a 2-term sum to the power 2147483648 has"
+         " up to C(2147483649, 1) terms, above 15000\n"),
     ], ids=["minus-rational", "minus-ident", "arabic-indic-exponent", "arabic-indic-gauss",
             "arabic-indic-derivative", "exponent-below-limit", "exponent-2^32",
-            "product-at-limit"])
+            "product-at-limit", "expansion-past-budget", "denominator-past-budget"])
     def test_pinned_texts(self, action, text, code, stdout, stderr, capsys):
         # a text starting with "-" reaches the parser; DIGITS are ASCII only;
-        # a monomial's exponents stay below 2^31
+        # a monomial's exponents stay below 2^31; an expansion past the
+        # budget is refused before it starts
+        t0 = time.perf_counter()
         assert main(["expr", action, text]) == code
+        assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr() == (stdout, stderr)
+
+    def test_expansion_within_budget(self, capsys):
+        # (x1 + x2 + 1)^100 has every monomial of degree <= 100 in x1, x2:
+        # C(102, 2) = 5,151 terms, the bound itself
+        assert main(["expr", "normalize", "(^ (+ x1 x2 1) 100)"]) == 0
+        out, err = capsys.readouterr()
+        assert not err
+        assert len(parse_sexpr(out).terms) == 5151
 
 
 class TestReportContract:
@@ -425,3 +447,45 @@ def test_option_of_another_system_or_kind_is_bad_input(command, stderr, tmp_path
     assert main(command) == 2
     assert capsys.readouterr() == ("", stderr + "\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# The commands the benchmark runs, each in a fresh process, as pinned in
+# perfbench/expected.json.
+_PINNED = sorted(json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()))
+
+# Runs one command, then prints on stderr the modules loaded, in the order
+# their imports began.
+_MODULES_AFTER = """
+import json, sys
+from pdmlab import cli
+cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write("\\n" + json.dumps(list(sys.modules)) + "\\n")
+"""
+
+
+@pytest.mark.parametrize("command", _PINNED)
+def test_command_imports(command, tmp_path):
+    # a fresh process pays for every import: pdmlab itself loads no
+    # dataclasses, the spectrum table no operator module, casimir no numpy
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *command.split()],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    modules = json.loads(proc.stderr.splitlines()[-1])
+    if "dataclasses" in modules:
+        # scipy.linalg loads it, for the so4 eigensolve: after scipy began
+        assert "scipy" in modules[:modules.index("dataclasses")], command
+    if command.startswith("spectrum"):
+        operators = {"pdmlab.casimir", "pdmlab.conformal", "pdmlab.diffop", "pdmlab.catalog"}
+        assert not operators & set(modules)
+    if command.startswith("casimir"):
+        assert "numpy" not in modules
+
+
+def test_package_imports_no_dataclasses():
+    code = ("import sys, pdmlab.casimir, pdmlab.catalog, pdmlab.cli, pdmlab.conformal, "
+            "pdmlab.diffop, pdmlab.report, pdmlab.spectral, pdmlab.symkernel; "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "False\n"

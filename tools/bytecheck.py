@@ -11,7 +11,8 @@ stderr and JSON reports are compared byte for byte.  Next each text of
 EXPR_INPUTS goes through `pdmlab expr parse|normalize`, each argument
 list of SPECTRUM_INPUTS through `pdmlab spectrum`, and each command of
 OPTION_INPUTS through `pdmlab`, under both trees, and the exit codes,
-stdout and stderr are compared.  Then
+stdout and stderr are compared.  A command still running after
+RUN_TIMEOUT_S seconds is stopped, and its exit code reads "timeout".  Then
 perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
 the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
@@ -33,6 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (271828, 7)
+# Far above any command's time; a revision without the expansion budget
+# runs the budget's EXPR_INPUTS for minutes.
+RUN_TIMEOUT_S = 30
 DIFF_LINES = 24
 DIFF_WIDTH = 160
 
@@ -44,7 +48,8 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
 # rejections; nesting past the interpreter's recursion limit; texts that
-# start with "-"; digits that are not ASCII; and wide monomials.
+# start with "-"; digits that are not ASCII; wide monomials; and powers of
+# a sum on both sides of the expansion budget.
 EXPR_INPUTS = (
     ("parse", "(+ x1 (* 2 x2))"),
     ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
@@ -77,6 +82,9 @@ EXPR_INPUTS = (
     ("parse", "(D\u0661 (F x1))"),
     ("normalize", f"(* {_WIDE_SUM} (+ (^ (+ x1 2) 2/3) (* a40 a0) x3) {_WIDE_DEN} {_WIDE_DEN})"),
     ("normalize", f"(+ (^ {_WIDE_SUM} 3) (* -1 {_WIDE_SUM} {_WIDE_SUM} {_WIDE_SUM}))"),
+    ("normalize", "(^ (+ x1 x2 1) 100)"),
+    ("normalize", "(^ (+ x1 x2 1) 200)"),
+    ("normalize", "(^ (+ x1 1) -2147483648)"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
@@ -142,7 +150,11 @@ def run(src: Path, args: list, seed: int, json_report: bool, workdir: Path) -> t
     argv = [sys.executable, "-m", "pdmlab", *args, "--seed", str(seed)]
     if json_report:
         argv.append("--json=report.json")
-    proc = subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir)
+    try:
+        proc = subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        return "timeout", exc.stdout or b"", exc.stderr or b"", None
     report = workdir / "report.json"
     return proc.returncode, proc.stdout, proc.stderr, report.read_bytes() if report.exists() else None
 
