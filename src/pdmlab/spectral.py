@@ -22,31 +22,45 @@ and phi = (pw)^(-1/4) u the equation becomes -u'' + Q(t) u = Lambda u.
 liouville_q_residual proves both Q from (p, q, w).  The compact map takes the
 whole half-line onto a finite interval whose ends take exact Dirichlet
 conditions, so the lowest levels come from one symmetric tridiagonal solve
-on a uniform t-grid.  Every eigenvalue is bisected to the absolute tolerance
-EIG_TOL (Barth, Martin & Wilkinson 1967), so the printed digits are those of
-the discretization, not of the bisection.  Since dt = sqrt(w/p) dr, the
-l2 norm of u in t is the weighted norm of phi in r.
+on a uniform t-grid.  That solve is spectral-transformation Lanczos
+(Ericsson & Ruhe, Math. Comp. 35, 1980) on (T - sigma)^-1, whose products
+are odd-even cyclic reduction solves.  Each level is the Rayleigh quotient
+of its Ritz vector in difference form, which never subtracts the 2/h^2
+diagonal, so the printed digits are those of the matrix, not rounding of
+eps ||T||; a Sturm count (Barth, Martin & Wilkinson 1967) certifies the
+level index.  numpy is imported by the functions that solve: the scale
+system's commands load none of it.  Since dt = sqrt(w/p) dr, the l2 norm of
+u in t is the weighted norm of phi in r.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import read_only
 
-# Absolute bisection tolerance of every eigenvalue solve.  scipy's default,
-# eps * ||T||, is about 8e-3 on a 100,000-point grid, coarser than the
-# printed digits.
-EIG_TOL = 1e-10
+# A Ritz pair has converged when its residual in (T - sigma)^-1 is at most
+# RITZ_TOL times its Ritz value.
+RITZ_TOL = 1e-10
+# A solve of count levels on n points keeps one vector of n values per
+# Lanczos step and takes at most min(n, 3 count + 24) steps (measured: 30-40
+# for 10 levels, 104 for 40 levels at l = 200).  Steps times points may not
+# pass MAX_BASIS_VALUES, 64 MB of float64: a bound on count x grid alone
+# would let one level of a few million points fill gigabytes.
+MAX_BASIS_VALUES = 8_000_000
 
 
 class GridCoarseWarning(UserWarning):
     pass
+
+
+class EigensolveError(ArithmeticError):
+    """The eigensolver could not certify its levels: Lanczos did not converge
+    within its step bound, or the Sturm count disagrees with the index."""
 
 
 class RadialProblem:
@@ -137,23 +151,30 @@ def liouville_q_residual(system: str):
     return built - (4 * ll / sin2t**2 + s)
 
 
-def _grid_and_bands(prob: RadialProblem):
-    """(r, h, diag, off): the interior points of the uniform t-grid mapped
-    to r, the step h in t, and the bands of -u'' + Q u with u = 0 at both
-    ends."""
+def _t_grid(prob: RadialProblem):
+    """(h, t): the step and the interior points of the uniform t-grid."""
+    import numpy as np
+
     n = prob.grid_points
-    ll = prob.l * (prob.l + 1)
     if prob.system == "so4":
         t0, t1 = 0.0, math.pi / 2
     else:
         t0, t1 = math.atanh(prob.r_min), math.atanh(prob.r_max)
     h = (t1 - t0) / (n + 1)
-    t = t0 + h * np.arange(1, n + 1)
+    return h, t0 + h * np.arange(1, n + 1)
+
+
+def _potential(prob: RadialProblem):
+    """(h, q): the step in t and Q at the interior points, so that the FD
+    matrix of -u'' + Q u with u = 0 at both ends is
+    tridiag(-1, 2, -1)/h^2 + diag(q)."""
+    import numpy as np
+
+    h, t = _t_grid(prob)
+    ll = prob.l * (prob.l + 1)
     if prob.system == "so4":
-        r, q = np.tan(t), 4.0 * ll / np.sin(2.0 * t) ** 2 + 1.0
-    else:
-        r, q = np.tanh(t), 4.0 * ll / np.sinh(2.0 * t) ** 2 - 1.0
-    return r, h, 2.0 / h**2 + q, np.full(n - 1, -1.0 / h**2)
+        return h, 4.0 * ll / np.sin(2.0 * t) ** 2 + 1.0
+    return h, 4.0 * ll / np.sinh(2.0 * t) ** 2 - 1.0
 
 
 def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = False):
@@ -161,11 +182,13 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     ascending and deterministic."""
     if count <= 0:
         return []
-    vals = _fd_solve(prob, count)[0]
+    vals = _fd_solve(prob, count)
     if check_refinement:
+        import numpy as np
+
         # the half grid may hold fewer than count levels: compare those it has
         coarse_prob = prob.with_grid(max(16, prob.grid_points // 2))
-        coarse = _fd_solve(coarse_prob, min(count, coarse_prob.grid_points))[0]
+        coarse = _fd_solve(coarse_prob, min(count, coarse_prob.grid_points))
         fine = vals[:len(coarse)]
         drift = np.max(np.abs(fine - coarse) / (1 + np.abs(fine)))
         if drift > 1e-2:
@@ -176,33 +199,198 @@ def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = Fal
     return list(vals)
 
 
+def _max_steps(count: int, n: int) -> int:
+    """The most Lanczos steps, and basis vectors, of a solve of count levels
+    on n points."""
+    return min(n, 3 * count + 24)
+
+
 def _fd_solve(prob: RadialProblem, count: int, vectors: bool = False):
-    """(eigenvalues, r, eigenfunctions phi(r) as columns or None) of the
-    lowest count levels from one solve; the one solver behind every public
-    FD function.  Each phi has unit weighted norm, int phi^2 w dr = 1."""
-    if count > prob.grid_points:
-        raise ValueError(f"{count} levels asked of a grid with {prob.grid_points} points")
-    r, h, diag, off = _grid_and_bands(prob)
-    out = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                           eigvals_only=not vectors, tol=EIG_TOL)
+    """The eigenvalues of the lowest count levels, or with vectors=True
+    (eigenvalues, r, eigenfunctions phi(r) as columns), from one solve; the
+    one solver behind every public FD function.  Each phi has unit weighted
+    norm, int phi^2 w dr = 1."""
+    n = prob.grid_points
+    if count > n:
+        raise ValueError(f"{count} levels asked of a grid with {n} points")
+    if _max_steps(count, n) * n > MAX_BASIS_VALUES:
+        raise ValueError(f"{count} levels of a grid with {n} points pass the solver's memory"
+                         f" bound: min(grid, 3 count + 24) x grid must be at most"
+                         f" {MAX_BASIS_VALUES}")
+    h, q = _potential(prob)
+    vals, u = eigh_tridiagonal(q, h, count, vectors)
     if not vectors:
-        # the values are a view into a work array as long as the grid; the
-        # copy lets that array go
-        return out.copy(), r, None
-    vals, u = out
+        return vals
+    import numpy as np
+
+    # r is built only now, after the Lanczos basis is gone
+    t = _t_grid(prob)[1]
+    r = np.tan(t) if prob.system == "so4" else np.tanh(t)
     # phi = (pw)^(-1/4) u, and the unit l2 columns divided by sqrt(h) have
     # int u^2 dt = 1
     sign = 1.0 if prob.system == "so4" else -1.0
-    return vals, r, u / np.sqrt(h * (1.0 + sign * r * r))[:, None]
+    u /= np.sqrt(h * (1.0 + sign * r * r))[:, None]
+    return vals, r, u
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first solve: importing
-    scipy.linalg costs about 0.4 s, and commands that never solve (the
-    scale system) need none of it."""
-    from scipy.linalg import eigh_tridiagonal as solve
+def eigh_tridiagonal(q, h, count, vectors=False):
+    """(eigenvalues, eigenvectors) of the lowest count levels of
+    T = tridiag(-1, 2, -1)/h^2 + diag(q), the FD matrix of -u'' + q u with
+    u = 0 at both ends; q is the diagonal of the potential, one value per
+    grid point.  The eigenvalues come ascending; the eigenvectors, with
+    vectors=True, are the unit columns of an array, and otherwise None.
 
-    return solve(d, e, **kwargs)
+    1. sigma = min(q) - 1 lies below the spectrum, so T - sigma is positive
+       definite and odd-even cyclic reduction factors it stably.
+    2. Lanczos with full reorthogonalization runs on (T - sigma)^-1 from a
+       deterministic start vector until count + 1 Ritz pairs have
+       converged (RITZ_TOL), within min(n, 3 count + 24) steps.
+    3. Each eigenvalue is the Rayleigh quotient of its Ritz vector in
+       difference form, (sum (u[i+1] - u[i])^2 / h^2 + sum q u^2) / sum u^2
+       with u = 0 past both ends.  It never subtracts the 2/h^2 diagonal
+       (8e9 at 100,000 points), so its digits are the matrix's own.
+    4. The Sturm count at the midpoint of levels count - 1 and count must
+       be count.
+
+    EigensolveError is raised when step 2 does not converge or step 4
+    fails: no level is returned whose index is not certified.
+    """
+    import numpy as np
+
+    n = len(q)
+    want = min(count + 1, n)
+    sigma = float(q.min()) - 1.0
+    factor = _cr_factor(2.0 / h**2 + (q - sigma), np.full(n - 1, -1.0 / h**2))
+    # Only the rows that Lanczos writes are ever touched, and resident.
+    basis = np.empty((_max_steps(count, n), n))
+    # One solve first: the start vector's components along the top of the
+    # spectrum shrink by (T - sigma)^-1, and no Ritz vector carries them.
+    v = basis[0]
+    v[:] = _cr_solve(factor, _start_vector(n))
+    v /= math.sqrt(v @ v)
+    alpha, beta = [], []
+    while True:
+        m = len(alpha)
+        w = _cr_solve(factor, v)
+        alpha.append(float(v @ w))
+        # the three-term recurrence, then classical Gram-Schmidt against the
+        # whole basis, repeated once when a pass cancels more than 1/sqrt(2)
+        # of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976)
+        w -= alpha[-1] * v
+        if m:
+            w -= beta[-1] * basis[m - 1]
+        done = basis[:m + 1]
+        for _ in range(2):
+            before = math.sqrt(w @ w)
+            w -= done.T @ (done @ w)
+            b = math.sqrt(w @ w)
+            if b > before / math.sqrt(2):
+                break
+        if m + 1 >= want:
+            ritz = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, y = np.linalg.eigh(ritz)
+            theta, y = theta[::-1][:want], y[:, ::-1][:, :want]
+            # a basis of all n vectors spans the space: its Ritz pairs are exact
+            if m + 1 == n or np.all(b * abs(y[-1]) <= RITZ_TOL * theta):
+                break
+        if m + 1 == len(basis):
+            raise EigensolveError(f"Lanczos did not converge to {want} levels in {m + 1} steps")
+        beta.append(b)
+        v = basis[m + 1]
+        np.divide(w, b, out=v)
+        del w   # before the next solve allocates its own
+    # The basis is at its largest from here on: each del below keeps at most
+    # two vectors of n values beside it, and the count x n Ritz matrix is
+    # formed only when the vectors are returned.
+    del w, factor
+    vals = np.empty(count)
+    vecs = np.empty((n, count)) if vectors else None
+    for j in range(count):
+        u = y[:, j] @ done
+        if vectors:
+            vecs[:, j] = u
+        du = np.diff(u)
+        kinetic = (du @ du + u[0] ** 2 + u[-1] ** 2) / h**2
+        del du
+        vals[j] = (kinetic + (q * u) @ u) / (u @ u)
+        del u
+    del basis, done
+    if count < n:
+        mid = 0.5 * (vals[-1] + sigma + 1.0 / theta[count])
+        below = _sturm_count(q, h, mid)
+        if below != count:
+            raise EigensolveError(f"{below} eigenvalues lie below {mid:.10g}, between the"
+                                  f" Ritz values of levels {count - 1} and {count}")
+    return vals, vecs
+
+
+def _start_vector(n: int):
+    """cos(phi i^2 + i/2) with phi the golden ratio: deterministic, with no
+    pattern that the smooth low eigenvectors could be orthogonal to."""
+    import numpy as np
+
+    i = np.arange(n, dtype=float)
+    return np.cos((1 + 5**0.5) / 2 * i * i + i / 2)
+
+
+def _cr_factor(d, e):
+    """Odd-even cyclic reduction of the symmetric positive definite
+    tridiagonal with diagonal d and off-diagonal e: per level, the inverse
+    diagonal of the odd rows and their couplings to the even rows on the
+    right and the left, divided by that diagonal; the even rows form the
+    Schur complement, again tridiagonal, of the next level."""
+    levels = []
+    while len(d) > 1:
+        inv = 1.0 / d[1::2]
+        right, left = e[0::2], e[1::2]   # odd row 2k+1 to rows 2k and 2k+2
+        gr, gl = right * inv, left * inv[:len(left)]
+        even = d[0::2].copy()
+        even[:len(gr)] -= gr * right
+        even[1:1 + len(gl)] -= gl * left
+        levels.append((inv, gr, gl))
+        d, e = even, -gr[:len(left)] * left
+    return levels, 1.0 / d[0]
+
+
+def _cr_solve(factor, f):
+    """x with T x = f for T factored by _cr_factor."""
+    import numpy as np
+
+    levels, last = factor
+    odd_rhs = []
+    for _, gr, gl in levels:
+        fo = f[1::2]
+        f = f[0::2].copy()
+        f[:len(gr)] -= gr * fo
+        f[1:1 + len(gl)] -= gl * fo[:len(gl)]
+        odd_rhs.append(fo)
+    x = f * last
+    for (inv, gr, gl), fo in zip(reversed(levels), reversed(odd_rhs)):
+        xo = inv * fo - gr * x[:len(gr)]
+        xo[:len(gl)] -= gl * x[1:1 + len(gl)]
+        out = np.empty(len(x) + len(xo))
+        out[0::2], out[1::2] = x, xo
+        x = out
+    return x
+
+
+def _sturm_count(q, h, x: float) -> int:
+    """Eigenvalues of tridiag(-1, 2, -1)/h^2 + diag(q) at or below x: the
+    negative pivots of the LDL^T factorization of T - x, with dstebz's guard
+    that moves a pivot smaller than pivmin to -pivmin.  The count is exact
+    for a matrix within a few eps ||T|| of T (Barth, Martin & Wilkinson
+    1967); a factorization of an indefinite T - x by cyclic reduction is
+    not, and is never used for it."""
+    e2 = (1.0 / h**2) ** 2
+    pivmin = sys.float_info.min * max(1.0, e2)
+    below, p = 0, math.inf
+    for di in (2.0 / h**2 + q).tolist():
+        p = di - x - e2 / p
+        if abs(p) < pivmin:
+            p = -pivmin
+        if p < 0.0:
+            below += 1
+    return below
 
 
 def fd_eigensystem(prob: RadialProblem, count: int):
@@ -213,17 +401,16 @@ def fd_eigensystem(prob: RadialProblem, count: int):
 
 def richardson_eigenvalues(prob: RadialProblem, count: int):
     """Richardson extrapolation of the O(h^2) scheme from N and 2N points."""
-    coarse = _fd_solve(prob, count)[0]
-    fine = _fd_solve(prob.with_grid(2 * prob.grid_points), count)[0]
+    coarse = _fd_solve(prob, count)
+    fine = _fd_solve(prob.with_grid(2 * prob.grid_points), count)
     return list((4.0 * fine - coarse) / 3.0)
 
 
 def count_eigenvalues_below(prob: RadialProblem, bound: float) -> int:
-    """Sturm oscillation bookkeeping: discrete eigenvalues below a bound of
-    the Dirichlet-truncated problem."""
-    _, _, diag, off = _grid_and_bands(prob)
-    return len(eigh_tridiagonal(diag, off, select="v", select_range=(-np.inf, bound),
-                                eigvals_only=True, tol=EIG_TOL))
+    """Sturm oscillation bookkeeping: discrete eigenvalues at or below a
+    bound of the Dirichlet-truncated problem."""
+    h, q = _potential(prob)
+    return _sturm_count(q, h, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +713,7 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
         def f(r):
             return evaluate(phi, (r, 0.0, 0.0)) ** 2
 
-        val, _ = quad(f, 0.0, np.inf, limit=200)
+        val, _ = quad(f, 0.0, math.inf, limit=200)
         return NormalizationResult(value=val, finite=True, tail_exponent=-2 * sol.l - 4)
     if sol.system == "so13":
         def f(r):
@@ -561,16 +748,16 @@ def dump_eigenfunction(prob: RadialProblem, eigensystem, index: int, path: str) 
     (eigenvalues, r, phi) that fd_eigensystem(prob, count) returned, with
     count > index, with unit weighted norm and its largest value positive.
 
-    Each value is bisected to EIG_TOL whatever count is, so a caller that
-    solves max(table size, index + 1) levels once for both its table and
-    the dump gets the table of fd_eigenvalues: the same values when index
-    is below the table size, and values within EIG_TOL of them otherwise
-    (about 4e-11 measured on so4 grids of 4,000 to 100,000 points, below
-    the printed 10 digits).
+    Each value is the Rayleigh quotient of a Ritz vector whose residual is
+    below RITZ_TOL, and its error is second order in that residual.  A
+    caller that solves max(table size, index + 1) levels once for both its
+    table and the dump therefore gets the values of fd_eigenvalues to
+    within rounding, far below the printed 10 digits, though the larger
+    solve takes more Lanczos steps.
     """
     vals, r, phi = eigensystem
     v = phi[:, index]
-    if v[np.argmax(np.abs(v))] < 0:
+    if v[abs(v).argmax()] < 0:
         v = -v
     with open(path, "w") as fh:
         fh.write(f"# system={prob.system} l={prob.l} index={index} "

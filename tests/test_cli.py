@@ -118,11 +118,15 @@ class TestSpectrumCommand:
         table = capsys.readouterr().out
         calls = []
         solve = spectral.eigh_tridiagonal
-        monkeypatch.setattr(spectral, "eigh_tridiagonal",
-                            lambda *a, **kw: calls.append(kw) or solve(*a, **kw))
+
+        def spy(q, h, count, vectors=False):
+            calls.append((len(q), count, vectors))
+            return solve(q, h, count, vectors)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
         dump = tmp_path / "d.txt"
         assert main([*args, "--dump", str(dump), "--dump-index", "5"]) == 0
-        assert len(calls) == 1
+        assert calls == [(2000, 6, True)]
         assert capsys.readouterr().out == table
         assert dump.read_text().startswith("# system=so4 l=0 index=5 lambda=")
 
@@ -139,14 +143,28 @@ class TestSpectrumCommand:
         (["so4", "--count", "0"], "--count must be at least 1, not 0"),
         (["so4", "--count", "-3"], "--count must be at least 1, not -3"),
         (["so4", "--count", "17", "--grid", "16"], "17 levels asked of a grid with 16 points"),
+        (["so4", "--count", "19", "--grid", "100000"],
+         "19 levels of a grid with 100000 points pass the solver's memory bound:"
+         " min(grid, 3 count + 24) x grid must be at most 8000000"),
         (["scale", "--etilde", "3"], "index squared kappa^2 + 1 - Etilde is negative"),
         (["scale", "--omega", "0"], "need omega > 0 (J_beta is evaluated at omega t, t > 0)"),
     ], ids=["grid-8", "l-minus-1", "dump-nonexistent", "count-0", "count-minus-3",
-            "count-past-grid", "scale-index-squared", "scale-omega-0"])
+            "count-past-grid", "count-past-memory-bound", "scale-index-squared",
+            "scale-omega-0"])
     def test_bad_input_exit_code(self, args, stderr, capsys):
         # rc 2 and one error line; no table, not even an empty one
         assert main(["spectrum", "--system", *args]) == 2
         assert capsys.readouterr() == ("", f"spectrum error: {stderr}\n")
+
+    def test_uncertified_levels_exit_1(self, monkeypatch, capsys):
+        # a solve that cannot certify its levels prints its one error line
+        # and no table: the check failed, the input was fine
+        from pdmlab import spectral
+
+        monkeypatch.setattr(spectral, "_max_steps", lambda count, n: 12)
+        assert main(["spectrum", "--system", "so4", "--count", "10", "--grid", "2000"]) == 1
+        assert capsys.readouterr() == (
+            "", "spectrum error: Lanczos did not converge to 11 levels in 12 steps\n")
 
 
 class TestCasimirCommand:
@@ -467,18 +485,17 @@ sys.stderr.write("\\n" + json.dumps(list(sys.modules)) + "\\n")
 
 @pytest.mark.parametrize("command", _PINNED)
 def test_command_imports(command, tmp_path):
-    # a fresh process pays for every import: pdmlab itself loads no
-    # dataclasses, the spectrum table no operator module, casimir no numpy
+    # a fresh process pays for every import: no command loads dataclasses or
+    # scipy.linalg, the spectrum table no operator module, casimir and the
+    # scale system no numpy
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *command.split()],
                           capture_output=True, text=True, cwd=tmp_path, timeout=120)
-    modules = json.loads(proc.stderr.splitlines()[-1])
-    if "dataclasses" in modules:
-        # scipy.linalg loads it, for the so4 eigensolve: after scipy began
-        assert "scipy" in modules[:modules.index("dataclasses")], command
+    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    assert not {"dataclasses", "scipy.linalg"} & modules
     if command.startswith("spectrum"):
-        operators = {"pdmlab.casimir", "pdmlab.conformal", "pdmlab.diffop", "pdmlab.catalog"}
-        assert not operators & set(modules)
-    if command.startswith("casimir"):
+        assert not {"pdmlab.casimir", "pdmlab.conformal", "pdmlab.diffop",
+                    "pdmlab.catalog"} & modules
+    if command.startswith(("casimir", "spectrum --system scale")):
         assert "numpy" not in modules
 
 

@@ -1,5 +1,6 @@
 """Radial eigenvalue solver, closed-form residual oracles, normalization."""
 
+import math
 import subprocess
 import sys
 
@@ -136,13 +137,13 @@ class TestFDEigenvalues:
         calls = []
         solve = spectral.eigh_tridiagonal
 
-        def spy(d, e, **kwargs):
-            calls.append(kwargs["select_range"])
-            return solve(d, e, **kwargs)
+        def spy(q, h, count, vectors=False):
+            calls.append((len(q), count, vectors))
+            return solve(q, h, count, vectors)
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
         vals = fd_eigenvalues(RadialProblem(l=l, grid_points=20000), 10)
-        assert calls == [(0, 9)]
+        assert calls == [(20000, 10, False)]
         exact = np.array([4.0 * n * n + 1 for n in range(l + 1, l + 11)])
         assert np.max(np.abs(np.array(vals) - exact) / exact) < 1e-6
 
@@ -163,6 +164,98 @@ class TestFDEigenvalues:
             assert rel < 1e-2
             # phi(r) on r = tan t has unit weight-1 norm on the half-line
             assert abs(np.trapezoid(v * v, r) - 1.0) < 1e-3
+
+
+def _problem(system, l, n):
+    if system == "so4":
+        return RadialProblem(l=l, grid_points=n)
+    return RadialProblem(system="so13", l=l, r_min=0.05, r_max=0.95, grid_points=n)
+
+
+def _dense(prob):
+    """The FD matrix of prob as a dense array, from the bands the solver
+    uses, and a bound on its norm."""
+    h, q = spectral._potential(prob)
+    off = np.full(len(q) - 1, -1.0 / h**2)
+    dense = np.diag(2.0 / h**2 + q) + np.diag(off, 1) + np.diag(off, -1)
+    return dense, 4.0 / h**2 + np.max(abs(q))
+
+
+class TestEigensolver:
+    @pytest.mark.parametrize("n", [16, 17, 40, 257])
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize("system", ["so4", "so13"])
+    def test_levels_match_dense_eigvalsh(self, system, l, n):
+        # the lowest ten levels, and every level with count == grid; a missed
+        # or doubled level moves a value by a level spacing, far above the
+        # rounding of either solver
+        prob = _problem(system, l, n)
+        dense, norm = _dense(prob)
+        exact = np.linalg.eigvalsh(dense)
+        for count in (10, n):
+            vals = np.array(fd_eigenvalues(prob, count))
+            assert np.max(np.abs(vals - exact[:count])) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("n", [4000, 100000])
+    def test_l0_closed_form(self, n):
+        # at l = 0 the matrix is Toeplitz, with the eigenvalues
+        # 1 + 4 sin^2(k h)/h^2; the Rayleigh quotients carry its digits, where
+        # bisection on the 8e9 diagonal printed 5.000000238 for level 0
+        h = (math.pi / 2) / (n + 1)
+        vals = fd_eigenvalues(RadialProblem(grid_points=n), 10)
+        exact = [1 + 4 * math.sin(k * h) ** 2 / h**2 for k in range(1, 11)]
+        assert max(abs(v - e) / e for v, e in zip(vals, exact)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [17, 257])
+    @pytest.mark.parametrize("l", [0, 3])
+    @pytest.mark.parametrize("system", ["so4", "so13"])
+    def test_sturm_count_against_dense(self, system, l, n):
+        # midpoints of consecutive levels, seeded random shifts, and each
+        # diagonal value exactly (a zero first pivot; at l = 0 and odd n also
+        # an eigenvalue); the count may go either way only within rounding
+        # of an eigenvalue
+        prob = _problem(system, l, n)
+        dense, norm = _dense(prob)
+        exact = np.linalg.eigvalsh(dense)
+        rng = np.random.default_rng(7)
+        shifts = [*(exact[1:] + exact[:-1]) / 2,
+                  *rng.uniform(exact[0] - 10, exact[-1] + 10, 50), *np.diag(dense)]
+        slack = 1e-12 * norm
+        for x in shifts:
+            below = count_eigenvalues_below(prob, x)
+            assert np.sum(exact < x - slack) <= below <= np.sum(exact <= x + slack), x
+
+    def test_planted_start_vector_raises(self, monkeypatch):
+        # level 10 certifies a table of ten: with its eigenvector
+        # sin(11 pi i/(n+1)) planted out of the start vector, Lanczos
+        # converges to levels 0-9 and 11, and the Sturm count finds eleven
+        # eigenvalues below their midpoint
+        n = 4000
+        start = spectral._start_vector
+        level10 = np.sin(11 * np.pi * np.arange(1, n + 1) / (n + 1))
+
+        def planted(size):
+            v = start(size)
+            return v - (v @ level10) / (level10 @ level10) * level10
+
+        monkeypatch.setattr(spectral, "_start_vector", planted)
+        with pytest.raises(spectral.EigensolveError, match="^11 eigenvalues lie below"):
+            fd_eigenvalues(RadialProblem(grid_points=n), 10)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_max_steps", lambda count, n: 12)
+        with pytest.raises(spectral.EigensolveError,
+                           match="^Lanczos did not converge to 11 levels in 12 steps$"):
+            fd_eigenvalues(RadialProblem(grid_points=2000), 10)
+
+    def test_memory_bound(self):
+        # min(grid, 3 count + 24) x grid may not pass 8,000,000 values (64 MB):
+        # ten levels of 100,000 points fit; nineteen do not, nor does one
+        # level of 300,000 points, whose basis count x grid alone misses
+        assert spectral.MAX_BASIS_VALUES == 8_000_000
+        for count, grid in ((19, 100000), (1, 300000)):
+            with pytest.raises(ValueError, match="memory bound"):
+                fd_eigenvalues(RadialProblem(grid_points=grid), count)
 
 
 class TestSeries:
@@ -295,16 +388,23 @@ def test_import_leaves_quadrature_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_scipy_linalg_loads_only_when_a_solve_runs():
-    # scipy.linalg costs about 0.4 s to import; the scale system never
-    # solves a matrix, so neither the import nor that command may load it
+def test_solves_load_no_scipy_linalg_and_scale_loads_no_numpy(tmp_path):
+    # the eigensolver is numpy alone: scipy.linalg costs about 0.3 s and 28 MB
+    # to import and brings in dataclasses; the scale system solves no matrix,
+    # so neither the import of spectral nor its command loads numpy
     code = ("import sys, pdmlab.spectral\n"
-            "print('scipy.linalg' in sys.modules)\n"
+            "print('numpy' in sys.modules)\n"
             "from pdmlab.cli import main\n"
             "main(['spectrum', '--system', 'scale'])\n"
-            "print('scipy.linalg' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            "print('numpy' in sys.modules)\n"
+            "main(['spectrum', '--system', 'so4', '--count', '3', '--grid', '2000',"
+            " '--dump', 'phi.txt'])\n"
+            "print(sorted({'numpy', 'scipy.linalg', 'dataclasses'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False" and lines[-1] == "False"
+    assert lines[0] == "False" and lines[3] == "False"
     assert lines[1].startswith("system,kappa")
+    assert lines[4].startswith("system,l_or_kappa")
+    assert lines[-1] == "['numpy']"

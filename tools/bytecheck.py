@@ -88,7 +88,9 @@ EXPR_INPUTS = (
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
-# and one `spectrum error:` line on stderr.
+# and one `spectrum error:` line on stderr.  The two after --count 17 pass
+# the eigensolver's memory bound, min(grid, 3 count + 24) x grid at most
+# 8,000,000; a revision without the bound solves them.
 SPECTRUM_INPUTS = (
     ("--system", "so4", "--grid", "8"),
     ("--system", "so4", "--l", "-1"),
@@ -96,6 +98,8 @@ SPECTRUM_INPUTS = (
     ("--system", "so4", "--count", "0"),
     ("--system", "so4", "--count", "-3"),
     ("--system", "so4", "--count", "17", "--grid", "16"),
+    ("--system", "so4", "--count", "19", "--grid", "100000"),
+    ("--system", "so4", "--count", "1", "--grid", "300000"),
     ("--system", "scale", "--etilde", "3"),
     ("--system", "scale", "--omega", "0"),
 )
