@@ -10,39 +10,61 @@ Any other option is bad input.
 
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
 one check failed or stdout was closed before the output was written, 2 bad
-arguments or input.  Reruns with the same seed and inputs produce
-byte-identical output.
+arguments or input: among them a --points below 1, a --tol outside (0, 1)
+and a --json path that cannot be opened for writing.  Reruns with the same
+seed and inputs produce byte-identical output.
+
+The kernel (pdmlab.symkernel) is imported by the commands that use it, so
+`spectrum --system scale`, which computes in floats, loads none of it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
 
 from . import __version__
 from .report import ReportDocument
-from .symkernel import ExprError, ZeroTestPolicy, kernel_scope, normalize, parse_sexpr, to_sexpr
-from .symkernel.sexpr import ParseError
 
 
-def _document(policy: ZeroTestPolicy) -> ReportDocument:
+def _policy(args):
+    """The zero-test policy of a report command: the given --points, --tol
+    and --seed, and ZeroTestPolicy's defaults for the rest."""
+    from .symkernel import ZeroTestPolicy
+
+    given = {name: getattr(args, name, None) for name in ZeroTestPolicy._fields}
+    return ZeroTestPolicy(**{name: v for name, v in given.items() if v is not None})
+
+
+def _document(policy) -> ReportDocument:
     return ReportDocument(
         seed=policy.seed, policy={"points": policy.points, "tol": policy.tol}
     )
 
 
-def _emit(doc: ReportDocument, args) -> int:
-    sys.stdout.write(doc.to_text())
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(doc.to_json())
+def _report(args, build) -> int:
+    """Print the report that build() returns, and write it to --json PATH.
+    The path is opened before build() runs any check: one that cannot be
+    written is bad input, one error line and no output."""
+    try:
+        out = open(args.json, "w") if args.json else None
+    except OSError as err:
+        print(f"{args.command} error: {err}", file=sys.stderr)
+        return 2
+    with out or contextlib.nullcontext():
+        doc = build()
+        sys.stdout.write(doc.to_text())
+        if out:
+            out.write(doc.to_json())
     return 0 if doc.passed else 1
 
 
 def _cmd_catalog_list(args) -> int:
     from . import catalog
+    from .symkernel import normalize, to_sexpr
 
     rows = catalog.load_catalog()
     for eid in sorted(rows):
@@ -61,39 +83,46 @@ def _cmd_catalog_verify(args) -> int:
     if args.worked and args.entry is not None:
         print("catalog error: --worked goes with --all, not --entry", file=sys.stderr)
         return 2
-    policy = ZeroTestPolicy(points=args.points, tol=args.tol, seed=args.seed)
-    doc = _document(policy)
-    if args.entry is not None:
-        doc.add(catalog.verify_entry(args.entry, policy))
-    else:
-        for rep in catalog.verify_all(policy):
-            doc.add(rep)
-        if args.worked:
-            for name in catalog.WORKED_FAMILIES:
-                doc.add(catalog.verify_worked_family(name, policy))
-    return _emit(doc, args)
+    policy = _policy(args)
+
+    def build():
+        doc = _document(policy)
+        if args.entry is not None:
+            doc.add(catalog.verify_entry(args.entry, policy))
+        else:
+            for rep in catalog.verify_all(policy):
+                doc.add(rep)
+            if args.worked:
+                for name in catalog.WORKED_FAMILIES:
+                    doc.add(catalog.verify_worked_family(name, policy))
+        return doc
+
+    return _report(args, build)
 
 
 def _cmd_algebra(args) -> int:
     from . import conformal
 
-    # no algebra check samples: the header records the default policy
-    doc = _document(ZeroTestPolicy(seed=args.seed))
-    if args.subalgebras:
-        for rep in conformal.verify_subalgebras():
-            doc.add(rep)
-        return _emit(doc, args)
-    checks = {
-        "c3": conformal.verify_c3,
-        "so14": conformal.verify_so14,
-        "so4": conformal.verify_so4,
-        "so13": conformal.verify_so13,
-    }
-    doc.add(checks[args.check]())
-    if args.check in ("c3", "so14"):
-        doc.add(conformal.verify_iso_roundtrip())
-        doc.add(conformal.verify_killing_table())
-    return _emit(doc, args)
+    def build():
+        # no algebra check samples: the header records the default policy
+        doc = _document(_policy(args))
+        if args.subalgebras:
+            for rep in conformal.verify_subalgebras():
+                doc.add(rep)
+            return doc
+        checks = {
+            "c3": conformal.verify_c3,
+            "so14": conformal.verify_so14,
+            "so4": conformal.verify_so4,
+            "so13": conformal.verify_so13,
+        }
+        doc.add(checks[args.check]())
+        if args.check in ("c3", "so14"):
+            doc.add(conformal.verify_iso_roundtrip())
+            doc.add(conformal.verify_killing_table())
+        return doc
+
+    return _report(args, build)
 
 
 # The options that each --system of `spectrum` and each --kind of
@@ -191,15 +220,18 @@ def _cmd_spectrum(args) -> int:
 def _cmd_casimir(args) -> int:
     from . import casimir
 
-    # no Casimir check samples: the header records the default policy
-    doc = _document(ZeroTestPolicy(seed=args.seed))
-    doc.add(casimir.verify_casimir_identity(args.system))
-    doc.add(casimir.verify_casimir_centrality(args.system))
-    if args.system == "so4":
-        doc.add(casimir.verify_qg_decoupling())
-    else:
-        doc.add(casimir.so13_window_report())
-    return _emit(doc, args)
+    def build():
+        # no Casimir check samples: the header records the default policy
+        doc = _document(_policy(args))
+        doc.add(casimir.verify_casimir_identity(args.system))
+        doc.add(casimir.verify_casimir_centrality(args.system))
+        if args.system == "so4":
+            doc.add(casimir.verify_qg_decoupling())
+        else:
+            doc.add(casimir.so13_window_report())
+        return doc
+
+    return _report(args, build)
 
 
 def _cmd_transform(args) -> int:
@@ -208,6 +240,7 @@ def _cmd_transform(args) -> int:
     from . import catalog
     from .conformal import FormError, TransformSpec, apply_transform, axis_rotation, find_inversion_weight
     from .diffop import PDMHamiltonian
+    from .symkernel import normalize, to_sexpr
 
     unread = _take_options(args, TRANSFORM_OPTIONS, args.kind, "--kind")
     if unread:
@@ -260,6 +293,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_expr(args) -> int:
+    from .symkernel import ExprError, normalize, parse_sexpr, to_sexpr
+    from .symkernel.sexpr import ParseError
+
     try:
         e = parse_sexpr(args.expression)
         text = to_sexpr(e if args.action == "parse" else normalize(e))
@@ -275,19 +311,42 @@ def _cmd_expr(args) -> int:
     return 0
 
 
+def _number(kind, text: str):
+    """kind(text), failing with argparse's own message for a bad number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _points(text: str) -> int:
+    n = _number(int, text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return n
+
+
+def _tol(text: str) -> float:
+    # the numeric tier compares |v| / (1 + scale), which is below 1 for every
+    # sample: a tol of 1 or more accepts every residual, and nan none
+    tol = _number(float, text)
+    if not 0 < tol < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), not {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmlab",
         description="verification lab for position-dependent-mass operators",
     )
     parser.add_argument("--version", action="version", version=f"pdmlab {__version__}")
-    defaults = ZeroTestPolicy()
     # --seed is taken by every command, so that one argument list runs any
     # of them at a chosen seed; it sets the seed of the sampling checks and
-    # the seed that a report records
+    # the seed that a report records.  --seed, --points and --tol default
+    # to None, which _policy reads as ZeroTestPolicy's default.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=defaults.seed,
-                        help="seed for the numeric zero-test tier")
+    seeded.add_argument("--seed", type=int, help="seed for the numeric zero-test tier")
     reported = argparse.ArgumentParser(add_help=False, parents=[seeded])
     reported.add_argument("--json", metavar="PATH", help="write the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -303,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="verify every row")
     p_ver.add_argument("--worked", action="store_true",
                        help="with --all, also verify the worked solution families")
-    p_ver.add_argument("--points", type=int, default=defaults.points,
-                       help="sample points per numeric zero test")
-    p_ver.add_argument("--tol", type=float, default=defaults.tol,
-                       help="relative tolerance of the numeric tier")
+    p_ver.add_argument("--points", type=_points,
+                       help="sample points per numeric zero test, at least 1")
+    p_ver.add_argument("--tol", type=_tol,
+                       help="relative tolerance of the numeric tier, in (0, 1)")
     p_ver.set_defaults(func=_cmd_catalog_verify)
 
     p_alg = sub.add_parser("algebra", parents=[reported],
@@ -370,9 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # one kernel scope per command: its checks share normal forms, and the
-    # memo ends with the command
+    # memo ends with the command.  The scale system's residual is computed
+    # in floats, and it loads no kernel.
+    if args.command == "spectrum" and args.system == "scale":
+        scope = contextlib.nullcontext()
+    else:
+        from .symkernel import kernel_scope as scope
     try:
-        with kernel_scope:
+        with scope:
             code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:

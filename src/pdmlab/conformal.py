@@ -26,7 +26,6 @@ from .diffop import (
     KillingParams,
     PDMHamiltonian,
     SecondOrderOp,
-    commute_qq,
     eps,
     hamiltonian_to_op,
     killing_to_op,
@@ -51,6 +50,18 @@ from .symkernel import (
     x3,
 )
 from .symkernel.expr import NUM_MINUS_ONE, NUM_ZERO, Num, add
+from .symkernel.ratform import (
+    DEN_ONE,
+    M_ONE,
+    P_ZERO,
+    kernel_scope,
+    p_add,
+    p_diff,
+    p_mul,
+    p_scale,
+    to_rf,
+)
+from .symkernel.scalars import MINUS_I, MINUS_ONE, ZERO, GRat
 
 X = (x1, x2, x3)
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
@@ -257,18 +268,96 @@ def combo_column(combo) -> tuple:
 @functools.cache
 def _bracket_tensor() -> dict:
     """Structure tensor of the span: (i, j) -> the column of [e_i, e_j] for
-    the unit columns e_i, e_j whose bracket is nonzero.  Each pair i < j is
-    a commutator in the differential realization, proved zero or read back
-    and proved in the span by op_coordinates; (j, i) holds its negative.
-    Built on first use."""
-    units = [killing_to_op(killing_params(_unit_column(k))) for k in range(len(COORD_NAMES))]
-    tensor = {}
-    for i, j in itertools.combinations(range(len(units)), 2):
-        comm = commute_qq(units[i], units[j])
-        if not comm.is_zero():
-            tensor[i, j] = op_coordinates(comm)
-            tensor[j, i] = _linear_sum([(NUM_MINUS_ONE, tensor[i, j])])
+    the unit columns e_i, e_j whose bracket is nonzero; (j, i) holds its
+    negative.  Built on first use.
+
+    Each unit column is realized by killing_to_op, and its xi and eta are
+    taken to polynomials over Q(i).  For each pair i < j the commutator is
+    formed in polynomial arithmetic (`_poly_bracket`), its column is read
+    off its coefficients by op_coordinates' formulas (`_poly_column`), and
+    the column is proved by rebuilding sum_k T_ijk (xi_k, eta_k) and
+    comparing it with the commutator: polynomials are canonical dicts, so
+    dict equality is exact equality.
+    """
+    with kernel_scope:
+        units = [_polys(killing_to_op(killing_params(_unit_column(k))))
+                 for k in range(len(COORD_NAMES))]
+        tensor = {}
+        for i, j in itertools.combinations(range(len(units)), 2):
+            comm = _poly_bracket(units[i], units[j])
+            if not any(comm):
+                continue
+            column = _poly_column(comm)
+            rebuilt = (P_ZERO,) * 4
+            for c, unit in zip(column, units):
+                if not c.is_zero():
+                    rebuilt = tuple(p_add(r, p_scale(u, c)) for r, u in zip(rebuilt, unit))
+            if rebuilt != comm:
+                raise DecompositionFailure(
+                    f"[{COORD_NAMES[i]}, {COORD_NAMES[j]}] lies outside the Killing span"
+                )
+            tensor[i, j] = tuple(_num(c) for c in column)
+            tensor[j, i] = tuple(_num(-c) for c in column)
     return tensor
+
+
+def _num(c) -> Expr:
+    return NUM_ZERO if c.is_zero() else Num(c)
+
+
+def _polys(q: FirstOrderOp) -> tuple:
+    """(xi1, xi2, xi3, eta) of q as polynomials, valid in the kernel scope
+    that made them; a denominator other than 1 is a DecompositionFailure."""
+    out = []
+    for e in (*q.xi, q.eta):
+        rf = to_rf(e)
+        if rf.den != DEN_ONE:
+            raise DecompositionFailure("a unit operator's coefficient is not a polynomial")
+        out.append(rf.num)
+    return tuple(out)
+
+
+def _poly_bracket(a: tuple, b: tuple) -> tuple:
+    """[Q_a, Q_b] of two operators Q = -i(xi.d + eta) given as polynomial
+    tuples (xi1, xi2, xi3, eta).  With X = xi.d + eta, [Q_a, Q_b] =
+    -[X_a, X_b], and [X_a, X_b] has the coefficients xi_a.grad F_b -
+    xi_b.grad F_a for F = each xi component and eta; so the result's
+    coefficients are -i times those."""
+    out = []
+    for fa, fb in zip(a, b):
+        acc = P_ZERO
+        for axis, x in enumerate(X):
+            acc = p_add(acc, p_mul(a[axis], p_diff(fb, x)))
+            acc = p_add(acc, p_scale(p_mul(b[axis], p_diff(fa, x)), MINUS_ONE))
+        out.append(p_scale(acc, MINUS_I))
+    return tuple(out)
+
+
+def _poly_column(q: tuple) -> list:
+    """op_coordinates' read-out of a polynomial tuple (xi1, xi2, xi3, eta),
+    as GRats in COORD_NAMES order: nu = xi(0), omega = div xi(0)/3,
+    lam = -grad div xi(0)/6, mu = curl xi(0)/2, c0 = -i(eta(0) - 3 omega/2)."""
+    xi, eta = q[:3], q[3]
+    grad = [[p_diff(xi[a], x) for x in X] for a in range(3)]  # grad[a][b] = d_b xi_a
+    div = p_add(p_add(grad[0][0], grad[1][1]), grad[2][2])
+    omega = _at_zero(div) * GRat(Fraction(1, 3))
+    lam = [_at_zero(p_diff(div, x)) * GRat(Fraction(-1, 6)) for x in X]
+    mu = []
+    for c in AXES:
+        acc = ZERO
+        for b in AXES:
+            for a in AXES:
+                s = eps(c, b, a)
+                if s:
+                    acc = acc + GRat(s) * _at_zero(grad[a - 1][b - 1])
+        mu.append(acc * GRat(Fraction(1, 2)))
+    nu = [_at_zero(p) for p in xi]
+    c0 = MINUS_I * (_at_zero(eta) - GRat(Fraction(3, 2)) * omega)
+    return lam + mu + [omega] + nu + [c0]
+
+
+def _at_zero(p: dict):
+    return p.get(M_ONE, ZERO)
 
 
 def bracket(u, v) -> tuple:

@@ -11,12 +11,6 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .symkernel.zerotest import (
-    Inconclusive,
-    NonZero,
-    NumericZero,
-    ProvedZero,
-)
 
 STATUS_PROVED = "proved"
 STATUS_NUMERIC = "numeric"
@@ -57,11 +51,16 @@ class Check:
 
 
 def check_from_status(name: str, status, detail: str = "", extra: dict | None = None) -> Check:
-    """Translate a ZeroStatus into a report check."""
+    """Translate a ZeroStatus into a report check.
+
+    The status's own `tier` and `is_zero` name its kind (ProvedZero,
+    NumericZero, NonZero, Inconclusive), so a report loads no kernel
+    module to read one."""
     extra = extra or {}
-    if isinstance(status, ProvedZero):
+    kind = (getattr(status, "tier", None), getattr(status, "is_zero", None))
+    if kind == ("symbolic", True):
         return Check(name, STATUS_PROVED, "symbolic", detail, extra=extra)
-    if isinstance(status, NumericZero):
+    if kind == ("numeric", True):
         return Check(
             name,
             STATUS_NUMERIC,
@@ -71,12 +70,12 @@ def check_from_status(name: str, status, detail: str = "", extra: dict | None = 
             points=status.points_tested,
             extra=extra,
         )
-    if isinstance(status, NonZero):
+    if kind == ("numeric", False):
         extra = dict(extra)
         extra["witness"] = status.witness
         extra["value"] = repr(status.value)
         return Check(name, STATUS_FAILED, "numeric", detail or "nonzero residual", extra=extra)
-    if isinstance(status, Inconclusive):
+    if kind == ("none", False):
         return Check(name, STATUS_INCONCLUSIVE, "none", status.reason, extra=extra)
     raise TypeError(f"not a zero status: {status!r}")
 

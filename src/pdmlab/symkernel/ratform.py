@@ -320,6 +320,23 @@ def p_ipow(a: dict, n: int) -> dict:
     return out
 
 
+def p_diff(p: dict, atom: Expr) -> dict:
+    """Derivative of p by atom's field, every other atom held constant:
+    c x**e becomes e c x**(e-1).  An atom with no field in the scope occurs
+    in no polynomial, so its derivative is zero.  No chain rule: an atom
+    that depends on `atom` (a root atom, sin(x1)) is held constant too."""
+    s = _SHIFT.get(atom)
+    if s is None:
+        return P_ZERO
+    one = 1 << s
+    out = {}
+    for m, c in p.items():
+        e = (m >> s) & _FIELD
+        if e:
+            out[m - one] = c * GRat(e)
+    return out
+
+
 def p_is_const(a: dict) -> bool:
     return len(a) == 0 or (len(a) == 1 and M_ONE in a)
 

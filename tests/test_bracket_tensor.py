@@ -7,9 +7,9 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from pdmlab.conformal import COORD_NAMES, bracket, killing_params, op_coordinates
+from pdmlab.conformal import COORD_NAMES, _bracket_tensor, bracket, killing_params, op_coordinates
 from pdmlab.diffop import commute_qq, killing_to_op
-from pdmlab.symkernel import NUM_ZERO, Num, cos, is_provably_zero, param, sin
+from pdmlab.symkernel import NUM_ZERO, Num, cos, is_provably_zero, normalize, param, sin
 from pdmlab.symkernel.expr import mul
 
 C = param("c")
@@ -61,6 +61,36 @@ def test_jacobi_identity_on_unit_columns():
             bracket(c, bracket(a, b)),
         ]
         assert _same([sum(t, NUM_ZERO) for t in zip(*cyclic)], zero)
+
+
+def _reference_tensor() -> dict:
+    """The tensor on Expr trees: commute_qq and op_coordinates over all 55
+    pairs of unit columns."""
+    units = [_op(u) for u in UNITS]
+    out = {}
+    for i, j in itertools.combinations(range(len(units)), 2):
+        comm = commute_qq(units[i], units[j])
+        if not comm.is_zero():
+            out[i, j] = op_coordinates(comm)
+            out[j, i] = tuple(normalize(-e) for e in out[i, j])
+    return out
+
+
+def test_tensor_equals_the_expr_reference():
+    got, want = _bracket_tensor(), _reference_tensor()
+    assert len(want) == 60
+    assert got.keys() == want.keys()
+    for key, column in want.items():
+        assert got[key] == column, key
+        assert all(type(e) is Num for e in got[key])
+
+
+def test_tensor_build_commutes_no_operator(spy_calls):
+    # the polynomial build calls neither reference, and holds without an
+    # enclosing kernel scope
+    calls = spy_calls(commute_qq, op_coordinates)
+    assert _bracket_tensor.__wrapped__() == _bracket_tensor()
+    assert calls == []
 
 
 def test_tensor_is_built_on_first_use():

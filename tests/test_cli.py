@@ -415,22 +415,40 @@ _UNREAD = [
 ]
 
 
-@pytest.mark.parametrize("command", [
-    _COMMANDS[name] + opt for name, opt in _UNREAD
-] + [["catalog", "verify", "--entry", "9", "--worked"]],
-    ids=[f"{name} {opt[0]}" for name, opt in _UNREAD] + ["catalog verify --entry --worked"])
-def test_unread_option_is_bad_input(command, tmp_path, monkeypatch, capsys):
-    # a subcommand takes only the options it reads: any other is rc 2,
-    # before any output or report file
+# A --points below 1 and a --tol outside (0, 1) (a tol of 1 or more accepts
+# every relative residual, nan none), and a --json path that cannot be
+# opened, with the start of the one error line each prints.
+_BAD_VALUES = [
+    *((["catalog", "verify", "--entry", "2", "--tol", value],
+      f"pdmlab catalog verify: error: argument --tol: must lie in (0, 1), not {value}")
+      for value in ("inf", "1e300", "nan", "1", "0", "-0.5")),
+    *((["catalog", "verify", "--entry", "1", "--points", value],
+      f"pdmlab catalog verify: error: argument --points: must be at least 1, not {value}")
+      for value in ("0", "-3")),
+    *((_COMMANDS.get(name, ["catalog", "verify", "--entry", "1"]) + ["--json", "/nonexistent/x.json"],
+       f"{name.split()[0]} error: [Errno 2] No such file or directory: '/nonexistent/x.json'")
+      for name in ("catalog verify", "algebra", "casimir")),
+]
+
+
+@pytest.mark.parametrize("command, error", [
+    *((_COMMANDS[name] + opt, "pdmlab: error: unrecognized arguments: ") for name, opt in _UNREAD),
+    (["catalog", "verify", "--entry", "9", "--worked"], "catalog error: --worked"),
+    *_BAD_VALUES,
+], ids=[f"{name} {opt[0]}" for name, opt in _UNREAD] + ["catalog verify --entry --worked"]
+   + [" ".join(command) for command, _ in _BAD_VALUES])
+def test_unread_option_is_bad_input(command, error, tmp_path, monkeypatch, capsys):
+    # a subcommand takes only the options it reads, and a value it reads
+    # must be valid: anything else is rc 2, with one error line, before any
+    # output or report file
     monkeypatch.chdir(tmp_path)
     try:
         code = main(command)
-    except SystemExit as exc:  # argparse: unrecognized arguments
+    except SystemExit as exc:  # argparse: unrecognized arguments, bad values
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].startswith(
-        ("pdmlab: error: unrecognized arguments: ", "catalog error: --worked"))
+    assert err.splitlines()[-1].startswith(error)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -487,7 +505,7 @@ sys.stderr.write("\\n" + json.dumps(list(sys.modules)) + "\\n")
 def test_command_imports(command, tmp_path):
     # a fresh process pays for every import: no command loads dataclasses or
     # scipy.linalg, the spectrum table no operator module, casimir and the
-    # scale system no numpy
+    # scale system no numpy, and the scale system no kernel
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *command.split()],
                           capture_output=True, text=True, cwd=tmp_path, timeout=120)
     modules = set(json.loads(proc.stderr.splitlines()[-1]))
@@ -497,6 +515,9 @@ def test_command_imports(command, tmp_path):
                     "pdmlab.catalog"} & modules
     if command.startswith(("casimir", "spectrum --system scale")):
         assert "numpy" not in modules
+    if command.startswith("spectrum --system scale"):
+        # a Bessel residual in floats: no kernel, and no hashlib for its seeds
+        assert not {"pdmlab.symkernel", "hashlib"} & modules
 
 
 def test_package_imports_no_dataclasses():

@@ -197,27 +197,19 @@ class TestSubalgebras:
         rep = subalgebra_closure(spec)
         assert rep.passed
 
-    def test_no_operator_work_after_warm_up(self, monkeypatch):
+    def test_no_operator_work_after_warm_up(self, spy_calls):
         # brackets come from the structure tensor and combinations from the
         # cached generator columns: once both are built, closure and
         # structure checks commute and re-prove no operator
-        import pdmlab.conformal as conformal
         from pdmlab.catalog import verify_entry
+        from pdmlab.diffop import commute_qq
 
         def run():
             assert all(subalgebra_closure(s).passed for s in load_subalgebras())
             assert verify_entry(16).passed
 
         run()
-        calls = []
-        for name in ("commute_qq", "op_coordinates"):
-            original = getattr(conformal, name)
-
-            def counting(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(conformal, name, counting)
+        calls = spy_calls(commute_qq, op_coordinates)
         run()
         assert calls == []
 

@@ -18,6 +18,7 @@ from pdmlab.symkernel import (
     NUM_ZERO,
     ExprError,
     ProvedZero,
+    diff_wrt,
     exp,
     is_zero,
     kernel_scope,
@@ -48,9 +49,11 @@ from pdmlab.symkernel.ratform import (
     p_gcd,
     p_is_const,
     p_mono_content,
+    p_diff,
     p_mul_raw,
     to_rf,
 )
+from pdmlab.symkernel.expr import Num, add, mul, pow_
 from pdmlab.symkernel.scalars import GRat
 
 # the square-root atom is an independent variable in the gcd's model
@@ -342,6 +345,28 @@ class TestPackedMonomials:
                          f"(^ (* x2 a) {-LIMIT})", f"(^ x1 {2 * LIMIT - 1}/{2 * LIMIT})"):
                 with pytest.raises(ExprError, match="exponent too large"):
                     normalize(parse_sexpr(text))
+
+
+
+_DIFF_ATOMS = (x1, x2, x3, param("a"))
+_diff_terms = st.lists(st.tuples(_coeff, st.tuples(*(st.integers(0, 3) for _ in _DIFF_ATOMS))),
+                       max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diff_terms, st.lists(st.sampled_from(_DIFF_ATOMS), unique=True),
+       st.sampled_from(_DIFF_ATOMS))
+def test_p_diff_matches_expr_diff(terms, interned, atom):
+    # fields given in a drawn order, before or after the polynomial's own;
+    # an atom with no field at all differentiates to zero
+    e = add(*(mul(Num(GRat(*c)), *(pow_(a, k) for a, k in zip(_DIFF_ATOMS, exps) if k))
+              for c, exps in terms))
+    with kernel_scope:
+        for a in interned:
+            p_atom(a)
+        rf, want = to_rf(e), to_rf(diff_wrt(e, atom))
+        assert rf.den == () and want.den == ()
+        assert p_diff(rf.num, atom) == want.num
 
 
 # -- the kernel scope ----------------------------------------------------------

@@ -108,6 +108,11 @@ SPECTRUM_INPUTS = (
 # after a command that runs without them, and --worked with --entry: each is
 # bad input, rc 2 with no stdout.  The seven after --worked were accepted and
 # ignored before `spectrum` and `transform` took only their own options.
+# Then values out of range and --json paths that cannot be written, also
+# rc 2 with no stdout: a revision without the checks reports a tol of 1 or
+# more as passing every residual, nan as failing every one, and --points 0
+# as inconclusive; and it prints a whole report, then a traceback, for the
+# --json path.
 OPTION_INPUTS = (
     ("spectrum", "--system", "scale", "--json", "out.json"),
     ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
@@ -136,6 +141,13 @@ OPTION_INPUTS = (
     ("transform", "--kind", "dilatation", "--scale", "3/2", "--entry", "14", "--sin", "0"),
     ("transform", "--kind", "inversion", "--entry", "18", "--scale", "2"),
     ("transform", "--kind", "rotation", "--entry", "10", "--weight", "auto"),
+    ("catalog", "verify", "--entry", "2", "--tol", "inf"),
+    ("catalog", "verify", "--entry", "1", "--tol", "nan"),
+    ("catalog", "verify", "--entry", "2", "--tol", "1"),
+    ("catalog", "verify", "--entry", "1", "--points", "0"),
+    ("catalog", "verify", "--entry", "1", "--json", "/nonexistent/x.json"),
+    ("algebra", "--check", "so4", "--json", "/nonexistent/x.json"),
+    ("casimir", "--system", "so4", "--json", "/nonexistent/x.json"),
 )
 
 
