@@ -7,11 +7,14 @@ and the potential equation); fully rational rows additionally get the
 complete operator commutator; each integral set is checked for Lie closure.
 Rows whose verbatim encoding fails a check carry a corrected variant; the
 verbatim failure is reported as an annotation and the variant must pass.
+`verify_all` runs the rows and worked families on two CPUs, with one forked
+worker, when the process may use two or more.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from importlib import resources
 from typing import NamedTuple
 
@@ -219,8 +222,79 @@ def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verificat
     return rep
 
 
-def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY) -> list:
-    return [verify_entry(i, policy) for i in sorted(load_catalog())]
+def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY, worked: bool = False) -> list:
+    """The reports of rows 1-18 in order, then, with worked, those of
+    WORKED_FAMILIES.
+
+    A report does not depend on which process made it or on what ran
+    before it in the same kernel scope.  So when this process may run on
+    two or more CPUs, one forked worker shares the jobs (_run_forked);
+    otherwise they run here, one after another."""
+    jobs = [functools.partial(verify_entry, i, policy) for i in sorted(load_catalog())]
+    if worked:
+        jobs += [functools.partial(verify_worked_family, name, policy)
+                 for name in WORKED_FAMILIES]
+    if len(jobs) >= 2 and len(os.sched_getaffinity(0)) >= 2:
+        return _run_forked(jobs)
+    return [job() for job in jobs]
+
+
+def _run_forked(jobs: list) -> list:
+    """[job() for job in jobs], with the jobs shared by this process and one
+    worker made by os.fork().
+
+    A pipe holds one byte per job index, and each process claims its next
+    job with a one-byte read: pipe reads that small are atomic, so no job
+    runs twice, and the faster process takes more of them.  The worker
+    pickles {index: report} into a second pipe and ends with os._exit, so it
+    never flushes the stdout or report buffers that it inherited.  Any job
+    that the worker does not return (one that raised, a killed worker, a
+    pickle that failed) and any job that raised here runs again here, in
+    job order, so this returns or raises what the serial loop would.  The
+    worker is always reaped, and killed first if this process raises."""
+    import pickle
+    import signal
+
+    claim_r, claim_w = os.pipe()
+    result_r, result_w = os.pipe()
+    # at most 22 jobs: one byte names each, far below a pipe's buffer
+    os.write(claim_w, bytes(range(len(jobs))))
+    os.close(claim_w)
+
+    def run_claimed() -> dict:
+        done = {}
+        while index := os.read(claim_r, 1):
+            try:
+                done[index[0]] = jobs[index[0]]()
+            except Exception:
+                pass  # left for the parent's serial pass
+        return done
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(result_r)  # so that a write to a dead parent fails
+            with open(result_w, "wb") as out:
+                out.write(pickle.dumps(run_claimed()))
+        finally:
+            os._exit(0)
+    try:
+        os.close(result_w)
+        with open(result_r, "rb") as results:
+            done = run_claimed()
+            data = results.read()
+        try:
+            done.update(pickle.loads(data))
+        except Exception:
+            pass  # the worker's jobs run again below
+        reports = [done[i] if i in done else job() for i, job in enumerate(jobs)]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claim_r)
+        os.waitpid(pid, 0)
+    return reports
 
 
 # ---------------------------------------------------------------------------

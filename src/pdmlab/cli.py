@@ -10,12 +10,17 @@ Any other option is bad input.
 
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
 one check failed or stdout was closed before the output was written, 2 bad
-arguments or input: among them a --points below 1, a --tol outside (0, 1)
-and a --json path that cannot be opened for writing.  Reruns with the same
-seed and inputs produce byte-identical output.
+arguments or input: among them a --points below 1, a --tol or a spectrum
+--rel-tol outside (0, 1) and a --json path that cannot be opened for
+writing.  Reruns with the same seed and inputs produce byte-identical
+output.
+
+`catalog verify --all` shares its rows and worked families with one forked
+worker when the process may run on two or more CPUs
+(catalog.verify_all); the report is the same either way.
 
 The kernel (pdmlab.symkernel) is imported by the commands that use it, so
-`spectrum --system scale`, which computes in floats, loads none of it.
+`spectrum`, which computes in floats, loads none of it.
 """
 
 from __future__ import annotations
@@ -90,11 +95,8 @@ def _cmd_catalog_verify(args) -> int:
         if args.entry is not None:
             doc.add(catalog.verify_entry(args.entry, policy))
         else:
-            for rep in catalog.verify_all(policy):
+            for rep in catalog.verify_all(policy, worked=args.worked):
                 doc.add(rep)
-            if args.worked:
-                for name in catalog.WORKED_FAMILIES:
-                    doc.add(catalog.verify_worked_family(name, policy))
         return doc
 
     return _report(args, build)
@@ -327,8 +329,10 @@ def _points(text: str) -> int:
 
 
 def _tol(text: str) -> float:
-    # the numeric tier compares |v| / (1 + scale), which is below 1 for every
-    # sample: a tol of 1 or more accepts every residual, and nan none
+    # a bound on a relative error, for --tol and --rel-tol: the numeric tier
+    # compares |v| / (1 + scale), which is below 1 for every sample, so a tol
+    # of 1 or more accepts every residual; a --rel-tol of inf passes any
+    # table, and nan, 0 or below fails a right one
     tol = _number(float, text)
     if not 0 < tol < 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), not {text}")
@@ -383,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--l", type=int)
     p_spec.add_argument("--count", type=int)
     p_spec.add_argument("--grid", type=int)
-    p_spec.add_argument("--rel-tol", type=float)
+    p_spec.add_argument("--rel-tol", type=_tol,
+                        help="bound on each level's relative error, in (0, 1)")
     p_spec.add_argument("--dump", metavar="PATH",
                         help="write a two-column (r, phi) eigenfunction dump")
     p_spec.add_argument("--dump-index", type=int)
@@ -429,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # one kernel scope per command: its checks share normal forms, and the
-    # memo ends with the command.  The scale system's residual is computed
-    # in floats, and it loads no kernel.
-    if args.command == "spectrum" and args.system == "scale":
+    # memo ends with the command.  `spectrum` computes in floats, and it
+    # loads no kernel.
+    if args.command == "spectrum":
         scope = contextlib.nullcontext()
     else:
         from .symkernel import kernel_scope as scope

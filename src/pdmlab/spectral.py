@@ -496,29 +496,31 @@ def besselj(beta: float, s: float, derivative: int = 0, tol: float = 1e-17) -> f
 class So4Level(NamedTuple):
     n: int
     etilde: int                      # 4 n^2 + 5
-    energy: object                   # the kernel expression mu (4 n^2 + 5) + nu
     mu_coeff: int
     nu_coeff: int
     allowed_l: tuple
     degeneracy: int                  # sum of 2l+1 over allowed l
+
+    @property
+    def energy(self):
+        """The kernel expression mu (4 n^2 + 5) + nu, built on access: the
+        spectrum table prints the coefficients and loads no kernel."""
+        from .symkernel import normalize, param
+
+        return normalize(param("mu") * self.etilde + param("nu"))
 
 
 def algebraic_spectrum_so4(n: int) -> So4Level:
     """Level n >= 1 of the compact system: the Casimir C1 of the so(4)
     realization (pdmlab.casimir) has the eigenvalue n^2 - 1, which gives the
     rescaled energy 4n^2 + 5; angular momentum runs over l <= n - 1."""
-    from .symkernel import normalize, param
-
     if n < 1:
         raise ValueError("level index must be a positive integer")
     etilde = 4 * n * n + 5
-    mu, nu = param("mu"), param("nu")
-    energy = normalize(mu * etilde + nu)
     allowed = tuple(range(0, n))
     return So4Level(
         n=n,
         etilde=etilde,
-        energy=energy,
         mu_coeff=etilde,
         nu_coeff=1,
         allowed_l=allowed,

@@ -415,13 +415,18 @@ _UNREAD = [
 ]
 
 
-# A --points below 1 and a --tol outside (0, 1) (a tol of 1 or more accepts
-# every relative residual, nan none), and a --json path that cannot be
-# opened, with the start of the one error line each prints.
+# A --points below 1, a --tol outside (0, 1) (a tol of 1 or more accepts
+# every relative residual, nan none), a spectrum --rel-tol outside (0, 1)
+# (inf and 1 passed any table, nan, -1 and 0 failed a right one), and a
+# --json path that cannot be opened, with the start of the one error line
+# each prints.
 _BAD_VALUES = [
     *((["catalog", "verify", "--entry", "2", "--tol", value],
       f"pdmlab catalog verify: error: argument --tol: must lie in (0, 1), not {value}")
       for value in ("inf", "1e300", "nan", "1", "0", "-0.5")),
+    *((["spectrum", "--system", "so4", "--count", "2", "--rel-tol", value],
+      f"pdmlab spectrum: error: argument --rel-tol: must lie in (0, 1), not {value}")
+      for value in ("nan", "-1", "0", "inf", "1")),
     *((["catalog", "verify", "--entry", "1", "--points", value],
       f"pdmlab catalog verify: error: argument --points: must be at least 1, not {value}")
       for value in ("0", "-3")),
@@ -504,20 +509,21 @@ sys.stderr.write("\\n" + json.dumps(list(sys.modules)) + "\\n")
 @pytest.mark.parametrize("command", _PINNED)
 def test_command_imports(command, tmp_path):
     # a fresh process pays for every import: no command loads dataclasses or
-    # scipy.linalg, the spectrum table no operator module, casimir and the
-    # scale system no numpy, and the scale system no kernel
+    # scipy.linalg, spectrum no operator module and no kernel (the so4
+    # table prints its levels' coefficients, not their energy expressions),
+    # casimir and the scale system no numpy
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *command.split()],
                           capture_output=True, text=True, cwd=tmp_path, timeout=120)
     modules = set(json.loads(proc.stderr.splitlines()[-1]))
     assert not {"dataclasses", "scipy.linalg"} & modules
     if command.startswith("spectrum"):
         assert not {"pdmlab.casimir", "pdmlab.conformal", "pdmlab.diffop",
-                    "pdmlab.catalog"} & modules
+                    "pdmlab.catalog", "pdmlab.symkernel"} & modules
     if command.startswith(("casimir", "spectrum --system scale")):
         assert "numpy" not in modules
     if command.startswith("spectrum --system scale"):
-        # a Bessel residual in floats: no kernel, and no hashlib for its seeds
-        assert not {"pdmlab.symkernel", "hashlib"} & modules
+        # a Bessel residual in floats: no hashlib for the kernel's seeds
+        assert "hashlib" not in modules
 
 
 def test_package_imports_no_dataclasses():

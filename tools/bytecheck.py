@@ -6,10 +6,11 @@ results, between a git revision and the working tree.
 `git archive REV src` is extracted into a temporary directory; the
 repository's git state is not touched.  Each command keyed in
 perfbench/expected.json runs under both source trees at seeds 271828 and 7,
-with `--json` added where its pin holds `checks`.  Exit codes, stdout,
-stderr and JSON reports are compared byte for byte.  Next each text of
-EXPR_INPUTS goes through `pdmlab expr parse|normalize`, each argument
-list of SPECTRUM_INPUTS through `pdmlab spectrum`, and each command of
+with `--json` added where its pin holds `checks`, and so does each command
+of ONE_CPU with the child pinned to one CPU (`os.sched_setaffinity`).  Exit
+codes, stdout, stderr and JSON reports are compared byte for byte.  Next
+each text of EXPR_INPUTS goes through `pdmlab expr parse|normalize`, each
+argument list of SPECTRUM_INPUTS through `pdmlab spectrum`, and each command of
 OPTION_INPUTS through `pdmlab`, under both trees, and the exit codes,
 stdout and stderr are compared.  A command still running after
 RUN_TIMEOUT_S seconds is stopped, and its exit code reads "timeout".  Then
@@ -39,6 +40,10 @@ SEEDS = (271828, 7)
 RUN_TIMEOUT_S = 30
 DIFF_LINES = 24
 DIFF_WIDTH = 160
+# Pinned commands that run a second time on one CPU: `catalog verify --all`
+# shares its jobs with a forked worker on two or more CPUs and runs them
+# alone on one, and both paths must print the revision's bytes.
+ONE_CPU = ("catalog verify --all --worked",)
 
 # Forty-one parameters and a cube root: the widest monomials of EXPR_INPUTS,
 # whose fields lie past the fortieth atom's.
@@ -112,7 +117,9 @@ SPECTRUM_INPUTS = (
 # rc 2 with no stdout: a revision without the checks reports a tol of 1 or
 # more as passing every residual, nan as failing every one, and --points 0
 # as inconclusive; and it prints a whole report, then a traceback, for the
-# --json path.
+# --json path.  A revision without the --rel-tol check fails a right
+# spectrum table at nan, -1 and 0, with rc 1, and passes any table at inf
+# and 1.
 OPTION_INPUTS = (
     ("spectrum", "--system", "scale", "--json", "out.json"),
     ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
@@ -148,6 +155,11 @@ OPTION_INPUTS = (
     ("catalog", "verify", "--entry", "1", "--json", "/nonexistent/x.json"),
     ("algebra", "--check", "so4", "--json", "/nonexistent/x.json"),
     ("casimir", "--system", "so4", "--json", "/nonexistent/x.json"),
+    ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=nan"),
+    ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=-1"),
+    ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=0"),
+    ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=inf"),
+    ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=1"),
 )
 
 
@@ -159,16 +171,22 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, args: list, seed: int, json_report: bool, workdir: Path) -> tuple:
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(src: Path, args: list, seed: int, json_report: bool, workdir: Path,
+        one_cpu: bool = False) -> tuple:
     """(exit code, stdout, stderr, JSON report bytes or None) of one command,
-    run in an empty directory so that relative paths print the same."""
+    run in an empty directory so that relative paths print the same, and
+    pinned to one CPU when one_cpu is set."""
     workdir.mkdir()
     argv = [sys.executable, "-m", "pdmlab", *args, "--seed", str(seed)]
     if json_report:
         argv.append("--json=report.json")
     try:
         proc = subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=RUN_TIMEOUT_S, preexec_fn=_one_cpu if one_cpu else None)
     except subprocess.TimeoutExpired as exc:
         return "timeout", exc.stdout or b"", exc.stderr or b"", None
     report = workdir / "report.json"
@@ -247,19 +265,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
         trees = {"rev": extract_src(rev, tmp / "rev"), "tree": ROOT / "src"}
-        for n, (command, pin) in enumerate(pins.items()):
+        runs = [(command, pin, False) for command, pin in pins.items()]
+        runs += [(command, pins[command], True) for command in ONE_CPU]
+        for n, (command, pin, one_cpu) in enumerate(runs):
             for seed in SEEDS:
                 out = {name: run(src, command.split(), seed, "checks" in pin,
-                                 tmp / f"{name}-{n}-{seed}")
+                                 tmp / f"{name}-{n}-{seed}", one_cpu)
                        for name, src in trees.items()}
                 fields = ("rc", "stdout", "stderr", "json")
                 bad = [f for f, a, b in zip(fields, out["rev"], out["tree"]) if a != b]
                 differ += bool(bad)
                 verdict = f"DIFFERS in {', '.join(bad)}" if bad else "identical"
-                print(f"{command} --seed {seed}: {verdict}", flush=True)
+                shown = f"{command} --seed {seed}" + (" (one CPU)" if one_cpu else "")
+                print(f"{shown}: {verdict}", flush=True)
                 if "stdout" in bad:
                     print_stdout_diff(rev, out["rev"][1], out["tree"][1])
-        print(f"{differ} of {2 * len(pins)} runs differ from {rev}", flush=True)
+        print(f"{differ} of {len(SEEDS) * len(runs)} runs differ from {rev}", flush=True)
         expr_differ = compare_inputs(
             rev, trees, tmp, "expr",
             [(["expr", action, text], f"expr {action} {shorten(text)!r}")
