@@ -16,42 +16,14 @@ from __future__ import annotations
 import functools
 import os
 from importlib import resources
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .conformal import (
-    SO4_METRIC,
-    SO13_METRIC,
-    bracket_inner,
-    combo_column,
-    combo_to_op,
-    killing_params,
-    metric_table,
-    pair_brackets,
-    verify_structure,
-)
-from .diffop import (
-    AXES,
-    PDMHamiltonian,
-    commute_hq,
-    reduced_determining,
-)
-from .report import (
-    Check,
-    STATUS_ANNOTATION,
-    VerificationReport,
-    annotation,
-    check_from_status,
-)
 from .symkernel import (
     AbstractFn,
-    DEFAULT_POLICY,
     Expr,
-    ZeroTestPolicy,
     diff,
     is_rational_in_x,
-    is_zero,
     normalize,
-    numeric_sample,
     param,
     parse_sexpr,
     sqrt,
@@ -61,6 +33,15 @@ from .symkernel import (
     x3,
 )
 from .symkernel.expr import add, mul
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
+    from .symkernel import ZeroTestPolicy
+
+# The operator modules (conformal, diffop), the zero test and the report
+# records are imported by the verify functions that use them: load_catalog
+# and entry, all that `catalog list` and `transform` read, need only the
+# kernel core.
 
 R2 = x1**2 + x2**2 + x3**2
 RT2 = x1**2 + x2**2
@@ -154,6 +135,9 @@ def entry(eid: int) -> CatalogEntry:
 def _check_residual(rep, name, residual, policy, label, confirm_numeric):
     """Exact-tier check plus, for non-rational content, an independent
     numeric confirmation on the raw (unnormalized) tree."""
+    from .report import check_from_status
+    from .symkernel import is_zero, numeric_sample
+
     st = is_zero(residual, policy, label)
     rep.add(check_from_status(name, st))
     ok = st.is_zero
@@ -167,6 +151,10 @@ def _check_residual(rep, name, residual, policy, label, confirm_numeric):
 def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPolicy,
                 tag: str = "") -> bool:
     """All checks for one encoding of a row; returns overall success."""
+    from .conformal import combo_column, combo_to_op, killing_params, pair_brackets
+    from .diffop import PDMHamiltonian, commute_hq, reduced_determining
+    from .report import Check
+
     h = PDMHamiltonian(row.f, row.V)
     confirm = not row.rational
     all_ok = True
@@ -193,7 +181,13 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
     return all_ok
 
 
-def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> VerificationReport:
+def verify_entry(eid: int, policy: ZeroTestPolicy | None = None) -> VerificationReport:
+    """The report of row eid; policy None is the zero test's DEFAULT_POLICY."""
+    from .conformal import SO4_METRIC, SO13_METRIC, bracket_inner, metric_table, verify_structure
+    from .report import STATUS_ANNOTATION, Check, VerificationReport, annotation
+    from .symkernel import DEFAULT_POLICY
+
+    policy = DEFAULT_POLICY if policy is None else policy
     row = entry(eid)
     rep = VerificationReport(f"catalog.entry{eid}",
                              f"f = {to_sexpr(normalize(row.f))[:80]}")
@@ -222,7 +216,7 @@ def verify_entry(eid: int, policy: ZeroTestPolicy = DEFAULT_POLICY) -> Verificat
     return rep
 
 
-def verify_all(policy: ZeroTestPolicy = DEFAULT_POLICY, worked: bool = False) -> list:
+def verify_all(policy: ZeroTestPolicy | None = None, worked: bool = False) -> list:
     """The reports of rows 1-18 in order, then, with worked, those of
     WORKED_FAMILIES.
 
@@ -305,6 +299,8 @@ def _run_forked(jobs: list) -> list:
 def _flow_residual_03(g: Expr, rhs_factor: Expr) -> Expr:
     """2 x3 (x.grad g) - (r^2+1) g_3 - rhs_factor * g  (the reduced flow
     equation of the half(K3+P3) integral, cleared of denominators)."""
+    from .diffop import AXES
+
     xdg = add(*(mul((x1, x2, x3)[a - 1], diff(g, a)) for a in AXES))
     return 2 * x3 * xdg - (R2 + 1) * diff(g, 3) - rhs_factor * g
 
@@ -317,7 +313,7 @@ def _pair_residual_12(g: Expr, axis: int, const_sign: int):
     return 2 * xa * core - (R2 + const_sign - 2 * x3) * diff(g, axis)
 
 
-def verify_worked_family(name: str, policy: ZeroTestPolicy = DEFAULT_POLICY) -> VerificationReport:
+def verify_worked_family(name: str, policy: ZeroTestPolicy | None = None) -> VerificationReport:
     """Verification of the worked solution families:
 
     - 'de7_family': the two-argument profile solving the flow equation of
@@ -329,7 +325,13 @@ def verify_worked_family(name: str, policy: ZeroTestPolicy = DEFAULT_POLICY) -> 
       verbatim and with the corrected constant.
     - 'fV1': the fully fixed quadratic profile against the second mixed
       pair, verbatim and corrected.
+
+    policy None is the zero test's DEFAULT_POLICY.
     """
+    from .report import VerificationReport, annotation, check_from_status
+    from .symkernel import DEFAULT_POLICY, is_zero
+
+    policy = DEFAULT_POLICY if policy is None else policy
     F2, Ft2 = AbstractFn("F", 2), AbstractFn("Ft", 2)
     F1, Ft1 = AbstractFn("F", 1), AbstractFn("Ft", 1)
     rt = sqrt(RT2)

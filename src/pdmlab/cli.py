@@ -19,8 +19,10 @@ output.
 worker when the process may run on two or more CPUs
 (catalog.verify_all); the report is the same either way.
 
-The kernel (pdmlab.symkernel) is imported by the commands that use it, so
-`spectrum`, which computes in floats, loads none of it.
+Each command imports only the modules that it runs: `spectrum`, which
+computes in floats, loads no kernel (pdmlab.symkernel); `catalog list` no
+operator module (conformal, diffop); and only `catalog verify`, whose checks
+sample, loads the zero test and hashlib.  json loads with --json alone.
 """
 
 from __future__ import annotations
@@ -32,21 +34,25 @@ import re
 import sys
 
 from . import __version__
-from .report import ReportDocument
 
 
-def _policy(args):
-    """The zero-test policy of a report command: the given --points, --tol
-    and --seed, and ZeroTestPolicy's defaults for the rest."""
-    from .symkernel import ZeroTestPolicy
+def _policy(args) -> dict:
+    """The zero-test policy of a report command, as the fields of
+    ZeroTestPolicy: the given --points, --tol and --seed, and the defaults
+    for the rest.  The defaults are read from pdmlab.symkernel, so algebra
+    and casimir, whose checks never sample, load no zero test."""
+    from .symkernel import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 
-    given = {name: getattr(args, name, None) for name in ZeroTestPolicy._fields}
-    return ZeroTestPolicy(**{name: v for name, v in given.items() if v is not None})
+    defaults = {"points": DEFAULT_POINTS, "tol": DEFAULT_TOL, "seed": DEFAULT_SEED}
+    given = {name: getattr(args, name, None) for name in defaults}
+    return {name: defaults[name] if v is None else v for name, v in given.items()}
 
 
-def _document(policy) -> ReportDocument:
+def _document(policy: dict):
+    from .report import ReportDocument
+
     return ReportDocument(
-        seed=policy.seed, policy={"points": policy.points, "tol": policy.tol}
+        seed=policy["seed"], policy={"points": policy["points"], "tol": policy["tol"]}
     )
 
 
@@ -84,14 +90,16 @@ def _cmd_catalog_list(args) -> int:
 
 def _cmd_catalog_verify(args) -> int:
     from . import catalog
+    from .symkernel import ZeroTestPolicy
 
     if args.worked and args.entry is not None:
         print("catalog error: --worked goes with --all, not --entry", file=sys.stderr)
         return 2
-    policy = _policy(args)
+    fields = _policy(args)
+    policy = ZeroTestPolicy(**fields)
 
     def build():
-        doc = _document(policy)
+        doc = _document(fields)
         if args.entry is not None:
             doc.add(catalog.verify_entry(args.entry, policy))
         else:
@@ -236,9 +244,17 @@ def _cmd_casimir(args) -> int:
     return _report(args, build)
 
 
-def _cmd_transform(args) -> int:
+def _rational(option: str, text: str):
+    """Fraction(text), failing with ValueError for a zero denominator too."""
     from fractions import Fraction
 
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option} has a zero denominator: {text!r}") from None
+
+
+def _cmd_transform(args) -> int:
     from . import catalog
     from .conformal import FormError, TransformSpec, apply_transform, axis_rotation, find_inversion_weight
     from .diffop import PDMHamiltonian
@@ -252,18 +268,18 @@ def _cmd_transform(args) -> int:
     h = PDMHamiltonian(row.f, row.V)
     try:
         if args.kind == "shift":
-            nu = tuple(Fraction(s) for s in args.nu.split(","))
+            nu = tuple(_rational("--nu", s) for s in args.nu.split(","))
             if len(nu) != 3:
                 raise ValueError("--nu needs three comma-separated rationals")
             out = apply_transform(TransformSpec(kind="shift", nu=nu), h)
             w = None
         elif args.kind == "dilatation":
             out = apply_transform(
-                TransformSpec(kind="dilatation", scale=Fraction(args.scale)), h
+                TransformSpec(kind="dilatation", scale=_rational("--scale", args.scale)), h
             )
             w = None
         elif args.kind == "rotation":
-            R = axis_rotation(args.axis, Fraction(args.cos), Fraction(args.sin))
+            R = axis_rotation(args.axis, _rational("--cos", args.cos), _rational("--sin", args.sin))
             out = apply_transform(TransformSpec(kind="rotation", rotation=R), h)
             w = None
         else:  # inversion
@@ -348,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed is taken by every command, so that one argument list runs any
     # of them at a chosen seed; it sets the seed of the sampling checks and
     # the seed that a report records.  --seed, --points and --tol default
-    # to None, which _policy reads as ZeroTestPolicy's default.
+    # to None, which _policy reads as the zero test's default.
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, help="seed for the numeric zero-test tier")
     reported = argparse.ArgumentParser(add_help=False, parents=[seeded])

@@ -784,6 +784,8 @@ class TransformSpec:
                  weight_exponent: int = 0):
         if kind not in ("shift", "rotation", "dilatation", "inversion_conjugation"):
             raise ValueError(f"unknown transform kind {kind!r}")
+        if kind == "dilatation" and scale == 0:
+            raise ValueError("dilatation scale must be nonzero")
         if kind == "rotation":
             rotation = tuple(tuple(as_expr(v) for v in row) for row in rotation)
             if len(rotation) != 3 or any(len(r) != 3 for r in rotation):

@@ -8,8 +8,6 @@ failures (encoding discrepancies, derivation mismatches).
 
 from __future__ import annotations
 
-import json
-
 from . import __version__
 
 STATUS_PROVED = "proved"
@@ -165,6 +163,8 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
+        import json  # here, so that a report without --json loads no json
+
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:

@@ -1,4 +1,8 @@
-"""Exact symbolic kernel: expressions, canonical forms, zero testing."""
+"""Exact symbolic kernel: expressions, canonical forms, zero testing.
+
+The zero test's names load pdmlab.symkernel.zerotest, and hashlib with it,
+when one of them is first used (a module __getattr__, PEP 562): a command
+that never samples compiles none of it."""
 
 from .scalars import GRat, grat
 from .expr import (
@@ -41,18 +45,37 @@ from .expr import (
 )
 from .ratform import is_provably_zero, kernel_scope, normalize, poly_degree_in_vars
 from .sexpr import ParseError, parse_sexpr, to_sexpr
-from .zerotest import (
-    DEFAULT_POLICY,
-    DEFAULT_SEED,
-    EvalDomainError,
-    Inconclusive,
-    NonZero,
-    NumericZero,
-    ProvedZero,
-    ZeroTestPolicy,
-    evaluate,
-    is_zero,
-    numeric_sample,
+
+# ZeroTestPolicy's defaults, the one copy: a report header reads them here
+# without loading the zero test.
+DEFAULT_POINTS = 50
+DEFAULT_TOL = 1e-9
+DEFAULT_SEED = 271828
+
+_ZEROTEST_NAMES = (
+    "DEFAULT_POLICY",
+    "EvalDomainError",
+    "Inconclusive",
+    "NonZero",
+    "NumericZero",
+    "ProvedZero",
+    "ZeroTestPolicy",
+    "evaluate",
+    "is_zero",
+    "numeric_sample",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name not in _ZEROTEST_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import zerotest
+
+    # all of them at once: no later first use pays even a lookup here
+    for each in _ZEROTEST_NAMES:
+        globals()[each] = getattr(zerotest, each)
+    return globals()[name]
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + [*_ZEROTEST_NAMES, "zerotest"])

@@ -272,6 +272,23 @@ def mul(*factors) -> Expr:
     return Mul(tuple(flat))
 
 
+# A number c = (a + b i)/d to the power n >= 0 has at most n * ceil(log2 m)
+# + 1 bits in each part, m = max(|a| + |b|, d); c ** -n is (1/c) ** n.  The
+# kernel refuses to fold a power whose bound is above FOLD_BITS_LIMIT, so
+# one short input cannot hold it or fill its memory: (^ 10 5000) is 16,610
+# bits, (^ 2 100000000000) would be 12.5 GB.
+FOLD_BITS_LIMIT = 1 << 16
+
+
+def check_power_size(c: GRat, n: int) -> None:
+    """Raise ExprError before c ** n is computed if its bound is too large."""
+    if n < 0:
+        c, n = c.inverse(), -n  # as GRat.__pow__ computes it
+    m = max(abs(c.a) + abs(c.b), c.d)
+    if n * (m - 1).bit_length() > FOLD_BITS_LIMIT:
+        raise ExprError(f"power too large: the number would have more than {FOLD_BITS_LIMIT} bits")
+
+
 def pow_(base, exponent) -> Expr:
     base = as_expr(base)
     if isinstance(exponent, int):
@@ -283,10 +300,10 @@ def pow_(base, exponent) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num):
-        if exponent.denominator == 1:
-            return Num(base.val ** exponent.numerator)
-        root = _exact_root(base.val, exponent.denominator)
+        q = exponent.denominator
+        root = base.val if q == 1 else _exact_root(base.val, q)
         if root is not None:
+            check_power_size(root, exponent.numerator)
             return Num(root ** exponent.numerator)
     if isinstance(base, Pow) and exponent.denominator == 1:
         # (b^q)^n == b^(q*n) is sound for integer n
@@ -302,6 +319,8 @@ def _iroot(n: int, q: int) -> int:
         return math.isqrt(n)
     if n < 2:
         return n
+    if n.bit_length() <= q:
+        return 1  # 2 <= n < 2**q; Newton's first step would hold 2**(q - 1)
     x = 1 << -(-n.bit_length() // q)  # an upper bound; Newton descends from it
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q

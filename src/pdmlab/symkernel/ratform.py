@@ -60,6 +60,7 @@ from .expr import (
     Pow,
     Var,
     add,
+    check_power_size,
     mul,
     pow_,
 )
@@ -300,15 +301,26 @@ def p_mul_raw(a: dict, b: dict) -> dict:
 EXPANSION_LIMIT = 15_000
 
 
+def _expansion_too_large(t: int, n: int) -> ExprError:
+    try:
+        return ExprError(f"expansion too large: a {t}-term sum to the power {n} has up to"
+                         f" C({n + t - 1}, {t - 1}) terms, above {EXPANSION_LIMIT}")
+    except ValueError:
+        # n has more digits than int -> str converts, and no monomial of a
+        # power that high fits
+        return _too_large()
+
+
 def p_ipow(a: dict, n: int) -> dict:
-    if n > 1:
+    if len(a) == 1:
+        # one term c m: c ** n is a folded power of a number
+        check_power_size(next(iter(a.values())), n)
+    elif n > 1:
         bound = 1
         for k in range(1, len(a)):
             bound = bound * (n + k) // k    # C(n+k, k)
             if bound > EXPANSION_LIMIT:
-                raise ExprError(
-                    f"expansion too large: a {len(a)}-term sum to the power {n} has up to"
-                    f" C({n + len(a) - 1}, {len(a) - 1}) terms, above {EXPANSION_LIMIT}")
+                raise _expansion_too_large(len(a), n)
     out = P_ONE
     base = a
     while n:
@@ -995,6 +1007,7 @@ def _to_rf(e: Expr) -> RF:
 
             root = _exact_root(cb.val, q)
             if root is not None:
+                check_power_size(root, p)
                 return RF(p_const(root**p), DEN_ONE)
         if crb.den != DEN_ONE:
             raise ExprError(

@@ -7,6 +7,7 @@ parse_sexpr(to_sexpr(e)) == e for every tree the printer emits.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .expr import (
@@ -34,12 +35,22 @@ class ParseError(ValueError):
     pass
 
 
+def _ratio(n: int, d: int) -> str:
+    """ratio_text(n, d), or ExprError for a number longer than the
+    interpreter converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return ratio_text(n, d)
+    except ValueError:
+        raise ExprError(f"a number of more than {sys.get_int_max_str_digits()} digits"
+                        " cannot be printed") from None
+
+
 def _num_str(v: GRat) -> str:
     if v.b == 0:
-        return ratio_text(v.a, v.d)
+        return _ratio(v.a, v.d)
     if v.a == 0 and v.b == 1 and v.d == 1:
         return "i"
-    return f"(gauss {ratio_text(v.a, v.d)} {ratio_text(v.b, v.d)})"
+    return f"(gauss {_ratio(v.a, v.d)} {_ratio(v.b, v.d)})"
 
 
 def to_sexpr(e: Expr) -> str:
@@ -54,7 +65,7 @@ def to_sexpr(e: Expr) -> str:
             return "(* " + " ".join(to_sexpr(f) for f in e.factors) + ")"
         if isinstance(e, Pow):
             q = e.exponent
-            return f"(^ {to_sexpr(e.base)} {ratio_text(q.numerator, q.denominator)})"
+            return f"(^ {to_sexpr(e.base)} {_ratio(q.numerator, q.denominator)})"
         if isinstance(e, App):
             return f"({e.fn} {to_sexpr(e.arg)})"
         if isinstance(e, AbsApp):
@@ -151,6 +162,10 @@ def _parse_atom(tok: str, off: int) -> Expr:
             return Num(Fraction(int(num), int(den)) if den else int(num))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {tok!r} at offset {off}") from None
+        except ValueError:
+            # int() reads at most sys.get_int_max_str_digits() digits
+            raise ParseError(f"number at offset {off} has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     if tok == "i":
         return Num(GRat(0, 1))
     if tok in VAR_NAMES:

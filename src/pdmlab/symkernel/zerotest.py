@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .. import read_only
+from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from .expr import (
     AbsApp,
     Add,
@@ -50,8 +51,6 @@ from .expr import (
 )
 from .ratform import normalize, raw_form
 from .sexpr import to_sexpr
-
-DEFAULT_SEED = 271828
 
 # Sampling ranges, as numerators over 1024: coordinate magnitudes in
 # [0.1, 2], avoiding the singular loci r=0, r~=0, x1=0 of the catalog;
@@ -80,8 +79,8 @@ class ZeroTestPolicy(NamedTuple):
     fixed ranges, the module constants COORD_RANGE and PARAM_RANGE.
     """
 
-    points: int = 50
-    tol: float = 1e-9
+    points: int = DEFAULT_POINTS
+    tol: float = DEFAULT_TOL
     seed: int = DEFAULT_SEED
 
     def rng(self, label: str = "") -> random.Random:

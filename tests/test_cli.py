@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -201,6 +202,22 @@ class TestTransformCommand:
         assert code == 1
         assert "obstruction" in out
 
+    @pytest.mark.parametrize("args, error", [
+        (["--kind", "dilatation", "--scale", "0", "--entry", "14"],
+         "error: dilatation scale must be nonzero"),
+        (["--kind", "dilatation", "--scale", "1/0", "--entry", "14"],
+         "error: --scale has a zero denominator: '1/0'"),
+        (["--kind", "shift", "--nu", "1/0,0,0", "--entry", "10"],
+         "error: --nu has a zero denominator: '1/0'"),
+        (["--kind", "rotation", "--cos", "1/0", "--sin", "0", "--entry", "10"],
+         "error: --cos has a zero denominator: '1/0'"),
+        (["--kind", "shift", "--nu", "a,b,c", "--entry", "10"],
+         "error: Invalid literal for Fraction: 'a'"),
+    ], ids=["scale-0", "scale-1/0", "nu-1/0", "cos-1/0", "nu-letters"])
+    def test_bad_rational_is_bad_input(self, args, error, capsys):
+        assert main(["transform", *args]) == 2
+        assert capsys.readouterr() == ("", error + "\n")
+
 
 class TestExprCommand:
     def test_round_trip(self, capsys):
@@ -274,6 +291,9 @@ def _spliced(draw):
     return text[:at] + draw(_JUNK) + text[at + cut:]
 
 
+_POWER_TOO_LARGE = "expression error: power too large: the number would have more than 65536 bits\n"
+
+
 class TestExprFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["parse", "normalize"]), _TREES | _SOUP | _spliced())
@@ -316,9 +336,27 @@ class TestExprFuzz:
         ("normalize", "(^ (+ x1 1) -2147483648)", 2, "",
          "expression error: expansion too large: a 2-term sum to the power 2147483648 has"
          " up to C(2147483649, 1) terms, above 15000\n"),
+        ("parse", "1" * 5001, 2, "", "parse error: number at offset 0 has more than 4300 digits\n"),
+        ("normalize", "(+ x1 1/" + "1" * 5001 + ")", 2, "",
+         "parse error: number at offset 6 has more than 4300 digits\n"),
+        *((action, text, 2, "", "expression error: a number of more than 4300 digits cannot be"
+           " printed\n")
+          for action in ("parse", "normalize")
+          for text in ("(^ 10 5000)", "(^ 10 -5000)", "(* x1 (^ 10 5000))")),
+        ("parse", "(^ x1 (^ 10 5000))", 2, "",
+         "expression error: a number of more than 4300 digits cannot be printed\n"),
+        ("normalize", "(^ (+ x1 1) (^ 10 5000))", 2, "",
+         "expression error: exponent too large: a monomial holds exponents below 2^31\n"),
+        ("normalize", "(^ 2 65536)", 2, "",
+         "expression error: a number of more than 4300 digits cannot be printed\n"),
+        ("normalize", "(^ 2 65537)", 2, "", _POWER_TOO_LARGE),
     ], ids=["minus-rational", "minus-ident", "arabic-indic-exponent", "arabic-indic-gauss",
             "arabic-indic-derivative", "exponent-below-limit", "exponent-2^32",
-            "product-at-limit", "expansion-past-budget", "denominator-past-budget"])
+            "product-at-limit", "expansion-past-budget", "denominator-past-budget",
+            "5001-digits", "5001-digit-denominator",
+            *(f"{action}-{name}" for action in ("parse", "normalize")
+              for name in ("10^5000", "10^-5000", "x1*10^5000")),
+            "exponent-10^5000", "sum-to-10^5000", "2^65536-folds", "2^65537-refused"])
     def test_pinned_texts(self, action, text, code, stdout, stderr, capsys):
         # a text starting with "-" reaches the parser; DIGITS are ASCII only;
         # a monomial's exponents stay below 2^31; an expansion past the
@@ -327,6 +365,31 @@ class TestExprFuzz:
         assert main(["expr", action, text]) == code
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr() == (stdout, stderr)
+
+    @pytest.mark.parametrize("action, text, code, stdout, stderr", [
+        ("parse", "(^ 2 100000000000)", 2, "", _POWER_TOO_LARGE),
+        ("normalize", "(^ 2 100000000000)", 2, "", _POWER_TOO_LARGE),
+        # the root atom's integer part, 2^50000000000
+        ("normalize", "(^ 2 100000000001/2)", 2, "", _POWER_TOO_LARGE),
+        # a sum whose normal form is the constant 2
+        ("normalize", "(^ (+ x1 2 (* -1 x1)) 100000000000)", 2, "", _POWER_TOO_LARGE),
+        # no exact root: Newton's first step would hold 2^(10^11 - 1)
+        ("normalize", "(^ 4 1/100000000000)", 0, "(^ 4 1/100000000000)\n", ""),
+        ("normalize", "(^ 1 100000000000)", 0, "1\n", ""),
+        ("normalize", "(^ i 100000000003)", 0, "(gauss 0 -1)\n", ""),
+    ], ids=["parse-2^1e11", "normalize-2^1e11", "root-2^(1e11/2)", "constant-sum-2^1e11",
+            "4^(1/1e11)", "1^1e11", "i^(1e11+3)"])
+    def test_folded_power_is_bounded(self, action, text, code, stdout, stderr, tmp_path):
+        # without the bound each would need gigabytes: a child process with
+        # its address space capped runs it, so a missing bound fails here
+        # with a MemoryError
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "pdmlab", "expr", action, text],
+                              capture_output=True, text=True, cwd=tmp_path, timeout=60,
+                              preexec_fn=cap)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
     def test_expansion_within_budget(self, capsys):
         # (x1 + x2 + 1)^100 has every monomial of degree <= 100 in x1, x2:
@@ -496,34 +559,71 @@ _PINNED = sorted(json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()))
 
 # Runs one command, then prints on stderr the modules loaded, in the order
-# their imports began.
+# their imports began; json is imported after the list is taken.
 _MODULES_AFTER = """
-import json, sys
+import sys
 from pdmlab import cli
 cli.main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write("\\n" + json.dumps(list(sys.modules)) + "\\n")
+loaded = list(sys.modules)
+import json
+sys.stderr.write("\\n" + json.dumps(loaded) + "\\n")
 """
 
 
-@pytest.mark.parametrize("command", _PINNED)
+@pytest.mark.parametrize("command", [*_PINNED, "algebra --check c3 --json report.json"])
 def test_command_imports(command, tmp_path):
     # a fresh process pays for every import: no command loads dataclasses or
     # scipy.linalg, spectrum no operator module and no kernel (the so4
     # table prints its levels' coefficients, not their energy expressions),
-    # casimir and the scale system no numpy
+    # casimir and the scale system no numpy; only the sampling command loads
+    # the zero test and hashlib, and only --json loads json
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *command.split()],
                           capture_output=True, text=True, cwd=tmp_path, timeout=120)
     modules = set(json.loads(proc.stderr.splitlines()[-1]))
     assert not {"dataclasses", "scipy.linalg"} & modules
+    assert ("json" in modules) == ("--json" in command)
     if command.startswith("spectrum"):
         assert not {"pdmlab.casimir", "pdmlab.conformal", "pdmlab.diffop",
                     "pdmlab.catalog", "pdmlab.symkernel"} & modules
     if command.startswith(("casimir", "spectrum --system scale")):
         assert "numpy" not in modules
-    if command.startswith("spectrum --system scale"):
-        # a Bessel residual in floats: no hashlib for the kernel's seeds
-        assert "hashlib" not in modules
+    if command.startswith(("spectrum", "transform", "algebra", "casimir", "catalog list")):
+        # no check of theirs samples: no zero test, no hashlib for its seeds
+        assert not {"pdmlab.symkernel.zerotest", "hashlib"} & modules
+    if command.startswith(("spectrum", "catalog list")):
+        # no report: a table, or rows parsed and printed by the kernel core
+        assert not {"pdmlab.conformal", "pdmlab.diffop", "pdmlab.report"} & modules
+    if command.startswith("catalog verify"):
+        assert {"pdmlab.symkernel.zerotest", "hashlib"} <= modules
+
+
+def test_kernel_loads_the_zero_test_on_first_use():
+    # `import pdmlab.symkernel` compiles no zero test; the first of its names
+    # that a caller takes loads it, and hashlib with it (kernel_stream takes
+    # these two before its timed loop, so no timed operation pays an import)
+    code = ("import sys, pdmlab.symkernel as k\n"
+            "before = {'pdmlab.symkernel.zerotest', 'hashlib'} & set(sys.modules)\n"
+            "from pdmlab.symkernel import NUM_ZERO, ZeroTestPolicy\n"
+            "from pdmlab.symkernel import zerotest\n"
+            "print(sorted(before), sorted({'pdmlab.symkernel.zerotest', 'hashlib'}"
+            " & set(sys.modules)), ZeroTestPolicy is zerotest.ZeroTestPolicy,"
+            " k.is_zero is zerotest.is_zero)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.stdout == "[] ['hashlib', 'pdmlab.symkernel.zerotest'] True True\n"
+
+
+def test_kernel_names_resolve():
+    from pdmlab import symkernel
+    from pdmlab.symkernel import zerotest
+
+    for name in symkernel.__all__:
+        assert getattr(symkernel, name) is not None, name
+    assert symkernel.DEFAULT_POLICY == zerotest.ZeroTestPolicy(
+        points=symkernel.DEFAULT_POINTS, tol=symkernel.DEFAULT_TOL, seed=symkernel.DEFAULT_SEED)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        symkernel.no_such_name
 
 
 def test_package_imports_no_dataclasses():

@@ -53,8 +53,12 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # (action, text) for `pdmlab expr`: texts that parse, with and without
 # repeated subtrees; one text per ParseError message; the kernel's rc-2
 # rejections; nesting past the interpreter's recursion limit; texts that
-# start with "-"; digits that are not ASCII; wide monomials; and powers of
-# a sum on both sides of the expansion budget.
+# start with "-"; digits that are not ASCII; wide monomials; powers of a
+# sum on both sides of the expansion budget; and numbers past the 4300
+# digits that int() and str() convert, which a revision without the checks
+# ends with a ValueError traceback.  Folded powers past the kernel's size
+# bound are left out: a revision without the bound computes them, in
+# gigabytes, and tests/test_cli.py runs them in a capped child instead.
 EXPR_INPUTS = (
     ("parse", "(+ x1 (* 2 x2))"),
     ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
@@ -90,6 +94,17 @@ EXPR_INPUTS = (
     ("normalize", "(^ (+ x1 x2 1) 100)"),
     ("normalize", "(^ (+ x1 x2 1) 200)"),
     ("normalize", "(^ (+ x1 1) -2147483648)"),
+    ("parse", "1" * 5001),
+    ("normalize", "(+ x1 1/" + "1" * 5001 + ")"),
+    ("parse", "(^ 10 5000)"),
+    ("normalize", "(^ 10 5000)"),
+    ("parse", "(^ 10 -5000)"),
+    ("normalize", "(^ 10 -5000)"),
+    ("parse", "(* x1 (^ 10 5000))"),
+    ("normalize", "(* x1 (^ 10 5000))"),
+    ("parse", "(^ x1 (^ 10 5000))"),
+    ("normalize", "(^ (+ x1 1) (^ 10 5000))"),
+    ("normalize", "(^ 2 65537)"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
@@ -119,7 +134,9 @@ SPECTRUM_INPUTS = (
 # as inconclusive; and it prints a whole report, then a traceback, for the
 # --json path.  A revision without the --rel-tol check fails a right
 # spectrum table at nan, -1 and 0, with rc 1, and passes any table at inf
-# and 1.
+# and 1.  Last, transform rationals with a zero denominator and a zero
+# dilatation, which a revision without the checks ends with a
+# ZeroDivisionError traceback.
 OPTION_INPUTS = (
     ("spectrum", "--system", "scale", "--json", "out.json"),
     ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
@@ -160,6 +177,10 @@ OPTION_INPUTS = (
     ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=0"),
     ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=inf"),
     ("spectrum", "--system", "so4", "--count", "2", "--rel-tol=1"),
+    ("transform", "--kind", "dilatation", "--scale", "0", "--entry", "14"),
+    ("transform", "--kind", "dilatation", "--scale", "1/0", "--entry", "14"),
+    ("transform", "--kind", "shift", "--nu", "1/0,0,0", "--entry", "10"),
+    ("transform", "--kind", "rotation", "--cos", "1/0", "--sin", "0", "--entry", "10"),
 )
 
 
