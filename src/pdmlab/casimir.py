@@ -20,15 +20,20 @@ from .conformal import combo_to_op, generator, so4_basis, so13_basis
 from .diffop import (
     PDMHamiltonian,
     SecondOrderOp,
-    commute_qq,
-    commute_second_first,
-    compose_first_order,
+    _commutator,
+    _first_form,
+    _form_is_zero,
+    _form_sum,
+    _from_second_form,
+    _product,
+    _second_form,
     eps,
     hamiltonian_to_op,
-    second_order_zero,
 )
 from .report import Check, VerificationReport, annotation
-from .symkernel import as_expr, normalize, x1, x2, x3
+from .symkernel import kernel_scope, x1, x2, x3
+from .symkernel.ratform import RF_ONE, RF_ZERO
+from .symkernel.scalars import MINUS_ONE, ONE, GRat
 
 R2 = x1 * x1 + x2 * x2 + x3 * x3
 
@@ -37,13 +42,6 @@ class CasimirPair(NamedTuple):
     C1: SecondOrderOp
     C2: SecondOrderOp
     algebra_tag: str  # "so4" | "so13"
-
-
-def _sum_ops(ops):
-    out = second_order_zero()
-    for op in ops:
-        out = out + op
-    return out
 
 
 def _realization(tag: str):
@@ -61,32 +59,23 @@ def _realization(tag: str):
 # CasimirPair is frozen; one pair per realization tag
 @functools.cache
 def build_casimirs(tag: str) -> CasimirPair:
-    boosts, rots = _realization(tag)
-    sq = []
-    for a in (1, 2, 3):
-        for b in range(a + 1, 4):
-            op = rots[(a, b)]
-            sq.append(compose_first_order(op, op))
-    boost_sq = [compose_first_order(boosts[a], boosts[a]) for a in (1, 2, 3)]
-    if tag == "so4":
-        c1 = _sum_ops(sq + boost_sq)
-    else:
-        # realization-consistent orientation of the indefinite contraction:
-        # boost^2 - (1/2) rot^2; the commonly printed orientation is exactly
-        # the negative and cannot satisfy C1 == (H+9)/4 (annotated in
-        # verify_casimir_identity)
-        c1 = _sum_ops(boost_sq) - _sum_ops(sq)
-    terms = []
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for c in (1, 2, 3):
-                s = eps(a, b, c)
-                if s:
-                    terms.append(
-                        compose_first_order(boosts[a], rots[(b, c)]).scale(Fraction(s, 2))
-                    )
-    c2 = _sum_ops(terms)
-    return CasimirPair(C1=c1.normalized(), C2=c2.normalized(), algebra_tag=tag)
+    with kernel_scope:
+        boosts, rots = ({k: _first_form(op) for k, op in ops.items()} for ops in _realization(tag))
+        sq = [_product(rots[a, b], rots[a, b]) for a in (1, 2, 3) for b in range(a + 1, 4)]
+        boost_sq = [_product(boosts[a], boosts[a]) for a in (1, 2, 3)]
+        if tag == "so4":
+            c1 = _form_sum((ONE, op) for op in sq + boost_sq)
+        else:
+            # realization-consistent orientation of the indefinite contraction:
+            # boost^2 - (1/2) rot^2; the commonly printed orientation is exactly
+            # the negative and cannot satisfy C1 == (H+9)/4 (annotated in
+            # verify_casimir_identity)
+            c1 = _form_sum([(ONE, op) for op in boost_sq] + [(MINUS_ONE, op) for op in sq])
+        c2 = _form_sum(
+            (GRat(Fraction(eps(a, b, c), 2)), _product(boosts[a], rots[b, c]))
+            for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3) if eps(a, b, c)
+        )
+        return CasimirPair(C1=_from_second_form(c1), C2=_from_second_form(c2), algebra_tag=tag)
 
 
 def reference_hamiltonian(tag: str) -> PDMHamiltonian:
@@ -112,16 +101,19 @@ def verify_casimir_identity(tag: str, mutated: bool = False) -> VerificationRepo
     if mutated:
         h = PDMHamiltonian(h.f, 5 * R2)
     shift = -9 if tag == "so4" else 9
-    target = hamiltonian_to_op(h).shift(shift).scale(Fraction(1, 4))
-    delta = pair.C1 - target
-    slot_results = [(key, normalize(v)) for key, v in delta.slots()]
-    bad = [key for key, v in slot_results if v != as_expr(0)]
+    with kernel_scope:
+        # C1 - (H + shift)/4
+        delta = _form_sum([(ONE, _second_form(pair.C1)),
+                           (GRat(Fraction(-1, 4)), _second_form(hamiltonian_to_op(h))),
+                           (GRat(Fraction(-shift, 4)), {(): RF_ONE})])
+        bad = [key for key, _ in pair.C1.slots() if not delta.get(key, RF_ZERO).is_zero()]
+        c2_zero = _form_is_zero(_second_form(pair.C2))
     name = f"C1 == (H {'-' if tag == 'so4' else '+'} 9)/4"
     if not bad:
         rep.add(Check(name, "proved", "symbolic", "all 10 coefficient slots vanish"))
     else:
         rep.add(Check(name, "failed", "symbolic", f"nonzero slots: {bad}"))
-    if pair.C2.is_zero():
+    if c2_zero:
         rep.add(Check("C2 == 0", "proved", "symbolic"))
     else:
         rep.add(Check("C2 == 0", "failed", "symbolic"))
@@ -154,31 +146,29 @@ def verify_qg_decoupling() -> VerificationReport:
     rep = VerificationReport("casimir.so4.qg",
                              "decoupling into two commuting angular momenta")
     qs, gs = qg_operators()
-    from .symkernel import num
-
-    for name, fam in (("q", qs), ("g", gs)):
-        for a in range(3):
-            for b in range(a + 1, 3):
-                comm = commute_qq(fam[a], fam[b])
-                expect = None
-                for c in range(3):
-                    s = eps(a + 1, b + 1, c + 1)
-                    if s:
-                        expect = fam[c].scale(num(0, s))
-                delta = comm - expect
-                ok = delta.is_zero()
-                rep.add(Check(f"[{name}{a+1},{name}{b+1}] = i eps {name}c",
-                              "proved" if ok else "failed", "symbolic"))
-    for a in range(3):
-        for b in range(3):
-            ok = commute_qq(qs[a], gs[b]).is_zero()
-            rep.add(Check(f"[q{a+1},g{b+1}] = 0", "proved" if ok else "failed", "symbolic"))
-    # C1 = 2(q^2+g^2), C2 = 2(q^2-g^2)
-    q2 = _sum_ops([compose_first_order(q, q) for q in qs])
-    g2 = _sum_ops([compose_first_order(g, g) for g in gs])
     pair = build_casimirs("so4")
-    ok1 = (pair.C1 - (q2 + g2).scale(2)).is_zero()
-    ok2 = (pair.C2 - (q2 - g2).scale(2)).is_zero()
+    with kernel_scope:
+        qs, gs = [_first_form(q) for q in qs], [_first_form(g) for g in gs]
+        for name, fam in (("q", qs), ("g", gs)):
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                c = 3 - a - b
+                # [f_a, f_b] - i eps_abc f_c
+                delta = _form_sum([(ONE, _commutator(fam[a], fam[b])),
+                                   (GRat(0, -eps(a + 1, b + 1, c + 1)), fam[c])])
+                rep.add(Check(f"[{name}{a+1},{name}{b+1}] = i eps {name}c",
+                              "proved" if _form_is_zero(delta) else "failed", "symbolic"))
+        for a in range(3):
+            for b in range(3):
+                ok = _form_is_zero(_commutator(qs[a], gs[b]))
+                rep.add(Check(f"[q{a+1},g{b+1}] = 0", "proved" if ok else "failed", "symbolic"))
+        # C1 = 2(q^2+g^2), C2 = 2(q^2-g^2)
+        q2 = [_product(q, q) for q in qs]
+        g2 = [_product(g, g) for g in gs]
+        two = GRat(2)
+        ok1 = _form_is_zero(_form_sum([(ONE, _second_form(pair.C1))]
+                                      + [(-two, op) for op in q2 + g2]))
+        ok2 = _form_is_zero(_form_sum([(ONE, _second_form(pair.C2))]
+                                      + [(-two, op) for op in q2] + [(two, op) for op in g2]))
     rep.add(Check("C1 == 2(q^2+g^2)", "proved" if ok1 else "failed", "symbolic"))
     rep.add(Check("C2 == 2(q^2-g^2)", "proved" if ok2 else "failed", "symbolic"))
     return rep
@@ -189,10 +179,11 @@ def verify_casimir_centrality(tag: str = "so4") -> VerificationReport:
                              "C1 commutes with every basis integral")
     pair = build_casimirs(tag)
     basis = so4_basis() if tag == "so4" else so13_basis()
-    for gid in basis:
-        comm = commute_second_first(pair.C1, generator(gid))
-        ok = comm.is_zero()
-        rep.add(Check(f"[C1, {gid}] = 0", "proved" if ok else "failed", "symbolic"))
+    with kernel_scope:
+        c1 = _second_form(pair.C1)
+        for gid in basis:
+            ok = _form_is_zero(_commutator(c1, _first_form(generator(gid))))
+            rep.add(Check(f"[C1, {gid}] = 0", "proved" if ok else "failed", "symbolic"))
     return rep
 
 

@@ -23,6 +23,7 @@ from .symkernel import (
     Expr,
     diff,
     is_rational_in_x,
+    kernel_scope,
     normalize,
     param,
     parse_sexpr,
@@ -151,7 +152,7 @@ def _check_residual(rep, name, residual, policy, label, confirm_numeric):
 def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPolicy,
                 tag: str = "") -> bool:
     """All checks for one encoding of a row; returns overall success."""
-    from .conformal import combo_column, combo_to_op, killing_params, pair_brackets
+    from .conformal import _rf_column, combo_column, combo_to_op, killing_params, pair_brackets
     from .diffop import PDMHamiltonian, commute_hq, reduced_determining
     from .report import Check
 
@@ -174,7 +175,8 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
                           "proved" if ok3 else "failed", "symbolic"))
             all_ok = all_ok and ok3
     # closure of the integral span
-    closed = all(sol is not None for *_, sol in pair_brackets(cols)[1])
+    with kernel_scope:
+        closed = all(sol is not None for *_, sol in pair_brackets([_rf_column(c) for c in cols])[1])
     rep.add(Check(f"integral set closes under commutation{tag}",
                   "proved" if closed else "failed", "symbolic"))
     all_ok = all_ok and closed

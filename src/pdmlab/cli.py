@@ -245,9 +245,13 @@ def _cmd_casimir(args) -> int:
 
 
 def _rational(option: str, text: str):
-    """Fraction(text), failing with ValueError for a zero denominator too."""
+    """Fraction(text) of an exact rational [+-]digits[/digits] (ASCII digits;
+    no decimal point or exponent, whose value Fraction would compute
+    exactly at any size), failing with ValueError otherwise."""
     from fractions import Fraction
 
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -23,6 +23,8 @@ from . import read_only
 from .diffop import (
     AXES,
     FirstOrderOp,
+    _commutator,
+    _first_form,
     KillingParams,
     PDMHamiltonian,
     SecondOrderOp,
@@ -51,17 +53,23 @@ from .symkernel import (
 )
 from .symkernel.expr import NUM_MINUS_ONE, NUM_ZERO, Num, add
 from .symkernel.ratform import (
-    DEN_ONE,
     M_ONE,
     P_ZERO,
+    RF_ZERO,
     kernel_scope,
     p_add,
     p_diff,
-    p_mul,
+    p_is_const,
     p_scale,
+    rf_add,
+    rf_canon,
+    rf_inv,
+    rf_mul,
+    rf_scale,
+    rf_to_expr,
     to_rf,
 )
-from .symkernel.scalars import MINUS_I, MINUS_ONE, ZERO, GRat
+from .symkernel.scalars import I, MINUS_I, MINUS_ONE, ZERO, GRat
 
 X = (x1, x2, x3)
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
@@ -213,15 +221,6 @@ def killing_params(column) -> KillingParams:
                          omega=column[6], nu=tuple(column[7:10]), c0=column[10])
 
 
-def _linear_sum(terms) -> tuple:
-    """Column sum of coeff * column over (coeff, column) pairs, normalized
-    entry by entry."""
-    return tuple(
-        normalize(add(*(mul(coeff, col[k]) for coeff, col in terms if col[k] != NUM_ZERO)))
-        for k in range(len(COORD_NAMES))
-    )
-
-
 def _unit_column(k: int) -> tuple:
     return tuple(Num(int(i == k)) for i in range(len(COORD_NAMES)))
 
@@ -240,51 +239,61 @@ def _generator_column(gid: str) -> tuple:
     if (mu, nu) == (0, 4):
         return _generator_column("D")
     if mu == 0 and nu in AXES:
-        return _linear_sum([(half, _generator_column(f"K{nu}")),
-                            (half, _generator_column(f"P{nu}"))])
+        return combo_column([(half, f"K{nu}"), (half, f"P{nu}")])
     if mu == 4 and nu in AXES:
-        return _linear_sum([(half, _generator_column(f"K{nu}")),
-                            (-half, _generator_column(f"P{nu}"))])
+        return combo_column([(half, f"K{nu}"), (-half, f"P{nu}")])
     if mu in AXES and nu in AXES:
-        return _linear_sum([(Num(eps(mu, nu, c)), _generator_column(f"J{c}"))
-                            for c in AXES if eps(mu, nu, c)])
-    return _linear_sum([(NUM_MINUS_ONE, _generator_column(f"M{nu}{mu}"))])
+        return combo_column([(Num(eps(mu, nu, c)), f"J{c}") for c in AXES if eps(mu, nu, c)])
+    return combo_column([(NUM_MINUS_ONE, f"M{nu}{mu}")])
+
+
+def _rf_column(column) -> tuple:
+    return tuple(to_rf(e) for e in column)
+
+
+def _rf_combo_column(combo) -> tuple:
+    """combo_column as RF entries, summed without normalizing."""
+    out = (RF_ZERO,) * len(COORD_NAMES)
+    for coeff, gid in parse_combo(combo) if isinstance(combo, str) else combo:
+        c = to_rf(coeff)
+        out = tuple(rf_add(o, rf_mul(c, to_rf(e))) for o, e in zip(out, _generator_column(gid)))
+    return out
 
 
 def _same_column(u, v) -> bool:
-    """Two columns are equal when their difference is provably zero entry by
-    entry."""
-    return all(is_provably_zero(a - b) for a, b in zip(u, v))
+    """Two RF columns are equal when every entry of their difference has an
+    empty reduced numerator."""
+    return all(rf_add(a, rf_scale(b, MINUS_ONE)).is_zero() for a, b in zip(u, v))
 
 
 def combo_column(combo) -> tuple:
     """Coordinate column of a combination ('M43+alpha*M21' or parsed): the
     linear sum of its generators' columns."""
-    if isinstance(combo, str):
-        combo = parse_combo(combo)
-    return _linear_sum([(coeff, _generator_column(gid)) for coeff, gid in combo])
+    with kernel_scope:
+        return tuple(rf_to_expr(rf_canon(e)) for e in _rf_combo_column(combo))
 
 
 @functools.cache
 def _bracket_tensor() -> dict:
-    """Structure tensor of the span: (i, j) -> the column of [e_i, e_j] for
-    the unit columns e_i, e_j whose bracket is nonzero; (j, i) holds its
-    negative.  Built on first use.
+    """Structure tensor of the span: (i, j) -> the column of [e_i, e_j], as
+    GRats, for the unit columns e_i, e_j whose bracket is nonzero; (j, i)
+    holds its negative.  Built on first use.
 
-    Each unit column is realized by killing_to_op, and its xi and eta are
-    taken to polynomials over Q(i).  For each pair i < j the commutator is
-    formed in polynomial arithmetic (`_poly_bracket`), its column is read
-    off its coefficients by op_coordinates' formulas (`_poly_column`), and
-    the column is proved by rebuilding sum_k T_ijk (xi_k, eta_k) and
-    comparing it with the commutator: polynomials are canonical dicts, so
-    dict equality is exact equality.
+    Each unit column is realized by killing_to_op.  For each pair i < j
+    the commutator is formed by diffop's rule on RF forms, its xi and eta
+    are taken to polynomials over Q(i), its column is read off their
+    coefficients by op_coordinates' formulas (`_poly_column`), and the
+    column is proved by rebuilding sum_k T_ijk (xi_k, eta_k) and comparing
+    it with the commutator: polynomials are canonical dicts, so dict
+    equality is exact equality.
     """
     with kernel_scope:
-        units = [_polys(killing_to_op(killing_params(_unit_column(k))))
+        forms = [_first_form(killing_to_op(killing_params(_unit_column(k))))
                  for k in range(len(COORD_NAMES))]
+        units = [_polys(form) for form in forms]
         tensor = {}
         for i, j in itertools.combinations(range(len(units)), 2):
-            comm = _poly_bracket(units[i], units[j])
+            comm = _polys(_commutator(forms[i], forms[j]))
             if not any(comm):
                 continue
             column = _poly_column(comm)
@@ -296,40 +305,20 @@ def _bracket_tensor() -> dict:
                 raise DecompositionFailure(
                     f"[{COORD_NAMES[i]}, {COORD_NAMES[j]}] lies outside the Killing span"
                 )
-            tensor[i, j] = tuple(_num(c) for c in column)
-            tensor[j, i] = tuple(_num(-c) for c in column)
+            tensor[i, j] = tuple(column)
+            tensor[j, i] = tuple(-c for c in column)
     return tensor
 
 
-def _num(c) -> Expr:
-    return NUM_ZERO if c.is_zero() else Num(c)
-
-
-def _polys(q: FirstOrderOp) -> tuple:
-    """(xi1, xi2, xi3, eta) of q as polynomials, valid in the kernel scope
-    that made them; a denominator other than 1 is a DecompositionFailure."""
+def _polys(form: dict) -> tuple:
+    """(xi1, xi2, xi3, eta) of the dict form of -i(xi.d + eta), as
+    polynomials; a denominator other than 1 is a DecompositionFailure."""
     out = []
-    for e in (*q.xi, q.eta):
-        rf = to_rf(e)
-        if rf.den != DEN_ONE:
-            raise DecompositionFailure("a unit operator's coefficient is not a polynomial")
+    for key in ((1,), (2,), (3,), ()):
+        rf = rf_scale(form.get(key, RF_ZERO), I)
+        if rf.den:
+            raise DecompositionFailure("a coefficient in the Killing span is not a polynomial")
         out.append(rf.num)
-    return tuple(out)
-
-
-def _poly_bracket(a: tuple, b: tuple) -> tuple:
-    """[Q_a, Q_b] of two operators Q = -i(xi.d + eta) given as polynomial
-    tuples (xi1, xi2, xi3, eta).  With X = xi.d + eta, [Q_a, Q_b] =
-    -[X_a, X_b], and [X_a, X_b] has the coefficients xi_a.grad F_b -
-    xi_b.grad F_a for F = each xi component and eta; so the result's
-    coefficients are -i times those."""
-    out = []
-    for fa, fb in zip(a, b):
-        acc = P_ZERO
-        for axis, x in enumerate(X):
-            acc = p_add(acc, p_mul(a[axis], p_diff(fb, x)))
-            acc = p_add(acc, p_scale(p_mul(b[axis], p_diff(fa, x)), MINUS_ONE))
-        out.append(p_scale(acc, MINUS_I))
     return tuple(out)
 
 
@@ -360,23 +349,31 @@ def _at_zero(p: dict):
     return p.get(M_ONE, ZERO)
 
 
+# Columns from here to pair_brackets hold RF entries, valid in the kernel
+# scope that made them; the callers enter it.
+
+
 def bracket(u, v) -> tuple:
     """Column of the bracket [u, v] of two coordinate columns: the bilinear
     sum of u_i v_j [e_i, e_j] over the structure tensor."""
-    tensor = _bracket_tensor()
-    return _linear_sum([
-        (mul(a, b), tensor[i, j])
-        for i, a in enumerate(u) if a != NUM_ZERO
-        for j, b in enumerate(v) if b != NUM_ZERO and (i, j) in tensor
-    ])
+    out = (RF_ZERO,) * len(COORD_NAMES)
+    for (i, j), column in _bracket_tensor().items():
+        if not (u[i].is_zero() or v[j].is_zero()):
+            ab = rf_mul(u[i], v[j])
+            out = tuple(rf_add(o, rf_scale(ab, c)) for o, c in zip(out, column))
+    return out
 
 
-def _row_reduce(columns, targets):
-    """Gauss-Jordan elimination of the augmented matrix [columns | targets].
+def decompose_in_basis(columns, targets):
+    """Expand each target column over the basis columns (coefficients may
+    involve declared parameters) with one Gauss-Jordan elimination of the
+    augmented matrix [columns | targets].  Returns (rank, solutions): per
+    target its coefficient list, free variables set to zero, or None when
+    the target lies outside the span.
 
-    Entries are constant expressions (rationals, parameters, cos/sin atoms);
-    pivots are chosen among the basis columns only, a rational pivot
-    preferred.  Returns (rows, pivot columns).
+    Entries are constant rational functions (of rationals, parameters,
+    cos/sin atoms); pivots are chosen among the basis columns only, a
+    canonical constant preferred, else the first nonzero entry.
     """
     nrows = len(COORD_NAMES)
     ncols = len(columns)
@@ -386,8 +383,11 @@ def _row_reduce(columns, targets):
     for col in range(ncols):
         piv = None
         for k in range(r, nrows):
-            if not is_provably_zero(rows[k][col]):
-                if isinstance(normalize(rows[k][col]), Num):
+            entry = rows[k][col]
+            if not entry.is_zero():
+                if entry.den:
+                    entry = rf_canon(entry)
+                if not entry.den and p_is_const(entry.num):
                     piv = k
                     break
                 if piv is None:
@@ -395,34 +395,24 @@ def _row_reduce(columns, targets):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [normalize(mul(inv, v)) for v in rows[r]]
+        inv = rf_inv(rows[r][col])
+        rows[r] = [rf_mul(inv, v) for v in rows[r]]
         for k in range(nrows):
-            if k != r and not is_provably_zero(rows[k][col]):
-                factor = rows[k][col]
-                rows[k] = [
-                    normalize(vk - mul(factor, vr)) for vk, vr in zip(rows[k], rows[r])
-                ]
+            if k != r and not rows[k][col].is_zero():
+                factor = rf_scale(rows[k][col], MINUS_ONE)
+                rows[k] = [vk if vr.is_zero() else rf_add(vk, rf_mul(factor, vr))
+                           for vk, vr in zip(rows[k], rows[r])]
         piv_cols.append(col)
         r += 1
         if r == nrows:
             break
-    return rows, piv_cols
-
-
-def decompose_in_basis(columns, targets):
-    """Expand each target column over the basis columns (coefficients may
-    involve declared parameters) with one elimination.  Returns (rank,
-    solutions): per target its coefficient list, free variables set to
-    zero, or None when the target lies outside the span."""
-    rows, piv_cols = _row_reduce(columns, targets)
-    ncols, rank = len(columns), len(piv_cols)
+    rank = len(piv_cols)
     solutions = []
     for t in range(ncols, ncols + len(targets)):
-        if any(not is_provably_zero(row[t]) for row in rows[rank:]):
+        if any(not row[t].is_zero() for row in rows[rank:]):
             solutions.append(None)
             continue
-        sol = [NUM_ZERO] * ncols
+        sol = [RF_ZERO] * ncols
         for row, col in zip(rows, piv_cols):
             sol[col] = row[t]
         solutions.append(sol)
@@ -573,24 +563,23 @@ def verify_structure(basis, table, report_id: str, title: str = "") -> Verificat
     provably zero entry by entry, and otherwise decomposed over the basis.
     """
     rep = VerificationReport(report_id, title)
-    cols = [combo_column(gid) for gid in basis]
-    for i, j, got, sol in pair_brackets(cols)[1]:
-        a, b = basis[i], basis[j]
-        expected = table(a, b)
-        name = f"[{a},{b}]"
-        if _same_column(got, combo_column(expected)):
-            rep.add(Check(name, "proved", "symbolic",
-                          detail=_combo_text(expected)))
-        else:
-            text = "outside basis span" if sol is None else _combo_text(zip(sol, basis))
-            rep.add(Check(name, "failed", "symbolic",
-                          detail=f"expected {_combo_text(expected)}, got {text}"))
+    with kernel_scope:
+        for i, j, got, sol in pair_brackets([_rf_combo_column(gid) for gid in basis])[1]:
+            a, b = basis[i], basis[j]
+            expected = table(a, b)
+            want = _combo_text((to_rf(c), g) for c, g in expected)
+            name = f"[{a},{b}]"
+            if _same_column(got, _rf_combo_column(expected)):
+                rep.add(Check(name, "proved", "symbolic", detail=want))
+            else:
+                text = "outside basis span" if sol is None else _combo_text(zip(sol, basis))
+                rep.add(Check(name, "failed", "symbolic", detail=f"expected {want}, got {text}"))
     return rep
 
 
 def _combo_text(combo) -> str:
-    """The nonzero terms of [(coeff, name), ...], or "0"."""
-    terms = [f"({to_sexpr(normalize(c))})*{g}" for c, g in combo if not is_provably_zero(c)]
+    """The nonzero terms of [(RF coeff, name), ...], or "0"."""
+    terms = [f"({to_sexpr(rf_to_expr(rf_canon(c)))})*{g}" for c, g in combo if not c.is_zero()]
     return " + ".join(terms) or "0"
 
 
@@ -635,9 +624,10 @@ def verify_iso_roundtrip() -> VerificationReport:
     inverses += [(f"J{c} = (1/2) eps_abc M_ab", f"J{c}", f"1/2*M{a}{b}-1/2*M{b}{a}")
                  for a, b, c in ((2, 3, 1), (3, 1, 2), (1, 2, 3))]
     inverses.append(("D = M04", "D", "M04"))
-    for name, gid, combo in inverses:
-        ok = _same_column(combo_column(combo), _generator_column(gid))
-        rep.add(Check(name, "proved" if ok else "failed", "symbolic"))
+    with kernel_scope:
+        for name, gid, combo in inverses:
+            ok = _same_column(_rf_combo_column(combo), _rf_combo_column(gid))
+            rep.add(Check(name, "proved" if ok else "failed", "symbolic"))
     return rep
 
 
@@ -740,27 +730,28 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
     rep = VerificationReport(f"subalgebra.{spec.id}",
                              f"<{', '.join(spec.basis)}>")
     irregular = "verbatim irregular" in spec.note
-    cols = [combo_column(b) for b in spec.basis]
-    rank, brackets = pair_brackets(cols)
-    # rank of the spanning set (duplicated elements are surfaced, not hidden)
-    if rank != len(cols) or len(cols) != spec.dimension:
-        rep.add(annotation(
-            "rank",
-            f"listed dimension {spec.dimension}, listed elements {len(cols)}, "
-            f"coordinate rank {rank}"))
-    names = [f"b{k + 1}" for k in range(len(cols))]
-    for i, j, _, sol in brackets:
-        name = f"[{spec.basis[i]}, {spec.basis[j]}]"
-        if sol is not None:
-            rep.add(Check(name, "proved", "symbolic", _combo_text(zip(sol, names))))
-        elif irregular:
+    n = len(spec.basis)
+    with kernel_scope:
+        rank, brackets = pair_brackets([_rf_combo_column(b) for b in spec.basis])
+        # rank of the spanning set (duplicated elements are surfaced, not hidden)
+        if rank != n or n != spec.dimension:
             rep.add(annotation(
-                name,
-                "bracket leaves the listed span; the record is "
-                "encoded verbatim from an irregular source row and "
-                "its non-closure is a finding, not a suite failure"))
-        else:
-            rep.add(Check(name, "failed", "symbolic", "outside basis span"))
+                "rank",
+                f"listed dimension {spec.dimension}, listed elements {n}, "
+                f"coordinate rank {rank}"))
+        names = [f"b{k + 1}" for k in range(n)]
+        for i, j, _, sol in brackets:
+            name = f"[{spec.basis[i]}, {spec.basis[j]}]"
+            if sol is not None:
+                rep.add(Check(name, "proved", "symbolic", _combo_text(zip(sol, names))))
+            elif irregular:
+                rep.add(annotation(
+                    name,
+                    "bracket leaves the listed span; the record is "
+                    "encoded verbatim from an irregular source row and "
+                    "its non-closure is a finding, not a suite failure"))
+            else:
+                rep.add(Check(name, "failed", "symbolic", "outside basis span"))
     return rep
 
 

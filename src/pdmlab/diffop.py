@@ -7,7 +7,12 @@ B = -grad f, C = -V.
 
 Products and commutators work on one form: an operator is a dict that maps
 a sorted tuple of axes alpha to the coefficient of d^alpha, so the key (1, 2)
-carries A^{12} + A^{21}.  One Leibniz rule multiplies two such dicts:
+carries A^{12} + A^{21}.  A coefficient is the kernel's rational function
+`RF` (a packed numerator over a factored denominator), valid in the kernel
+scope that made it: each public product and commutator enters one scope,
+takes its operands' Expr coefficients to RF, differentiates with `rf_diff`,
+and returns canonical Expr coefficients.  One Leibniz rule multiplies two
+such dicts:
 
     L*R = sum over alpha, beta and every subset S of the positions of alpha
           of  l_alpha * d^{alpha minus S}(r_beta) * d^{beta + S}.
@@ -32,16 +37,26 @@ from .symkernel import (
     is_provably_zero,
     mul,
     normalize,
-    num,
     x1,
     x2,
     x3,
 )
 from .symkernel.expr import NUM_ZERO, Num, add
-from .symkernel.ratform import kernel_scope, m_key, rf_canon, to_rf
+from .symkernel.ratform import (
+    RF,
+    RF_ZERO,
+    kernel_scope,
+    rf_add,
+    rf_canon,
+    rf_diff,
+    rf_mul,
+    rf_scale,
+    rf_to_expr,
+    to_rf,
+)
+from .symkernel.scalars import I, MINUS_I, MINUS_ONE, GRat
 
 AXES = (1, 2, 3)
-MINUS_I = num(0, -1)
 
 
 def _e3(x):
@@ -73,16 +88,13 @@ class FirstOrderOp:
     def __neg__(self) -> "FirstOrderOp":
         return self.scale(-1)
 
-    def normalized(self) -> "FirstOrderOp":
-        return FirstOrderOp(tuple(normalize(x) for x in self.xi), normalize(self.eta))
-
     def is_zero(self) -> bool:
         return all(is_provably_zero(x) for x in self.xi) and is_provably_zero(self.eta)
 
     def eta_tilde(self) -> Expr:
         """The symmetrized-form constant: eta = (1/2) d_a xi^a + i*eta_tilde."""
         div = add(*(diff(self.xi[a - 1], a) for a in AXES))
-        return normalize(MINUS_I * (self.eta - Fraction(1, 2) * div))
+        return normalize(mul(MINUS_I, self.eta - Fraction(1, 2) * div))
 
 
 class SecondOrderOp:
@@ -99,51 +111,11 @@ class SecondOrderOp:
 
     def slots(self):
         """The ten coefficient slots: 6 upper-triangle A, 3 B, 1 C."""
-        out = []
-        for a in range(3):
-            for b in range(a, 3):
-                out.append(((a + 1, b + 1), self.A[a][b]))
-        for a in range(3):
-            out.append(((a + 1,), self.B[a]))
-        out.append(((), self.C))
-        return out
-
-    def __add__(self, other: "SecondOrderOp") -> "SecondOrderOp":
-        return SecondOrderOp(
-            tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(self.A, other.A)),
-            tuple(x + y for x, y in zip(self.B, other.B)),
-            self.C + other.C,
-        )
-
-    def __sub__(self, other: "SecondOrderOp") -> "SecondOrderOp":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SecondOrderOp":
-        c = as_expr(c)
-        return SecondOrderOp(
-            tuple(tuple(mul(c, v) for v in row) for row in self.A),
-            tuple(mul(c, v) for v in self.B),
-            mul(c, self.C),
-        )
-
-    def shift(self, c) -> "SecondOrderOp":
-        """Add a multiple of the identity (c acts as multiplication)."""
-        return SecondOrderOp(self.A, self.B, self.C + as_expr(c))
-
-    def normalized(self) -> "SecondOrderOp":
-        return SecondOrderOp(
-            tuple(tuple(normalize(v) for v in row) for row in self.A),
-            tuple(normalize(v) for v in self.B),
-            normalize(self.C),
-        )
+        return ([((a, b), self.A[a - 1][b - 1]) for a in AXES for b in AXES if a <= b]
+                + [((a,), self.B[a - 1]) for a in AXES] + [((), self.C)])
 
     def is_zero(self) -> bool:
         return all(is_provably_zero(v) for _, v in self.slots())
-
-
-def second_order_zero() -> SecondOrderOp:
-    z = NUM_ZERO
-    return SecondOrderOp(((z, z, z), (z, z, z), (z, z, z)), (z, z, z), z)
 
 
 class PDMHamiltonian:
@@ -254,82 +226,104 @@ def _product(left: dict, right: dict, top: bool = True) -> dict:
     derivs: dict = {}
 
     def deriv(beta, axes):
-        # d^axes r_beta, built one axis at a time and memoized
+        # d^axes r_beta, taken one axis at a time and memoized
         got = derivs.get((beta, axes))
         if got is None:
-            got = diff(deriv(beta, axes[:-1]), axes[-1]) if axes else right[beta]
+            got = rf_diff(deriv(beta, axes[:-1]), X[axes[-1] - 1]) if axes else right[beta]
             derivs[beta, axes] = got
         return got
 
-    terms: dict = {}
+    out: dict = {}
     for alpha, l in left.items():
         for rest, s, k in _splits(alpha):
             if not top and not rest:  # S = alpha
                 continue
             for beta in right:
                 dr = deriv(beta, rest)
-                if dr != NUM_ZERO:
-                    terms.setdefault(tuple(sorted(beta + s)), []).append(mul(k, l, dr))
-    return {key: add(*ts) for key, ts in terms.items()}
+                if not dr.is_zero():
+                    term = rf_mul(l, dr)
+                    if k > 1:
+                        term = rf_scale(term, GRat(k))
+                    key = tuple(sorted(beta + s))
+                    out[key] = rf_add(out.get(key, RF_ZERO), term)
+    return out
 
 
 def _commutator(left: dict, right: dict) -> dict:
     """left*right - right*left, without the top-order terms."""
-    lr = _product(left, right, top=False)
-    rl = _product(right, left, top=False)
-    out = {}
-    for key in lr.keys() | rl.keys():
-        out[key] = lr.get(key, NUM_ZERO) - rl.get(key, NUM_ZERO)
+    out = _product(left, right, top=False)
+    for key, v in _product(right, left, top=False).items():
+        out[key] = rf_add(out.get(key, RF_ZERO), rf_scale(v, MINUS_ONE))
     return out
 
 
-def _nonzero(form: dict) -> dict:
-    return {key: v for key, v in form.items() if v != NUM_ZERO}
+def _form_sum(terms) -> dict:
+    """The sum of c*form over (GRat c, form) pairs."""
+    out: dict = {}
+    for c, form in terms:
+        for key, v in form.items():
+            out[key] = rf_add(out.get(key, RF_ZERO), rf_scale(v, c))
+    return out
+
+
+def _form_is_zero(form: dict) -> bool:
+    """An operator is zero when every coefficient's reduced numerator is
+    empty."""
+    return all(v.is_zero() for v in form.values())
 
 
 def _first_form(q: FirstOrderOp) -> dict:
-    form = {(a,): mul(MINUS_I, q.xi[a - 1]) for a in AXES}
-    form[()] = mul(MINUS_I, q.eta)
-    return _nonzero(form)
-
-
-def _from_first_form(form: dict) -> FirstOrderOp:
-    """The order <= 1 part of a dict-form operator, as -i(xi d + eta)."""
-    xi = tuple(mul(IMAG, form.get((a,), NUM_ZERO)) for a in AXES)
-    return FirstOrderOp(xi, mul(IMAG, form.get((), NUM_ZERO)))
+    form = {(a,): to_rf(q.xi[a - 1]) for a in AXES}
+    form[()] = to_rf(q.eta)
+    return {key: rf_scale(v, MINUS_I) for key, v in form.items() if not v.is_zero()}
 
 
 def _second_form(s: SecondOrderOp) -> dict:
     form = {}
     for key, v in s.slots():
-        if len(set(key)) == 2:
-            v = mul(2, v)  # A^{ab} d_a d_b + A^{ba} d_b d_a with a < b
-        form[key] = v
-    return _nonzero(form)
+        v = to_rf(v)
+        if not v.is_zero():
+            # A^{ab} d_a d_b + A^{ba} d_b d_a with a < b
+            form[key] = rf_scale(v, GRat(2)) if len(set(key)) == 2 else v
+    return form
+
+
+def _canon(rf: RF) -> Expr:
+    return rf_to_expr(rf_canon(rf))
+
+
+def _from_first_form(form: dict) -> FirstOrderOp:
+    """The order <= 1 part of a dict-form operator, as -i(xi d + eta)."""
+
+    def coeff(*key):
+        return _canon(rf_scale(form.get(key, RF_ZERO), I))
+
+    return FirstOrderOp(tuple(coeff(a) for a in AXES), coeff())
 
 
 def _from_second_form(form: dict) -> SecondOrderOp:
     """The order <= 2 part of a dict-form operator."""
 
-    def coeff(*axes):
-        return form.get(tuple(sorted(axes)), NUM_ZERO)
-
-    def entry(a, b):
+    def coeff(*key):
         # the d_a d_b coefficient is split evenly between A^{ab} and A^{ba}
-        return coeff(a, a) if a == b else mul(Fraction(1, 2), coeff(a, b))
+        v = form.get(key, RF_ZERO)
+        return _canon(rf_scale(v, GRat(Fraction(1, 2))) if len(set(key)) == 2 else v)
 
-    A = tuple(tuple(entry(a, b) for b in AXES) for a in AXES)
+    upper = {(a, b): coeff(a, b) for a in AXES for b in AXES if a <= b}
+    A = tuple(tuple(upper[min(a, b), max(a, b)] for b in AXES) for a in AXES)
     return SecondOrderOp(A, tuple(coeff(a) for a in AXES), coeff())
 
 
 def compose_first_order(q1: FirstOrderOp, q2: FirstOrderOp) -> SecondOrderOp:
     """Exact operator product q1*q2 as a second-order operator."""
-    return _from_second_form(_product(_first_form(q1), _first_form(q2)))
+    with kernel_scope:
+        return _from_second_form(_product(_first_form(q1), _first_form(q2)))
 
 
 def commute_qq(q1: FirstOrderOp, q2: FirstOrderOp) -> FirstOrderOp:
     """Exact commutator [q1, q2], again in the -i(xi d + eta) convention."""
-    return _from_first_form(_commutator(_first_form(q1), _first_form(q2))).normalized()
+    with kernel_scope:
+        return _from_first_form(_commutator(_first_form(q1), _first_form(q2)))
 
 
 def commute_hq(h: PDMHamiltonian, q: FirstOrderOp) -> SecondOrderOp:
@@ -339,12 +333,14 @@ def commute_hq(h: PDMHamiltonian, q: FirstOrderOp) -> SecondOrderOp:
     never forms the top-order terms, whose cancellation
     tests/test_diffop.py checks on the full products.
     """
-    return commute_second_first(hamiltonian_to_op(h), q)
+    with kernel_scope:
+        return _from_second_form(_commutator(_second_form(hamiltonian_to_op(h)), _first_form(q)))
 
 
 def commute_second_first(H: SecondOrderOp, q: FirstOrderOp) -> SecondOrderOp:
     """[S, Q] for a general second-order S and first-order Q."""
-    return _from_second_form(_commutator(_second_form(H), _first_form(q))).normalized()
+    with kernel_scope:
+        return _from_second_form(_commutator(_second_form(H), _first_form(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,56 +374,6 @@ def extract_determining(h: PDMHamiltonian = None, q: FirstOrderOp = None):
     first = [normalize(mul(MINUS_I, b)) for b in comm.B]
     zeroth = [normalize(mul(MINUS_I, comm.C))]
     return second, first, zeroth
-
-
-def expected_determining():
-    """Reference determining expressions built from the same abstract symbols:
-    trace+traceless second-order part, first-order part, zeroth-order part."""
-    f, V, xi, eta = abstract_setup()
-    second = []
-    div_f_flow = add(*(mul(xi[c], diff(f, c + 1)) for c in range(3)))
-    for a in range(3):
-        for b in range(a, 3):
-            e = mul(-1, f, diff(xi[b], a + 1) + diff(xi[a], b + 1))
-            if a == b:
-                e = e + div_f_flow
-            second.append(normalize(e))
-    first = []
-    for a in range(3):
-        lap_xi = add(*(diff(diff(xi[a], c + 1), c + 1) for c in range(3)))
-        e = (
-            -add(*(mul(xi[i], diff(diff(f, a + 1), i + 1)) for i in range(3)))
-            + add(*(mul(diff(f, i + 1), diff(xi[a], i + 1)) for i in range(3)))
-            + f * lap_xi
-            + 2 * f * diff(eta, a + 1)
-        )
-        first.append(normalize(e))
-    lap_eta = add(*(diff(diff(eta, a), a) for a in AXES))
-    zero = normalize(
-        add(*(mul(diff(f, a), diff(eta, a)) for a in AXES))
-        + f * lap_eta
-        - add(*(mul(xi[a - 1], diff(V, a)) for a in AXES))
-    )
-    return second, first, [zero]
-
-
-def proportional_factor(e1: Expr, e2: Expr):
-    """Nonzero scalar k with e1 == k*e2 exactly, or None."""
-    with kernel_scope:
-        r1 = rf_canon(to_rf(e1))
-        r2 = rf_canon(to_rf(e2))
-        if r2.is_zero():
-            return None
-        if r1.is_zero():
-            return None
-        mono, c2 = min(r2.num.items(), key=lambda kv: m_key(kv[0]))
-        c1 = r1.num.get(mono)
-        if c1 is None:
-            return None
-        k = c1 / c2
-        if is_provably_zero(e1 - mul(Num(k), e2)):
-            return k
-        return None
 
 
 def reduced_determining(h: PDMHamiltonian, p: KillingParams):

@@ -32,14 +32,14 @@ text, as they did when a monomial was a tuple of (atom, exponent) pairs,
 so every canonical form is the same.
 
 Memo lifetime: the rational forms and normal forms of subtrees, the atom
-table, the root-atom bases and the per-monomial memos live for one kernel
-scope, `kernel_scope`.  `normalize`, `raw_form` (so `is_zero`),
-`is_provably_zero` and `poly_degree_in_vars` enter it, and the outermost
-exit empties them, so a library caller's memory is that of one outermost
-call.  `pdmlab.cli.main` holds one scope for a whole command, whose checks
-then share normal forms.  A form or monomial returned by the internal
-helpers (`to_rf`, `rf_canon`, ...) is valid only inside the scope that made
-it; call them inside one.
+table, the root-atom bases, the atom derivatives and the per-monomial
+memos live for one kernel scope, `kernel_scope`.  `normalize`, `raw_form`
+(so `is_zero`), `is_provably_zero` and `poly_degree_in_vars` enter it, and
+the outermost exit empties them, so a library caller's memory is that of
+one outermost call.  `pdmlab.cli.main` holds one scope for a whole
+command, whose checks then share normal forms.  A form or monomial
+returned by the internal helpers (`to_rf`, `rf_canon`, `rf_diff`, ...) is
+valid only inside the scope that made it; call them inside one.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .expr import (
     Var,
     add,
     check_power_size,
+    diff_wrt,
     mul,
     pow_,
 )
@@ -80,6 +81,7 @@ _MKEY: dict = {}  # monomial -> m_key
 _MFACTORS: dict = {}  # monomial -> its printed factors, in atom-key order
 _POINTS: dict = {}  # atom support -> field -> value, for _coprime_certified
 _ROOT_BASE: dict = {}  # field of a root atom -> (q, base polynomial)
+_DIFF: dict = {}  # (field of an atom, variable) -> the atom's derivative
 # the atom table, a field named by its bit offset: atom -> field, and
 # field -> (sort key, atom); _GUARDS holds the guard bit of every field
 _SHIFT: dict = {}
@@ -115,6 +117,7 @@ class _KernelScope:
             _MFACTORS.clear()
             _POINTS.clear()
             _ROOT_BASE.clear()
+            _DIFF.clear()
             _SHIFT.clear()
             _ATOMS.clear()
             _GUARDS = 0
@@ -321,6 +324,10 @@ def p_ipow(a: dict, n: int) -> dict:
             bound = bound * (n + k) // k    # C(n+k, k)
             if bound > EXPANSION_LIMIT:
                 raise _expansion_too_large(len(a), n)
+        # the squarings form c ** n for each coefficient c on the way, so
+        # each must pass the bound of a folded power
+        for c in a.values():
+            check_power_size(c, n)
     out = P_ONE
     base = a
     while n:
@@ -345,7 +352,7 @@ def p_diff(p: dict, atom: Expr) -> dict:
     for m, c in p.items():
         e = (m >> s) & _FIELD
         if e:
-            out[m - one] = c * GRat(e)
+            out[m - one] = c if e == 1 else c * GRat(e)
     return out
 
 
@@ -900,6 +907,40 @@ def rf_ipow(a: RF, n: int) -> RF:
     num = _p_reduce(p_ipow(a.num, n))
     den = tuple((f, e * n) for f, e in a.den)
     return rf_make(num, den)
+
+
+def rf_scale(a: RF, c: GRat) -> RF:
+    return RF_ZERO if c.is_zero() else RF(p_scale(a.num, c), a.den)
+
+
+def rf_diff(a: RF, v: Expr) -> RF:
+    """Derivative of a by the Var or Param v: the quotient rule over a's
+    factored denominator, d(N / prod f^e) = (N' - N sum e f'/f) / prod f^e."""
+    out = _p_rf_diff(a.num, v)
+    if a.den:
+        out = rf_mul(out, RF(P_ONE, a.den))
+    for f, e in a.den:
+        quotient = RF(p_scale(a.num, GRat(-e)), den_mul(a.den, ((f, 1),)))
+        out = rf_add(out, rf_mul(_p_rf_diff(f, v), quotient))
+    return out
+
+
+def _p_rf_diff(p: dict, v: Expr) -> RF:
+    """Derivative of a polynomial by v: p_diff on v's own field, and the
+    chain rule through the derivative of every atom that is not a Var or
+    Param, to_rf(diff_wrt(atom, v)), memoized for the scope."""
+    poly = p_diff(p, v)
+    out = RF_ZERO
+    for s in _support_fields(_support(p_atoms(p))):
+        atom = _ATOMS[s][1]
+        if isinstance(atom, (Var, Param)):
+            continue
+        da = _DIFF.get((s, v))
+        if da is None:
+            da = _DIFF[s, v] = to_rf(diff_wrt(atom, v))
+        if not da.is_zero():
+            out = rf_add(out, rf_mul(RF(p_diff(p, atom), DEN_ONE), da))
+    return rf_add(RF(poly, DEN_ONE), out) if poly else out
 
 
 def _conjugate_out(num: dict, den: dict):

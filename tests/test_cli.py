@@ -213,10 +213,26 @@ class TestTransformCommand:
          "error: --cos has a zero denominator: '1/0'"),
         (["--kind", "shift", "--nu", "a,b,c", "--entry", "10"],
          "error: Invalid literal for Fraction: 'a'"),
-    ], ids=["scale-0", "scale-1/0", "nu-1/0", "cos-1/0", "nu-letters"])
+        # only [+-]digits[/digits]: Fraction would compute 10^100000000
+        (["--kind", "dilatation", "--scale", "1e100000000", "--entry", "14"],
+         "error: Invalid literal for Fraction: '1e100000000'"),
+        (["--kind", "dilatation", "--scale", "1.5", "--entry", "14"],
+         "error: Invalid literal for Fraction: '1.5'"),
+        (["--kind", "shift", "--nu", "0,0, 1", "--entry", "10"],
+         "error: Invalid literal for Fraction: ' 1'"),
+        (["--kind", "rotation", "--cos", "3/5", "--sin", "\u0664/5", "--entry", "10"],
+         "error: Invalid literal for Fraction: '\u0664/5'"),
+    ], ids=["scale-0", "scale-1/0", "nu-1/0", "cos-1/0", "nu-letters", "scale-exponent",
+            "scale-decimal", "nu-space", "sin-arabic-indic"])
     def test_bad_rational_is_bad_input(self, args, error, capsys):
         assert main(["transform", *args]) == 2
         assert capsys.readouterr() == ("", error + "\n")
+
+    @pytest.mark.parametrize("scale", ["3/2", "-3/2", "+3/2", "2"])
+    def test_signed_rational_scale(self, scale, capsys):
+        assert main(["transform", "--kind", "dilatation", f"--scale={scale}", "--entry", "14"]) == 0
+        out, err = capsys.readouterr()
+        assert out and not err
 
 
 class TestExprCommand:
@@ -377,8 +393,11 @@ class TestExprFuzz:
         ("normalize", "(^ 4 1/100000000000)", 0, "(^ 4 1/100000000000)\n", ""),
         ("normalize", "(^ 1 100000000000)", 0, "1\n", ""),
         ("normalize", "(^ i 100000000003)", 0, "(gauss 0 -1)\n", ""),
+        # 10,001 terms, within the expansion budget, with coefficients up to
+        # 10^3000000
+        ("normalize", "(^ (+ x1 1" + "0" * 300 + ") 10000)", 2, "", _POWER_TOO_LARGE),
     ], ids=["parse-2^1e11", "normalize-2^1e11", "root-2^(1e11/2)", "constant-sum-2^1e11",
-            "4^(1/1e11)", "1^1e11", "i^(1e11+3)"])
+            "4^(1/1e11)", "1^1e11", "i^(1e11+3)", "sum-(x1+10^300)^10000"])
     def test_folded_power_is_bounded(self, action, text, code, stdout, stderr, tmp_path):
         # without the bound each would need gigabytes: a child process with
         # its address space capped runs it, so a missing bound fails here

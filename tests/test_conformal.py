@@ -11,6 +11,7 @@ from pdmlab.conformal import (
     FormError,
     TransformSpec,
     _generator_column,
+    _rf_column,
     apply_transform,
     axis_rotation,
     combo_to_op,
@@ -34,11 +35,13 @@ from pdmlab.symkernel import (
     AbstractFn,
     as_expr,
     is_provably_zero,
+    kernel_scope,
     param,
     x1,
     x2,
     x3,
 )
+from pdmlab.symkernel.ratform import rf_canon, rf_to_expr
 
 R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
@@ -153,10 +156,12 @@ class TestCombos:
     def test_decompose_roundtrip(self):
         basis = [generator(g) for g in ("M43", "M21", "M04")]
         target = basis[0].scale(as_expr(Fraction(2, 3))) + basis[2].scale(as_expr(-1))
-        rank, (sol, outside) = decompose_in_basis(
-            [op_coordinates(q) for q in basis],
-            [op_coordinates(target), op_coordinates(generator("P1"))],
-        )
+        with kernel_scope:
+            rank, (sol, outside) = decompose_in_basis(
+                [_rf_column(op_coordinates(q)) for q in basis],
+                [_rf_column(op_coordinates(target)), _rf_column(op_coordinates(generator("P1")))],
+            )
+            sol = [rf_to_expr(rf_canon(c)) for c in sol]
         assert rank == 3
         assert is_provably_zero(sol[0] - Fraction(2, 3))
         assert is_provably_zero(sol[1])

@@ -1,10 +1,12 @@
-"""Operators, commutators, Killing construction and determining equations."""
+"""Operators, commutators, Killing construction and determining equations,
+checked against the Expr-tree references of operator_reference."""
 
 import itertools
 import random
 from fractions import Fraction
 
 from pdmlab.diffop import (
+    AXES,
     KillingParams,
     PDMHamiltonian,
     _first_form,
@@ -17,11 +19,9 @@ from pdmlab.diffop import (
     commute_second_first,
     compose_first_order,
     conformal_killing_residuals,
-    expected_determining,
     extract_determining,
     hamiltonian_to_op,
     killing_to_op,
-    proportional_factor,
     reduced_determining,
 )
 from pdmlab.symkernel import (
@@ -29,6 +29,8 @@ from pdmlab.symkernel import (
     instantiate,
     is_provably_zero,
     is_zero,
+    kernel_scope,
+    mul,
     normalize,
     num,
     param,
@@ -36,7 +38,19 @@ from pdmlab.symkernel import (
     x2,
     x3,
 )
-from pdmlab.symkernel.expr import NUM_ZERO
+from pdmlab.symkernel import ratform
+from pdmlab.symkernel.expr import IMAG, NUM_ZERO
+from pdmlab.symkernel.ratform import RF_ZERO, rf_add, rf_scale
+from pdmlab.symkernel.scalars import MINUS_ONE
+
+from operator_reference import (
+    expected_determining,
+    expr_commutator,
+    expr_first_form,
+    expr_product,
+    expr_second_form,
+    proportional_factor,
+)
 
 R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
@@ -106,11 +120,11 @@ class TestKillingToOp:
 class TestCommutators:
     def test_d_p_bracket(self):
         got = commute_qq(OP_D, op_P(1))
-        assert (got - op_P(1).scale(num(0, 1))).normalized().is_zero()
+        assert (got - op_P(1).scale(num(0, 1))).is_zero()
 
     def test_k_p_cross_bracket(self):
         got = commute_qq(op_K(1), op_P(2))
-        assert (got - op_J(3).scale(num(0, -2))).normalized().is_zero()
+        assert (got - op_J(3).scale(num(0, -2))).is_zero()
 
     def test_p_p_commute(self):
         assert commute_qq(op_P(1), op_P(2)).is_zero()
@@ -153,14 +167,14 @@ class TestCompose:
         # D P1 - P1 D is a degenerate second-order operator (A = 0) whose
         # first-order part carries the commutator in the -i convention
         a, b = OP_D, op_P(1)
-        prod = compose_first_order(a, b) - compose_first_order(b, a)
+        ab, ba = compose_first_order(a, b), compose_first_order(b, a)
         comm = commute_qq(a, b)
         for i in range(3):
             for j in range(3):
-                assert is_provably_zero(prod.A[i][j])
+                assert is_provably_zero(ab.A[i][j] - ba.A[i][j])
         for i in range(3):
-            assert is_provably_zero(prod.B[i] - num(0, -1) * comm.xi[i])
-        assert is_provably_zero(prod.C - num(0, -1) * comm.eta)
+            assert is_provably_zero(ab.B[i] - ba.B[i] - num(0, -1) * comm.xi[i])
+        assert is_provably_zero(ab.C - ba.C - num(0, -1) * comm.eta)
 
 
 class TestHamiltonian:
@@ -261,16 +275,133 @@ class TestDetermining:
         assert commute_hq(h, op_K(3)).is_zero()
 
 
+def assert_same_second(form: dict, op):
+    """An Expr dict form and a SecondOrderOp are the same operator."""
+    for key, v in op.slots():
+        if len(set(key)) == 2:
+            v = mul(2, v)
+        assert is_provably_zero(form.get(key, NUM_ZERO) - v), key
+    assert all(len(key) <= 2 or is_provably_zero(v) for key, v in form.items())
+
+
+def _catalog_cases():
+    """(H, Q) for every integral of every rational catalog row and its
+    variant, and for K1 and P2, which commute with few of them."""
+    from pdmlab.catalog import load_catalog
+    from pdmlab.conformal import combo_to_op
+
+    for row in load_catalog().values():
+        for enc in [row] + ([row.variant()] if row.has_variant else []):
+            if enc.rational:
+                h = PDMHamiltonian(enc.f, enc.V)
+                for combo in enc.integrals:
+                    yield h, combo_to_op(combo)
+                yield h, op_K(1)
+                yield h, op_P(2)
+
+
+def _casimir_cases():
+    from pdmlab.casimir import build_casimirs
+    from pdmlab.conformal import generator, so4_basis, so13_basis
+
+    for tag, basis in (("so4", so4_basis()), ("so13", so13_basis())):
+        c1 = build_casimirs(tag).C1
+        for gid in basis:
+            yield c1, generator(gid)
+
+
+def _pjdk_pairs():
+    from pdmlab.conformal import PJDK, generator
+
+    pairs = list(itertools.combinations(PJDK, 2))
+    assert len(pairs) == 45
+    return [(generator(a), generator(b)) for a, b in pairs]
+
+
+class TestExprReference:
+    """The RF operator functions against the Expr Leibniz product."""
+
+    def test_catalog_commutators(self):
+        cases = list(_catalog_cases())
+        assert len(cases) > 10
+        for h, q in cases:
+            want = expr_commutator(expr_second_form(hamiltonian_to_op(h)), expr_first_form(q))
+            assert_same_second(want, commute_hq(h, q))
+
+    def test_casimir_c1_commutators(self):
+        for c1, q in _casimir_cases():
+            want = expr_commutator(expr_second_form(c1), expr_first_form(q))
+            assert_same_second(want, commute_second_first(c1, q))
+
+    def test_anisotropic_second_order(self):
+        # off-diagonal A^{ab}, which no Hamiltonian and no C1 has
+        for s in (compose_first_order(op_J(3), op_J(3)), compose_first_order(op_K(1), op_P(2))):
+            assert not is_provably_zero(s.A[0][1])
+            for q in (op_P(1), op_J(2), OP_D, op_K(3)):
+                want = expr_commutator(expr_second_form(s), expr_first_form(q))
+                assert_same_second(want, commute_second_first(s, q))
+
+    def test_conformal_pairs(self):
+        for qa, qb in _pjdk_pairs():
+            want = expr_commutator(expr_first_form(qa), expr_first_form(qb))
+            got = commute_qq(qa, qb)
+            assert set(want) <= {(1,), (2,), (3,), ()}
+            for a in AXES:
+                assert is_provably_zero(want.get((a,), NUM_ZERO) - mul(num(0, -1), got.xi[a - 1]))
+            assert is_provably_zero(want.get((), NUM_ZERO) - mul(num(0, -1), got.eta))
+
+    def test_products(self):
+        for qa, qb in _pjdk_pairs()[::4]:
+            for x, y in ((qa, qb), (qb, qa)):
+                want = expr_product(expr_first_form(x), expr_first_form(y))
+                assert_same_second(want, compose_first_order(x, y))
+
+    def test_coefficients_are_canonical(self):
+        h = PDMHamiltonian(MU * (1 + R2) ** 2, 6 * MU * R2 + NU)
+        q = op_K(2).scale(IMAG) + op_P(1)
+        for op in (commute_hq(h, q), compose_first_order(q, op_J(1))):
+            assert all(normalize(v) == v for _, v in op.slots())
+        got = commute_qq(q, killing_to_op(KillingParams(omega=1, c0=2)))
+        assert all(normalize(v) == v for v in got.xi + (got.eta,))
+
+
+def _memo_sizes() -> list:
+    return [len(getattr(ratform, name)) for name in
+            ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_POINTS", "_ROOT_BASE",
+             "_DIFF", "_SHIFT", "_ATOMS")] + [ratform._GUARDS]
+
+
+def test_operator_functions_need_no_enclosing_scope():
+    # each function enters the kernel scope itself, and its exit leaves
+    # every memo of the scope empty
+    h = PDMHamiltonian(MU * (1 + R2) ** 2, 6 * MU * R2)
+    s = hamiltonian_to_op(h)
+    calls = (
+        lambda: compose_first_order(op_K(1), op_J(2)),
+        lambda: commute_qq(op_K(1), op_P(2)),
+        lambda: commute_hq(h, op_K(3)),
+        lambda: commute_second_first(s, op_K(3)),
+    )
+    assert ratform.kernel_scope.depth == 0
+    for call in calls:
+        assert not any(_memo_sizes())
+        call()
+        assert ratform.kernel_scope.depth == 0
+        assert not any(_memo_sizes())
+
+
 def full_commutator(left: dict, right: dict) -> dict:
-    """L*R - R*L from both full products, the S = alpha terms included."""
+    """L*R - R*L from both full RF products, the S = alpha terms included;
+    call it in a kernel scope."""
     lr, rl = _product(left, right), _product(right, left)
-    return {key: lr.get(key, NUM_ZERO) - rl.get(key, NUM_ZERO) for key in lr.keys() | rl.keys()}
+    return {key: rf_add(lr.get(key, RF_ZERO), rf_scale(rl.get(key, RF_ZERO), MINUS_ONE))
+            for key in lr.keys() | rl.keys()}
 
 
 def assert_top_order_cancels(full: dict, order: int):
     top = [v for key, v in full.items() if len(key) == order]
     assert top, "no top-order terms: the check would be vacuous"
-    assert all(is_provably_zero(v) for v in top)
+    assert all(v.is_zero() for v in top)
 
 
 class TestTopOrderCancellation:
@@ -278,43 +409,28 @@ class TestTopOrderCancellation:
     products form them, and they must cancel."""
 
     def check_second_first(self, s, q):
-        full = full_commutator(_second_form(s), _first_form(q))
-        assert_top_order_cancels(full, 3)
-        delta = _from_second_form(full) - commute_second_first(s, q)
-        for key, v in delta.slots():
-            assert is_provably_zero(v), key
+        with kernel_scope:
+            full = full_commutator(_second_form(s), _first_form(q))
+            assert_top_order_cancels(full, 3)
+            got = _from_second_form(full)
+        assert got.slots() == commute_second_first(s, q).slots()
 
     def test_catalog_hamiltonians(self):
-        from pdmlab.catalog import load_catalog
-        from pdmlab.conformal import combo_to_op
-
         checked = 0
-        for row in load_catalog().values():
-            for enc in [row] + ([row.variant()] if row.has_variant else []):
-                if not enc.rational:
-                    continue
-                s = hamiltonian_to_op(PDMHamiltonian(enc.f, enc.V))
-                for combo in enc.integrals:
-                    self.check_second_first(s, combo_to_op(combo))
-                    checked += 1
+        for h, q in _catalog_cases():
+            self.check_second_first(hamiltonian_to_op(h), q)
+            checked += 1
         assert checked > 0
 
     def test_casimir_c1(self):
-        from pdmlab.casimir import build_casimirs
-        from pdmlab.conformal import generator, so4_basis, so13_basis
-
-        for tag, basis in (("so4", so4_basis()), ("so13", so13_basis())):
-            c1 = build_casimirs(tag).C1
-            for gid in basis:
-                self.check_second_first(c1, generator(gid))
+        for c1, q in _casimir_cases():
+            self.check_second_first(c1, q)
 
     def test_conformal_pairs(self):
-        from pdmlab.conformal import PJDK, generator
-
-        pairs = list(itertools.combinations(PJDK, 2))
-        assert len(pairs) == 45
-        for a, b in pairs:
-            qa, qb = generator(a), generator(b)
-            full = full_commutator(_first_form(qa), _first_form(qb))
-            assert_top_order_cancels(full, 2)
-            assert (_from_first_form(full) - commute_qq(qa, qb)).is_zero(), (a, b)
+        for qa, qb in _pjdk_pairs():
+            with kernel_scope:
+                full = full_commutator(_first_form(qa), _first_form(qb))
+                assert_top_order_cancels(full, 2)
+                got = _from_first_form(full)
+            want = commute_qq(qa, qb)
+            assert got.xi == want.xi and got.eta == want.eta

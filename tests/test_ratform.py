@@ -20,6 +20,7 @@ from pdmlab.symkernel import (
     ProvedZero,
     diff_wrt,
     exp,
+    ln,
     is_zero,
     kernel_scope,
     normalize,
@@ -51,9 +52,12 @@ from pdmlab.symkernel.ratform import (
     p_mono_content,
     p_diff,
     p_mul_raw,
+    rf_canon,
+    rf_diff,
+    rf_to_expr,
     to_rf,
 )
-from pdmlab.symkernel.expr import Num, add, mul, pow_
+from pdmlab.symkernel.expr import AbstractFn, Num, add, arctan, mul, pow_, sin
 from pdmlab.symkernel.scalars import GRat
 
 # the square-root atom is an independent variable in the gcd's model
@@ -369,13 +373,51 @@ def test_p_diff_matches_expr_diff(terms, interned, atom):
         assert p_diff(rf.num, atom) == want.num
 
 
+_A = param("a")
+_F = AbstractFn("F", 2)
+# atoms that depend on x1..x3 or a: roots, elementary and abstract functions,
+# nested ones too
+_RF_DIFF_ATOMS = (
+    sqrt(x1**2 + 1), sqrt(x2 + _A), sin(x1 * x2), exp(x3 + _A), ln(x1**2 + x2**2 + 1),
+    arctan(x1 - x3), exp(sqrt(x2 + _A)), _F(x1, x2 * x3), _F.d(1)(x1 + _A, x3),
+)
+def _power(pair):
+    base, n = pair
+    return base if base == NUM_ZERO else pow_(base, n)
+
+
+_rf_diff_leaves = st.one_of(st.sampled_from(_RF_DIFF_ATOMS + _DIFF_ATOMS),
+                            st.integers(-2, 3).map(Num))
+_rf_diff_exprs = st.recursive(
+    _rf_diff_leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: add(*t)),
+        st.tuples(kids, kids).map(lambda t: mul(*t)),
+        st.tuples(kids, st.sampled_from((-2, -1, 2))).map(_power)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rf_diff_exprs, st.sampled_from(_DIFF_ATOMS))
+def test_rf_diff_matches_the_expr_derivative(e, v):
+    # the quotient rule, p_diff on v's own field and the chain rule through
+    # every other atom, against diff_wrt on the tree and then normalize
+    try:
+        normalize(e)
+        want = normalize(diff_wrt(e, v))
+    except ExprError:
+        assume(False)
+    with kernel_scope:
+        assert rf_to_expr(rf_canon(rf_diff(to_rf(e), v))) == want
+
+
 # -- the kernel scope ----------------------------------------------------------
 
 
 def _memo_sizes() -> dict:
     sizes = {name: len(getattr(ratform, name))
              for name in ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_POINTS",
-                          "_ROOT_BASE", "_SHIFT", "_ATOMS")}
+                          "_ROOT_BASE", "_DIFF", "_SHIFT", "_ATOMS")}
     sizes["_GUARDS"] = ratform._GUARDS.bit_count()
     return sizes
 

@@ -93,7 +93,9 @@ def _pair(tree, other, choices, related):
     return _build(tree), _build(_rewrite(tree, choices) if related else other)
 
 
-@settings(max_examples=150, deadline=None)
+# a fixed example set: for some drawn pairs sympy's radsimp expands a
+# multinomial until memory runs out, and tier-1 must not depend on the draw
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_trees, _trees, st.lists(st.integers(0, 11), min_size=1, max_size=4), st.booleans())
 def test_zero_and_equality_agree_with_sympy(tree, other, choices, related):
     try:

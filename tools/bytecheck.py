@@ -56,9 +56,10 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # start with "-"; digits that are not ASCII; wide monomials; powers of a
 # sum on both sides of the expansion budget; and numbers past the 4300
 # digits that int() and str() convert, which a revision without the checks
-# ends with a ValueError traceback.  Folded powers past the kernel's size
-# bound are left out: a revision without the bound computes them, in
-# gigabytes, and tests/test_cli.py runs them in a capped child instead.
+# ends with a ValueError traceback; and a power of a sum whose coefficients
+# stay far below the kernel's size bound.  Folded powers and powers of sums
+# past that bound are left out: a revision without the bound computes them,
+# in gigabytes, and tests/test_cli.py runs them in a capped child instead.
 EXPR_INPUTS = (
     ("parse", "(+ x1 (* 2 x2))"),
     ("normalize", "(+ (* x1 x2) (* -1 x2 x1) 5)"),
@@ -105,6 +106,7 @@ EXPR_INPUTS = (
     ("parse", "(^ x1 (^ 10 5000))"),
     ("normalize", "(^ (+ x1 1) (^ 10 5000))"),
     ("normalize", "(^ 2 65537)"),
+    ("normalize", "(^ (+ x1 1000) 30)"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
@@ -136,7 +138,9 @@ SPECTRUM_INPUTS = (
 # spectrum table at nan, -1 and 0, with rc 1, and passes any table at inf
 # and 1.  Last, transform rationals with a zero denominator and a zero
 # dilatation, which a revision without the checks ends with a
-# ZeroDivisionError traceback.
+# ZeroDivisionError traceback.  Then exact dilatation scales of both signs,
+# which both trees run, and a decimal one, which a revision without the
+# [+-]digits[/digits] grammar reads as 3/2.
 OPTION_INPUTS = (
     ("spectrum", "--system", "scale", "--json", "out.json"),
     ("transform", "--kind", "rotation", "--entry", "10", "--json", "out.json"),
@@ -181,6 +185,9 @@ OPTION_INPUTS = (
     ("transform", "--kind", "dilatation", "--scale", "1/0", "--entry", "14"),
     ("transform", "--kind", "shift", "--nu", "1/0,0,0", "--entry", "10"),
     ("transform", "--kind", "rotation", "--cos", "1/0", "--sin", "0", "--entry", "10"),
+    ("transform", "--kind", "dilatation", "--scale", "3/2", "--entry", "14"),
+    ("transform", "--kind", "dilatation", "--scale=-3/2", "--entry", "14"),
+    ("transform", "--kind", "dilatation", "--scale", "1.5", "--entry", "14"),
 )
 
 
