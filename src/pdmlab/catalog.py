@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .symkernel import (
     AbstractFn,
     Expr,
-    diff,
     is_rational_in_x,
     kernel_scope,
     normalize,
@@ -33,7 +32,6 @@ from .symkernel import (
     x2,
     x3,
 )
-from .symkernel.expr import add, mul
 
 if TYPE_CHECKING:
     from .report import VerificationReport
@@ -152,8 +150,8 @@ def _check_residual(rep, name, residual, policy, label, confirm_numeric):
 def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPolicy,
                 tag: str = "") -> bool:
     """All checks for one encoding of a row; returns overall success."""
-    from .conformal import _rf_column, combo_column, combo_to_op, killing_params, pair_brackets
-    from .diffop import PDMHamiltonian, commute_hq, reduced_determining
+    from .conformal import _rf_column, combo_column, pair_brackets
+    from .diffop import PDMHamiltonian, commute_hq, killing_to_op, reduced_determining
     from .report import Check
 
     h = PDMHamiltonian(row.f, row.V)
@@ -161,7 +159,7 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
     all_ok = True
     cols = [combo_column(c) for c in row.integrals]
     for combo, col in zip(row.integrals, cols):
-        r1, r2 = reduced_determining(h, killing_params(col))
+        r1, r2 = reduced_determining(h, col)
         lbl = f"entry{row.id}{tag}/{combo}"
         ok1 = _check_residual(rep, f"{combo} :: flow equation{tag}", r1, policy,
                               lbl + "/de-f", confirm)
@@ -169,7 +167,7 @@ def _verify_row(rep: VerificationReport, row: CatalogEntry, policy: ZeroTestPoli
                               lbl + "/de-V", confirm)
         all_ok = all_ok and ok1 and ok2
         if row.rational:
-            comm = commute_hq(h, combo_to_op(combo))
+            comm = commute_hq(h, killing_to_op(col))
             ok3 = comm.is_zero()
             rep.add(Check(f"{combo} :: [H,Q] = 0{tag}",
                           "proved" if ok3 else "failed", "symbolic"))
@@ -298,123 +296,115 @@ def _run_forked(jobs: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _flow_residual_03(g: Expr, rhs_factor: Expr) -> Expr:
-    """2 x3 (x.grad g) - (r^2+1) g_3 - rhs_factor * g  (the reduced flow
-    equation of the half(K3+P3) integral, cleared of denominators)."""
-    from .diffop import AXES
+# the two residuals of reduced_determining
+FLOW, POTENTIAL = 0, 1
+_ORIENTATION = ("the (r^2+1)/rt orientation {} the flow equation; the equation's own "
+                "coefficient carries r^2+1 while its solution argument carries r^2-1 "
+                "(both encodings exercised)")
 
-    xdg = add(*(mul((x1, x2, x3)[a - 1], diff(g, a)) for a in AXES))
-    return 2 * x3 * xdg - (R2 + 1) * diff(g, 3) - rhs_factor * g
+# Each worked family's report lines, in order: (integral, Hamiltonian of
+# _worked_hamiltonians, {is_zero label: residual}, line name, texts).  A line
+# zero-tests those residuals of reduced_determining for the integral's
+# column.  With texts None it is a check; otherwise it is the annotation
+# texts[0] when every residual is zero (a check when that is None) and
+# texts[1] when one is not.  M03 = half(K3+P3) carries the flow equations and
+# M12 = J3 the azimuth checks.  The pair equations that the paper prints,
+# with the constant r^2-1-2x3, are the reduced equations of M42+M23 and
+# M41+M13; the families solve those of M02+M23 and M01+M13, whose constant
+# is r^2+1-2x3.
+WORKED_CHECKS = {
+    "de7_family": (
+        ("M03", "(r^2-1)/rt", {"de7/good": FLOW},
+         "profile with (r^2-1)/rt solves the flow equation", None),
+        ("M03", "(r^2+1)/rt", {"de7/bad": FLOW}, "orientation",
+         (_ORIENTATION.format("unexpectedly also solves"), _ORIENTATION.format("does not solve"))),
+        ("M03", "(r^2-1)/rt", {"de7/V": POTENTIAL},
+         "potential 3 rt D2F + Ft solves the potential equation", None),
+    ),
+    "ff_family": (
+        ("M03", "ff", {"ff/f": FLOW}, "reduced profile solves the flow equation", None),
+        ("M03", "ff", {"ff/V": POTENTIAL}, "reduced potential solves the potential equation",
+         None),
+        ("M12", "ff", {"ff/rotf": FLOW}, "profile is azimuth-free", None),
+        ("M12", "ff", {"ff/rotV": POTENTIAL}, "potential is azimuth-free", None),
+    ),
+    "de13_family": (
+        ("M42+M23", "de13", {"de13/fv": FLOW, "de13/Vv": POTENTIAL},
+         "tabulated pair equations (verbatim)",
+         (None, "the printed constant r^2-1-2x3 does not annihilate the family; "
+                "the corrected constant r^2+1-2x3 below does")),
+        ("M02+M23", "de13", {"de13/f": FLOW}, "profile solves the corrected pair equation", None),
+        ("M02+M23", "de13", {"de13/V": POTENTIAL},
+         "potential solves the corrected pair equation", None),
+        ("M03", "de13", {"de13/flow": FLOW}, "family still solves the flow equation", None),
+    ),
+    "fV1": (
+        ("M41+M13", "fV1", {"fV1/fv": FLOW}, "tabulated pair equations (verbatim)",
+         (None, "the printed constant r^2-1-2x3 fails on the quadratic profile; "
+                "the corrected constant r^2+1-2x3 below passes")),
+        ("M01+M13", "fV1", {"fV1/f": FLOW},
+         "quadratic profile solves the corrected pair equation", None),
+        ("M01+M13", "fV1", {"fV1/V": POTENTIAL}, "potential solves the corrected pair equation",
+         None),
+    ),
+}
+WORKED_FAMILIES = tuple(WORKED_CHECKS)
 
 
-def _pair_residual_12(g: Expr, axis: int, const_sign: int):
-    """Left side of the mixed rotation/boost pair equation
-    2 x_a (x1 g1 + x2 g2 + (x3-1) g3) - (r^2 + const_sign - 2 x3) g_a."""
-    xa = (x1, x2, x3)[axis - 1]
-    core = x1 * diff(g, 1) + x2 * diff(g, 2) + (x3 - 1) * diff(g, 3)
-    return 2 * xa * core - (R2 + const_sign - 2 * x3) * diff(g, axis)
+def _worked_hamiltonians() -> dict:
+    """The profiles f and potentials V of the worked families, by name: the
+    two-argument de7 family in both argument orientations, the
+    rotation-reduced ff family, the de13 family and the quadratic fV1."""
+    from .diffop import PDMHamiltonian
 
-
-def verify_worked_family(name: str, policy: ZeroTestPolicy | None = None) -> VerificationReport:
-    """Verification of the worked solution families:
-
-    - 'de7_family': the two-argument profile solving the flow equation of
-      the half(K3+P3) integral, plus its potential equation; both argument
-      orientations are exercised and the passing one is reported.
-    - 'ff_family':  the rotation-reduced one-argument family.
-    - 'de13_family': the family constrained by the additional mixed
-      rotation/boost pair; the tabulated pair equations are exercised
-      verbatim and with the corrected constant.
-    - 'fV1': the fully fixed quadratic profile against the second mixed
-      pair, verbatim and corrected.
-
-    policy None is the zero test's DEFAULT_POLICY.
-    """
-    from .report import VerificationReport, annotation, check_from_status
-    from .symkernel import DEFAULT_POLICY, is_zero
-
-    policy = DEFAULT_POLICY if policy is None else policy
     F2, Ft2 = AbstractFn("F", 2), AbstractFn("Ft", 2)
     F1, Ft1 = AbstractFn("F", 1), AbstractFn("Ft", 1)
     rt = sqrt(RT2)
+
+    def de7(u):
+        return PDMHamiltonian(RT2 * F2(x2 / x1, u),
+                              3 * rt * F2.d(2)(x2 / x1, u) + Ft2(x2 / x1, u))
+
+    u, u13 = (R2 - 1) / rt, (R2 - 1) / x1
+    mu, nu = param("mu"), param("nu")
+    return {
+        "(r^2-1)/rt": de7(u),
+        "(r^2+1)/rt": de7((R2 + 1) / rt),
+        "ff": PDMHamiltonian(RT2 * F1(u), 3 * rt * F1.d(1)(u) + Ft1(u)),
+        "de13": PDMHamiltonian(x1**2 * F1(u13), 3 * x1 * F1.d(1)(u13) + Ft1(u13)),
+        "fV1": PDMHamiltonian(mu * (R2 - 1) ** 2, 6 * mu * R2 + nu),
+    }
+
+
+def verify_worked_family(name: str, policy: ZeroTestPolicy | None = None) -> VerificationReport:
+    """The report of a worked solution family: each line of its
+    WORKED_CHECKS names the integral whose reduced determining equations it
+    tests.
+
+    - 'de7_family': the two-argument profile solving the flow equation of
+      M03, plus its potential equation; both argument orientations are
+      exercised and the passing one is reported.
+    - 'ff_family': the rotation-reduced one-argument family.
+    - 'de13_family': the family annihilated also by M02+M23; the printed
+      pair equations, those of M42+M23, are exercised too.
+    - 'fV1': the fully fixed quadratic profile against M01+M13, and against
+      the printed M41+M13.
+
+    policy None is the zero test's DEFAULT_POLICY.
+    """
+    from .conformal import combo_column
+    from .diffop import reduced_determining
+    from .report import VerificationReport, annotation, check_from_status
+    from .symkernel import DEFAULT_POLICY, is_zero
+
+    if name not in WORKED_CHECKS:
+        raise ValueError(f"unknown worked family {name!r}")
+    policy = DEFAULT_POLICY if policy is None else policy
+    hams = _worked_hamiltonians()
     rep = VerificationReport(f"worked.{name}")
-    if name == "de7_family":
-        u_minus = (R2 - 1) / rt
-        u_plus = (R2 + 1) / rt
-        f_good = RT2 * F2(x2 / x1, u_minus)
-        st = is_zero(_flow_residual_03(f_good, 4 * x3), policy, "de7/good")
-        rep.add(check_from_status("profile with (r^2-1)/rt solves the flow equation", st))
-        f_bad = RT2 * F2(x2 / x1, u_plus)
-        st_bad = is_zero(_flow_residual_03(f_bad, 4 * x3), policy, "de7/bad")
-        rep.add(annotation(
-            "orientation",
-            "the (r^2+1)/rt orientation "
-            + ("unexpectedly also solves" if st_bad.is_zero else "does not solve")
-            + " the flow equation; the equation's own coefficient carries r^2+1 "
-            "while its solution argument carries r^2-1 (both encodings exercised)"))
-        V_good = 3 * rt * F2.d(2)(x2 / x1, u_minus) + Ft2(x2 / x1, u_minus)
-        res_v = _flow_residual_03(V_good, 0) - 3 * diff(f_good, 3)
-        st2 = is_zero(res_v, policy, "de7/V")
-        rep.add(check_from_status("potential 3 rt D2F + Ft solves the potential equation", st2))
-        return rep
-    if name == "ff_family":
-        u = (R2 - 1) / rt
-        f = RT2 * F1(u)
-        V = 3 * rt * F1.d(1)(u) + Ft1(u)
-        st = is_zero(_flow_residual_03(f, 4 * x3), policy, "ff/f")
-        rep.add(check_from_status("reduced profile solves the flow equation", st))
-        st = is_zero(_flow_residual_03(V, 0) - 3 * diff(f, 3), policy, "ff/V")
-        rep.add(check_from_status("reduced potential solves the potential equation", st))
-        st = is_zero(x2 * diff(f, 1) - x1 * diff(f, 2), policy, "ff/rotf")
-        rep.add(check_from_status("profile is azimuth-free", st))
-        st = is_zero(x2 * diff(V, 1) - x1 * diff(V, 2), policy, "ff/rotV")
-        rep.add(check_from_status("potential is azimuth-free", st))
-        return rep
-    if name == "de13_family":
-        u = (R2 - 1) / x1
-        f = x1**2 * F1(u)
-        V = 3 * x1 * F1.d(1)(u) + Ft1(u)
-        res_f_verbatim = _pair_residual_12(f, 2, -1) - 4 * x2 * f
-        res_V_verbatim = _pair_residual_12(V, 2, -1) - 3 * diff(f, 2)
-        stf = is_zero(res_f_verbatim, policy, "de13/fv")
-        stv = is_zero(res_V_verbatim, policy, "de13/Vv")
-        if stf.is_zero and stv.is_zero:
-            rep.add(check_from_status("tabulated pair equations (verbatim)", stf))
-        else:
-            rep.add(annotation(
-                "tabulated pair equations (verbatim)",
-                "the printed constant r^2-1-2x3 does not annihilate the "
-                "family; the corrected constant r^2+1-2x3 below does"))
-        res_f = _pair_residual_12(f, 2, 1) - 4 * x2 * f
-        res_V = _pair_residual_12(V, 2, 1) - 3 * diff(f, 2)
-        st1 = is_zero(res_f, policy, "de13/f")
-        rep.add(check_from_status("profile solves the corrected pair equation", st1))
-        st2 = is_zero(res_V, policy, "de13/V")
-        rep.add(check_from_status("potential solves the corrected pair equation", st2))
-        st3 = is_zero(_flow_residual_03(f, 4 * x3), policy, "de13/flow")
-        rep.add(check_from_status("family still solves the flow equation", st3))
-        return rep
-    if name == "fV1":
-        mu, nu = param("mu"), param("nu")
-        f = mu * (R2 - 1) ** 2
-        V = 6 * mu * R2 + nu
-        res_f_verbatim = _pair_residual_12(f, 1, -1) - 4 * x1 * f
-        stf = is_zero(res_f_verbatim, policy, "fV1/fv")
-        if stf.is_zero:
-            rep.add(check_from_status("tabulated pair equations (verbatim)", stf))
-        else:
-            rep.add(annotation(
-                "tabulated pair equations (verbatim)",
-                "the printed constant r^2-1-2x3 fails on the quadratic "
-                "profile; the corrected constant r^2+1-2x3 below passes"))
-        res_f = _pair_residual_12(f, 1, 1) - 4 * x1 * f
-        res_V = _pair_residual_12(V, 1, 1) - 3 * diff(f, 1)
-        st1 = is_zero(res_f, policy, "fV1/f")
-        rep.add(check_from_status("quadratic profile solves the corrected pair equation", st1))
-        st2 = is_zero(res_V, policy, "fV1/V")
-        rep.add(check_from_status("potential solves the corrected pair equation", st2))
-        return rep
-    raise ValueError(f"unknown worked family {name!r}")
-
-
-WORKED_FAMILIES = ("de7_family", "ff_family", "de13_family", "fV1")
+    for integral, profile, tests, line, texts in WORKED_CHECKS[name]:
+        r = reduced_determining(hams[profile], combo_column(integral))
+        statuses = [is_zero(r[k], policy, label) for label, k in tests.items()]
+        text = None if texts is None else texts[0 if all(st.is_zero for st in statuses) else 1]
+        rep.add(check_from_status(line, statuses[0]) if text is None else annotation(line, text))
+    return rep

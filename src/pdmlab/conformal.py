@@ -25,7 +25,6 @@ from .diffop import (
     FirstOrderOp,
     _commutator,
     _first_form,
-    KillingParams,
     PDMHamiltonian,
     SecondOrderOp,
     eps,
@@ -113,7 +112,7 @@ def generator(gid) -> FirstOrderOp:
 # at most the 30 valid ids.
 @functools.cache
 def _generator(gid: str) -> FirstOrderOp:
-    return killing_to_op(killing_params(_generator_column(gid)))
+    return killing_to_op(_generator_column(gid))
 
 
 # -- linear combinations ------------------------------------------------------
@@ -170,7 +169,7 @@ def parse_combo(text: str):
 
 
 def combo_to_op(combo) -> FirstOrderOp:
-    return killing_to_op(killing_params(combo_column(combo)))
+    return killing_to_op(combo_column(combo))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +206,12 @@ def op_coordinates(q: FirstOrderOp) -> tuple:
     eta0 = subst(q.eta, zero_pt)
     c0 = normalize(mul(num(0, -1), eta0 - Fraction(3, 2) * omega))
     column = tuple(lam + mu + [omega] + nu + [c0])
-    delta = q - killing_to_op(killing_params(column))
+    delta = q - killing_to_op(column)
     if not delta.is_zero():
         raise DecompositionFailure(
             "operator lies outside the degree<=2 conformal Killing span"
         )
     return column
-
-
-def killing_params(column) -> KillingParams:
-    """Killing parameters of a coordinate column (COORD_NAMES order)."""
-    return KillingParams(lam=tuple(column[0:3]), mu_rot=tuple(column[3:6]),
-                         omega=column[6], nu=tuple(column[7:10]), c0=column[10])
 
 
 def _unit_column(k: int) -> tuple:
@@ -288,8 +281,7 @@ def _bracket_tensor() -> dict:
     equality is exact equality.
     """
     with kernel_scope:
-        forms = [_first_form(killing_to_op(killing_params(_unit_column(k))))
-                 for k in range(len(COORD_NAMES))]
+        forms = [_first_form(killing_to_op(_unit_column(k))) for k in range(len(COORD_NAMES))]
         units = [_polys(form) for form in forms]
         tensor = {}
         for i, j in itertools.combinations(range(len(units)), 2):

@@ -129,28 +129,6 @@ class PDMHamiltonian:
         object.__setattr__(self, "V", as_expr(V))
 
 
-class KillingParams:
-    """Parameters of the general 3d conformal Killing vector.
-
-    xi^a = lam^a r^2 - 2 x^a (lam.x) + rotation(mu_rot) + omega x^a + nu^a,
-    eta  = -3 lam.x + (3/2) omega + i c0.
-
-    The rotation term uses eps_{cba} mu_c x_b, so the induced operator equals
-    lam.K + mu.J + omega D + nu.P + c0 exactly in the P/J/D/K realization.
-    """
-
-    __slots__ = ("lam", "mu_rot", "omega", "nu", "c0")
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, lam: tuple = (0, 0, 0), mu_rot: tuple = (0, 0, 0), omega=0,
-                 nu: tuple = (0, 0, 0), c0=0):
-        object.__setattr__(self, "lam", _e3(lam))
-        object.__setattr__(self, "mu_rot", _e3(mu_rot))
-        object.__setattr__(self, "omega", as_expr(omega))
-        object.__setattr__(self, "nu", _e3(nu))
-        object.__setattr__(self, "c0", as_expr(c0))
-
-
 _EPS = {}
 for _perm, _sgn in ((("123"), 1), (("231"), 1), (("312"), 1), (("132"), -1), (("213"), -1), (("321"), -1)):
     _EPS[tuple(int(ch) for ch in _perm)] = _sgn
@@ -164,18 +142,32 @@ R2 = x1 * x1 + x2 * x2 + x3 * x3
 X = (x1, x2, x3)
 
 
-def killing_to_op(p: KillingParams) -> FirstOrderOp:
-    lam_dot_x = add(*(mul(p.lam[i], X[i]) for i in range(3)))
+def _killing_parts(column):
+    """(lam, mu, omega, nu, c0) of an 11-entry coordinate column, in the
+    order lam1..3, mu1..3, omega, nu1..3, c0 (conformal.COORD_NAMES)."""
+    c = tuple(as_expr(v) for v in column)
+    return c[0:3], c[3:6], c[6], c[7:10], c[10]
+
+
+def killing_to_op(column) -> FirstOrderOp:
+    """The generator lam.K + mu.J + omega D + nu.P + c0 realized from its
+    coordinate column (lam, mu, omega, nu, c0):
+
+    xi^a = lam^a r^2 - 2 x^a (lam.x) + eps_{cba} mu_c x_b + omega x^a + nu^a,
+    eta  = -3 lam.x + (3/2) omega + i c0.
+    """
+    lam, mu, omega, nu, c0 = _killing_parts(column)
+    lam_dot_x = add(*(mul(lam[i], X[i]) for i in range(3)))
     xi = []
     for a in range(3):
-        comp = mul(p.lam[a], R2) - 2 * X[a] * lam_dot_x + mul(p.omega, X[a]) + p.nu[a]
+        comp = mul(lam[a], R2) - 2 * X[a] * lam_dot_x + mul(omega, X[a]) + nu[a]
         for c in range(3):
             for b in range(3):
                 s = eps(c + 1, b + 1, a + 1)
                 if s:
-                    comp = comp + mul(Num(s), p.mu_rot[c], X[b])
+                    comp = comp + mul(Num(s), mu[c], X[b])
         xi.append(comp)
-    eta = -3 * lam_dot_x + Fraction(3, 2) * p.omega + IMAG * p.c0
+    eta = -3 * lam_dot_x + Fraction(3, 2) * omega + IMAG * c0
     return FirstOrderOp(tuple(xi), eta)
 
 
@@ -376,16 +368,22 @@ def extract_determining(h: PDMHamiltonian = None, q: FirstOrderOp = None):
     return second, first, zeroth
 
 
-def reduced_determining(h: PDMHamiltonian, p: KillingParams):
-    """Residuals of the two reduced determining equations for a Killing flow:
-    xi.grad(f) - 2(omega - 2 lam.x) f  and  xi.grad(V) + 3 lam.grad(f).
+def reduced_determining(h: PDMHamiltonian, column):
+    """Residuals r1, r2 of the two reduced determining equations of the
+    integral realized from a coordinate column (killing_to_op):
 
-    Returned unnormalized; zero testing decides their status.
+    r1 = xi.grad(f) - 2(omega - 2 lam.x) f   (the flow equation),
+    r2 = xi.grad(V) + 3 lam.grad(f)          (the potential equation).
+
+    Every integral check of the catalog rows and of the worked families
+    reads these two.  Returned unnormalized; zero testing decides their
+    status.
     """
-    q = killing_to_op(p)
-    lam_dot_x = add(*(mul(p.lam[i], X[i]) for i in range(3)))
-    r1 = add(*(mul(q.xi[a - 1], diff(h.f, a)) for a in AXES)) - 2 * (p.omega - 2 * lam_dot_x) * h.f
+    q = killing_to_op(column)
+    lam, _, omega, _, _ = _killing_parts(column)
+    lam_dot_x = add(*(mul(lam[i], X[i]) for i in range(3)))
+    r1 = add(*(mul(q.xi[a - 1], diff(h.f, a)) for a in AXES)) - 2 * (omega - 2 * lam_dot_x) * h.f
     r2 = add(*(mul(q.xi[a - 1], diff(h.V, a)) for a in AXES)) + 3 * add(
-        *(mul(p.lam[a - 1], diff(h.f, a)) for a in AXES)
+        *(mul(lam[a - 1], diff(h.f, a)) for a in AXES)
     )
     return r1, r2

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,10 +51,6 @@ RITZ_TOL = 1e-10
 # pass MAX_BASIS_VALUES, 64 MB of float64: a bound on count x grid alone
 # would let one level of a few million points fill gigabytes.
 MAX_BASIS_VALUES = 8_000_000
-
-
-class GridCoarseWarning(UserWarning):
-    pass
 
 
 class EigensolveError(ArithmeticError):
@@ -177,26 +172,12 @@ def _potential(prob: RadialProblem):
     return h, 4.0 * ll / np.sinh(2.0 * t) ** 2 - 1.0
 
 
-def fd_eigenvalues(prob: RadialProblem, count: int, check_refinement: bool = False):
+def fd_eigenvalues(prob: RadialProblem, count: int):
     """Lowest eigenvalues of the symmetric finite-difference discretization,
     ascending and deterministic."""
     if count <= 0:
         return []
-    vals = _fd_solve(prob, count)
-    if check_refinement:
-        import numpy as np
-
-        # the half grid may hold fewer than count levels: compare those it has
-        coarse_prob = prob.with_grid(max(16, prob.grid_points // 2))
-        coarse = _fd_solve(coarse_prob, min(count, coarse_prob.grid_points))
-        fine = vals[:len(coarse)]
-        drift = np.max(np.abs(fine - coarse) / (1 + np.abs(fine)))
-        if drift > 1e-2:
-            warnings.warn(
-                f"grid may be too coarse: refinement drift {drift:.2e}",
-                GridCoarseWarning,
-            )
-    return list(vals)
+    return list(_fd_solve(prob, count))
 
 
 def _max_steps(count: int, n: int) -> int:
@@ -551,6 +532,9 @@ class ClosedFormSolution:
             if not 0 < k < 1:
                 raise ValueError("need 0 < k < 1")
         elif system == "scale":
+            for label, v in (("Etilde", etilde), ("omega", omega)):
+                if not math.isfinite(v):
+                    raise ValueError(f"{label} must be finite, not {v}")
             if kappa**2 + 1 - etilde < 0:
                 raise ValueError("index squared kappa^2 + 1 - Etilde is negative")
             if omega <= 0:

@@ -1123,7 +1123,13 @@ def normalize(e: Expr) -> Expr:
 
 
 def is_provably_zero(e: Expr) -> bool:
-    return normalize(e) == NUM_ZERO
+    """e == 0 as a rational combination of its atoms: its reduced numerator
+    is empty, as in raw_form, without normalize's gcd pass."""
+    with kernel_scope:
+        try:
+            return to_rf(e).is_zero()
+        except RecursionError:
+            raise ExprError("expression nested too deeply") from None
 
 
 def poly_degree_in_vars(e: Expr):

@@ -1,12 +1,24 @@
 """Expr-tree references for the operator algebra, independent of the RF
 arithmetic that pdmlab.diffop runs: the Leibniz product and commutator of
 dict forms on Expr trees, the determining system written out from the
-same abstract symbols, and an exact proportionality test."""
+same abstract symbols, the hand-derived worked-family equations, and an
+exact proportionality test."""
 
 import itertools
 
 from pdmlab.diffop import AXES, abstract_setup
-from pdmlab.symkernel import Expr, diff, is_provably_zero, kernel_scope, mul, normalize, num
+from pdmlab.symkernel import (
+    Expr,
+    diff,
+    is_provably_zero,
+    kernel_scope,
+    mul,
+    normalize,
+    num,
+    x1,
+    x2,
+    x3,
+)
 from pdmlab.symkernel.expr import NUM_ZERO, Num, add
 from pdmlab.symkernel.ratform import m_key, rf_canon, to_rf
 
@@ -100,3 +112,21 @@ def proportional_factor(e1: Expr, e2: Expr):
         if is_provably_zero(e1 - mul(Num(k), e2)):
             return k
         return None
+
+
+R2 = x1**2 + x2**2 + x3**2
+
+
+def flow_residual_03(g: Expr, rhs_factor) -> Expr:
+    """2 x3 (x.grad g) - (r^2+1) g_3 - rhs_factor * g: the reduced flow
+    equation of the half(K3+P3) integral, cleared of denominators."""
+    xdg = add(*(mul((x1, x2, x3)[a - 1], diff(g, a)) for a in AXES))
+    return 2 * x3 * xdg - (R2 + 1) * diff(g, 3) - rhs_factor * g
+
+
+def pair_residual_12(g: Expr, axis: int, const_sign: int) -> Expr:
+    """Left side of the mixed rotation/boost pair equation
+    2 x_a (x1 g1 + x2 g2 + (x3-1) g3) - (r^2 + const_sign - 2 x3) g_a."""
+    xa = (x1, x2, x3)[axis - 1]
+    core = x1 * diff(g, 1) + x2 * diff(g, 2) + (x3 - 1) * diff(g, 3)
+    return 2 * xa * core - (R2 + const_sign - 2 * x3) * diff(g, axis)

@@ -12,7 +12,6 @@ from pdmlab.conformal import (
     _bracket_tensor,
     _rf_column,
     bracket,
-    killing_params,
     op_coordinates,
 )
 from pdmlab.diffop import commute_qq, killing_to_op
@@ -53,10 +52,6 @@ def _same(u, v) -> bool:
     return all(is_provably_zero(a - b) for a, b in zip(u, v))
 
 
-def _op(column):
-    return killing_to_op(killing_params(column))
-
-
 def _bracket(u, v) -> tuple:
     """bracket() of two Expr columns, with canonical Expr entries."""
     with kernel_scope:
@@ -66,7 +61,7 @@ def _bracket(u, v) -> tuple:
 @settings(max_examples=30, deadline=None)
 @given(columns, columns)
 def test_tensor_bracket_matches_the_realization(u, v):
-    want = op_coordinates(commute_qq(_op(u), _op(v)))
+    want = op_coordinates(commute_qq(killing_to_op(u), killing_to_op(v)))
     assert _same(_bracket(u, v), want)
 
 
@@ -90,7 +85,7 @@ def test_jacobi_identity_on_unit_columns():
 def _reference_tensor() -> dict:
     """The tensor on Expr trees: commute_qq and op_coordinates over all 55
     pairs of unit columns."""
-    units = [_op(u) for u in UNITS]
+    units = [killing_to_op(u) for u in UNITS]
     out = {}
     for i, j in itertools.combinations(range(len(units)), 2):
         comm = commute_qq(units[i], units[j])

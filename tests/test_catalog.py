@@ -11,13 +11,14 @@ from pdmlab.catalog import (
     verify_entry,
     verify_worked_family,
 )
-from pdmlab.conformal import combo_column, combo_to_op, killing_params
+from pdmlab.conformal import combo_column, combo_to_op
 from pdmlab.diffop import PDMHamiltonian, commute_hq, reduced_determining
 from pdmlab.symkernel import (
     Add,
     AbstractFn,
     ZeroTestPolicy,
     add,
+    diff,
     instantiate,
     is_provably_zero,
     is_zero,
@@ -30,6 +31,8 @@ from pdmlab.symkernel import (
     x3,
 )
 from pdmlab.symkernel.expr import walk
+
+from operator_reference import flow_residual_03, pair_residual_12
 
 R2 = x1**2 + x2**2 + x3**2
 RT2 = x1**2 + x2**2
@@ -193,6 +196,44 @@ class TestWorkedFamilies:
         with pytest.raises(ValueError):
             verify_worked_family("nope")
 
+    def test_each_check_reads_its_integral(self):
+        # every zero test of WORKED_CHECKS, by is_zero label, against the
+        # hand-derived equation it replaced and that equation's multiple of
+        # r1 or r2, on generic G, W: a wrong integral would still print
+        # the verbatim annotations, which no byte check tells apart
+        G, W = AbstractFn("G", 3)(x1, x2, x3), AbstractFn("W", 3)(x1, x2, x3)
+        flow, potential = flow_residual_03(G, 4 * x3), flow_residual_03(W, 0) - 3 * diff(G, 3)
+
+        def pair(axis, sign):
+            xa = (x1, x2, x3)[axis - 1]
+            return (pair_residual_12(G, axis, sign) - 4 * xa * G,
+                    pair_residual_12(W, axis, sign) - 3 * diff(G, axis))
+
+        hand = {
+            "de7/good": (flow, -2), "de7/bad": (flow, -2), "de7/V": (potential, -2),
+            "ff/f": (flow, -2), "ff/V": (potential, -2), "de13/flow": (flow, -2),
+            "ff/rotf": (x2 * diff(G, 1) - x1 * diff(G, 2), -1),
+            "ff/rotV": (x2 * diff(W, 1) - x1 * diff(W, 2), -1),
+        }
+        for (f_label, v_label), (axis, sign) in {
+            ("de13/fv", "de13/Vv"): (2, -1), ("de13/f", "de13/V"): (2, 1),
+            ("fV1/fv", None): (1, -1), ("fV1/f", "fV1/V"): (1, 1),
+        }.items():
+            res_f, res_v = pair(axis, sign)
+            hand[f_label] = (res_f, -2)
+            if v_label:
+                hand[v_label] = (res_v, -2)
+        h = PDMHamiltonian(G, W)
+        seen = []
+        for rows in catalog.WORKED_CHECKS.values():
+            for integral, _, tests, _, _ in rows:
+                r = reduced_determining(h, combo_column(integral))
+                for label, k in tests.items():
+                    want, multiple = hand[label]
+                    assert is_provably_zero(want - multiple * r[k]), label
+                    seen.append(label)
+        assert sorted(seen) == sorted(hand)
+
 
 class TestInstantiation:
     """Replacing the abstract profile by concrete rational functions must
@@ -208,7 +249,7 @@ class TestInstantiation:
         V = instantiate(row.V, templates)
         h = PDMHamiltonian(f, V)
         for combo in row.integrals:
-            r1, r2 = reduced_determining(h, killing_params(combo_column(combo)))
+            r1, r2 = reduced_determining(h, combo_column(combo))
             assert is_zero(r1, FAST).is_zero
             assert is_zero(r2, FAST).is_zero
 

@@ -81,6 +81,10 @@ class TestAlgebraCommand:
         assert "subalgebra.m7.1" in out
 
 
+# the one line of a scale input whose Bessel residual leaves the float range
+OVERFLOW = "these kappa, Etilde and omega overflow a float"
+
+
 class TestSpectrumCommand:
     def test_so4_table(self, capsys):
         code, out = run_cli(
@@ -149,9 +153,18 @@ class TestSpectrumCommand:
          " min(grid, 3 count + 24) x grid must be at most 8000000"),
         (["scale", "--etilde", "3"], "index squared kappa^2 + 1 - Etilde is negative"),
         (["scale", "--omega", "0"], "need omega > 0 (J_beta is evaluated at omega t, t > 0)"),
+        (["scale", "--etilde", "nan"], "Etilde must be finite, not nan"),
+        (["scale", "--etilde=-inf"], "Etilde must be finite, not -inf"),
+        (["scale", "--etilde=-1e308"], OVERFLOW),
+        (["scale", "--omega", "nan"], "omega must be finite, not nan"),
+        (["scale", "--omega", "inf"], "omega must be finite, not inf"),
+        (["scale", "--omega", "1e308"], OVERFLOW),
+        (["scale", "--kappa", "100000"], OVERFLOW),
     ], ids=["grid-8", "l-minus-1", "dump-nonexistent", "count-0", "count-minus-3",
             "count-past-grid", "count-past-memory-bound", "scale-index-squared",
-            "scale-omega-0"])
+            "scale-omega-0", "scale-etilde-nan", "scale-etilde-minus-inf",
+            "scale-etilde-minus-1e308", "scale-omega-nan", "scale-omega-inf",
+            "scale-omega-1e308", "scale-kappa-100000"])
     def test_bad_input_exit_code(self, args, stderr, capsys):
         # rc 2 and one error line; no table, not even an empty one
         assert main(["spectrum", "--system", *args]) == 2

@@ -79,9 +79,9 @@ class TestGenerators:
         calls = []
         original = conformal.killing_to_op
 
-        def counting(params):
-            calls.append(params)
-            return original(params)
+        def counting(column):
+            calls.append(column)
+            return original(column)
 
         conformal._generator.cache_clear()
         monkeypatch.setattr(conformal, "killing_to_op", counting)

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from pdmlab.diffop import (
     AXES,
-    KillingParams,
     PDMHamiltonian,
     _first_form,
     _from_first_form,
@@ -56,25 +55,31 @@ R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
 
 
+def _column(lam=(0, 0, 0), mu=(0, 0, 0), omega=0, nu=(0, 0, 0), c0=0) -> tuple:
+    """The coordinate column (lam, mu, omega, nu, c0) of lam.K + mu.J +
+    omega D + nu.P + c0."""
+    return (*lam, *mu, omega, *nu, c0)
+
+
 def op_P(i):
     nu = [0, 0, 0]
     nu[i - 1] = 1
-    return killing_to_op(KillingParams(nu=tuple(nu)))
+    return killing_to_op(_column(nu=tuple(nu)))
 
 
 def op_J(i):
     mu = [0, 0, 0]
     mu[i - 1] = 1
-    return killing_to_op(KillingParams(mu_rot=tuple(mu)))
+    return killing_to_op(_column(mu=tuple(mu)))
 
 
 def op_K(i):
     lam = [0, 0, 0]
     lam[i - 1] = 1
-    return killing_to_op(KillingParams(lam=tuple(lam)))
+    return killing_to_op(_column(lam=tuple(lam)))
 
 
-OP_D = killing_to_op(KillingParams(omega=1))
+OP_D = killing_to_op(_column(omega=1))
 
 
 class TestKillingToOp:
@@ -95,9 +100,9 @@ class TestKillingToOp:
 
     def test_conformal_killing_equation(self):
         params = [
-            KillingParams(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(1, 2))),
-            KillingParams(lam=(1, 2, 3), mu_rot=(4, 5, 6), omega=7, nu=(8, 9, 10), c0=11),
-            KillingParams(mu_rot=(1, 0, 0), omega=Fraction(1, 3)),
+            _column(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(1, 2))),
+            _column(lam=(1, 2, 3), mu=(4, 5, 6), omega=7, nu=(8, 9, 10), c0=11),
+            _column(mu=(1, 0, 0), omega=Fraction(1, 3)),
         ]
         for p in params:
             q = killing_to_op(p)
@@ -106,14 +111,14 @@ class TestKillingToOp:
     def test_xi_degree_and_eta_affine(self):
         from pdmlab.symkernel import poly_degree_in_vars
 
-        q = killing_to_op(KillingParams(lam=(1, 1, 0), mu_rot=(0, 1, 0), omega=2,
+        q = killing_to_op(_column(lam=(1, 1, 0), mu=(0, 1, 0), omega=2,
                                         nu=(3, 0, 1), c0=5))
         for comp in q.xi:
             assert poly_degree_in_vars(comp) <= 2
         assert poly_degree_in_vars(q.eta) <= 1
 
     def test_eta_tilde_real_for_real_c0(self):
-        q = killing_to_op(KillingParams(lam=(0, 1, 0), omega=1, c0=5))
+        q = killing_to_op(_column(lam=(0, 1, 0), omega=1, c0=5))
         assert q.eta_tilde() == normalize(as_expr(5))
 
 
@@ -250,13 +255,13 @@ class TestDetermining:
 
     def test_reduced_for_quadratic_profile(self):
         h = PDMHamiltonian(MU * (R2 - 1) ** 2, 6 * MU * R2 + NU)
-        p = KillingParams(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(1, 2)))
+        p = _column(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(1, 2)))
         r1, r2 = reduced_determining(h, p)
         assert is_provably_zero(r1) and is_provably_zero(r2)
 
     def test_constant_mass_not_scale_covariant(self):
         h = PDMHamiltonian(as_expr(1), as_expr(0))
-        r1, r2 = reduced_determining(h, KillingParams(omega=1))
+        r1, r2 = reduced_determining(h, _column(omega=1))
         assert is_provably_zero(r1 + 2)
         assert is_provably_zero(r2)
 
@@ -266,7 +271,7 @@ class TestDetermining:
         F = AbstractFn("F", 1)
         rt = sqrt(x1**2 + x2**2)
         h = PDMHamiltonian(rt**2 * F((R2 + 1) / rt), as_expr(0))
-        p = KillingParams(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(-1, 2)))
+        p = _column(lam=(0, 0, Fraction(1, 2)), nu=(0, 0, Fraction(-1, 2)))
         r1, _ = reduced_determining(h, p)
         assert is_zero(r1).tier == "symbolic"
 
@@ -361,7 +366,7 @@ class TestExprReference:
         q = op_K(2).scale(IMAG) + op_P(1)
         for op in (commute_hq(h, q), compose_first_order(q, op_J(1))):
             assert all(normalize(v) == v for _, v in op.slots())
-        got = commute_qq(q, killing_to_op(KillingParams(omega=1, c0=2)))
+        got = commute_qq(q, killing_to_op(_column(omega=1, c0=2)))
         assert all(normalize(v) == v for v in got.xi + (got.eta,))
 
 

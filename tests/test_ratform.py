@@ -21,6 +21,7 @@ from pdmlab.symkernel import (
     diff_wrt,
     exp,
     ln,
+    is_provably_zero,
     is_zero,
     kernel_scope,
     normalize,
@@ -409,6 +410,20 @@ def test_rf_diff_matches_the_expr_derivative(e, v):
         assume(False)
     with kernel_scope:
         assert rf_to_expr(rf_canon(rf_diff(to_rf(e), v))) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rf_diff_exprs, _rf_diff_exprs)
+def test_is_provably_zero_agrees_with_normalize(e, f):
+    # the reduced numerator decides zero as the canonical form does: on e,
+    # on e - f, and on e minus its own canonical form, which is zero
+    try:
+        cases = [e, add(e, mul(-1, f)), add(e, mul(-1, normalize(e)))]
+        wants = [normalize(d) == NUM_ZERO for d in cases]
+    except ExprError:
+        assume(False)
+    assert wants[2]
+    assert [is_provably_zero(d) for d in cases] == wants
 
 
 # -- the kernel scope ----------------------------------------------------------

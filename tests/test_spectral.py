@@ -10,7 +10,6 @@ import pytest
 from pdmlab import spectral
 from pdmlab.spectral import (
     ClosedFormSolution,
-    GridCoarseWarning,
     RadialProblem,
     besselj,
     closed_form_residual,
@@ -100,18 +99,6 @@ class TestFDEigenvalues:
 
     def test_empty_request(self):
         assert fd_eigenvalues(RadialProblem(), 0) == []
-
-    def test_grid_warning(self):
-        # 24 points against 16: level 101 moves by about 4% of itself
-        with pytest.warns(GridCoarseWarning):
-            fd_eigenvalues(RadialProblem(grid_points=24), 5, check_refinement=True)
-
-    def test_refinement_past_half_the_grid(self):
-        # the 20-point half grid holds 20 of the 30 levels: those 20 are
-        # compared, and all 30 come back
-        with pytest.warns(GridCoarseWarning):
-            vals = fd_eigenvalues(RadialProblem(grid_points=40), 30, check_refinement=True)
-        assert len(vals) == 30
 
     def test_oscillation_count(self):
         # number of eigenvalues below the third level's upper neighborhood

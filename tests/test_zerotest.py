@@ -79,12 +79,12 @@ class TestTiers:
 
 def _row3_potential_residual():
     from pdmlab.catalog import entry
-    from pdmlab.conformal import combo_column, killing_params
+    from pdmlab.conformal import combo_column
     from pdmlab.diffop import PDMHamiltonian, reduced_determining
 
     row = entry(3)
     (combo,) = row.integrals
-    return reduced_determining(PDMHamiltonian(row.f, row.V), killing_params(combo_column(combo)))[1]
+    return reduced_determining(PDMHamiltonian(row.f, row.V), combo_column(combo))[1]
 
 
 class TestScreen:

@@ -112,7 +112,10 @@ EXPR_INPUTS = (
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
 # and one `spectrum error:` line on stderr.  The two after --count 17 pass
 # the eigensolver's memory bound, min(grid, 3 count + 24) x grid at most
-# 8,000,000; a revision without the bound solves them.
+# 8,000,000; a revision without the bound solves them.  The seven scale
+# inputs after --omega 0 are non-finite or overflow a float in the Bessel
+# residual, which a revision without those checks ends with a traceback;
+# the last, --kappa 100, is good input and prints its line.
 SPECTRUM_INPUTS = (
     ("--system", "so4", "--grid", "8"),
     ("--system", "so4", "--l", "-1"),
@@ -124,6 +127,14 @@ SPECTRUM_INPUTS = (
     ("--system", "so4", "--count", "1", "--grid", "300000"),
     ("--system", "scale", "--etilde", "3"),
     ("--system", "scale", "--omega", "0"),
+    ("--system", "scale", "--etilde", "nan"),
+    ("--system", "scale", "--etilde=-inf"),
+    ("--system", "scale", "--etilde=-1e308"),
+    ("--system", "scale", "--omega", "nan"),
+    ("--system", "scale", "--omega", "inf"),
+    ("--system", "scale", "--omega", "1e308"),
+    ("--system", "scale", "--kappa", "100000"),
+    ("--system", "scale", "--kappa", "100"),
 )
 
 # Options that a subcommand, or the chosen --system or --kind, does not read,
