@@ -35,6 +35,7 @@ u in t is the weighted norm of phi in r.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -446,27 +447,54 @@ def _hyp_series(a: float, b: float, c: float, z: float, tol: float) -> float:
     raise ArithmeticError("hypergeometric series did not converge")
 
 
-def besselj(beta: float, s: float, derivative: int = 0, tol: float = 1e-17) -> float:
-    """J_beta(s) and its term-wise differentiated series (derivative 0, 1, 2)."""
+# J_beta's series alternates, and its largest term is near e^s: past s = 709,
+# where e^s leaves the float range, besselj raises OverflowError rather than
+# sum about 1.4 s terms of 0.43 s digits each.
+_BESSEL_S_MAX = 709.0
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def besselj(beta: float, s: float, derivative: int = 0) -> float:
+    """J_beta(s) and its term-wise differentiated series (derivative 0, 1, 2).
+
+    J_beta(s) = (s/2)^beta / Gamma(beta + 1) * sum_m a_m with
+    a_m = (-s^2/4)^m / (m! (beta + 1)_m); derivative d multiplies a_m by
+    (2m + beta)(2m + beta - 1).../2^d and the prefactor by (s/2)^-d.  The
+    prefactor is taken in floats through lgamma.  The terms grow to about
+    e^s before they fall and cancel, which costs s / ln 10 digits, so the
+    sum runs in decimal with that many and 25 more, so the float result
+    keeps its digits.  OverflowError when s passes _BESSEL_S_MAX or the
+    prefactor falls below the smallest normal float, where J_beta's values
+    would read 0 and the residual would check nothing.
+    """
     if s <= 0:
         raise ValueError("series evaluation needs s > 0")
+    if s > _BESSEL_S_MAX:
+        raise OverflowError("the terms of J_beta's series pass the float range")
     half = s / 2.0
-    total = 0.0
-    m = 0
-    while m < 400:
-        p = 2 * m + beta
-        c = (-1.0) ** m / (math.factorial(m) * math.gamma(m + beta + 1))
-        if derivative == 0:
-            t = c * half**p
-        elif derivative == 1:
-            t = c * p * 0.5 * half ** (p - 1) if p != 0 else 0.0
-        else:
-            t = c * p * (p - 1) * 0.25 * half ** (p - 2) if p not in (0.0, 1.0) else 0.0
-        total += t
-        if m > 4 and abs(t) <= tol * max(1.0, abs(total)):
-            break
-        m += 1
-    return total
+    log_pref = beta * math.log(half) - math.lgamma(beta + 1.0)
+    if log_pref < _LOG_TINY:
+        raise OverflowError("Gamma(beta + 1) / (s/2)^beta passes the float range")
+    pref = math.exp(log_pref) / half**derivative
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 25 + int(s / math.log(10))
+        b = D(beta)
+        u = D(half) ** 2
+        eps = D("1e-25")
+        a = D(1)
+        total = D(0)
+        m = 0
+        while True:
+            p = 2 * m + b
+            t = a if derivative == 0 else a * p / 2 if derivative == 1 else a * p * (p - 1) / 4
+            total += t
+            # past m = s/2 each term is smaller than the one before
+            if m > half and abs(t) < eps:
+                break
+            m += 1
+            a = -a * u / (m * (b + m))
+    return float(total) * pref
 
 
 # ---------------------------------------------------------------------------

@@ -1026,11 +1026,58 @@ def _to_rf(e: Expr) -> RF:
             out = rf_add(out, to_rf(t))
         return out
     if isinstance(e, Mul):
+        # A run of nonzero numbers, Var/Param atoms and positive integer
+        # powers of those atoms folds into one term, coef * x**mono, which
+        # joins `out` before the next factor of any other kind.  Multiplying
+        # a denominator-free form by such factors one at a time gives the
+        # same numerator as one product by their term: rf_make has no
+        # factor to cancel, and no root atom's exponent moves.  Each factor
+        # registers its atom, and the guard bits are checked against every
+        # monomial of `out`, as the factor joins, so an exponent past the
+        # limit raises at the factor where a product of single factors
+        # would.  Any other factor, and every factor once `out` has a
+        # denominator, is multiplied in by itself, as cancellation needs.
         out = RF_ONE
+        mono = 0
+        coef = None  # the pending term's coefficient; None when none pends
         for f in e.factors:
+            if not out.den:
+                n = 1
+                if isinstance(f, Num):
+                    if not f.val.is_zero():
+                        coef = f.val if coef is None else coef * f.val
+                        continue
+                    atom = None
+                elif isinstance(f, (Var, Param)):
+                    atom = f
+                elif (isinstance(f, Pow) and isinstance(f.base, (Var, Param))
+                      and f.exponent.denominator == 1 and f.exponent > 0):
+                    atom = f.base
+                    n = f.exponent.numerator
+                else:
+                    atom = None
+                if atom is not None:
+                    s = _shift(atom)
+                    if n >= _LIMIT:
+                        raise _too_large()
+                    mono += n << s
+                    # mono first: with a guard bit set, m + mono could carry;
+                    # RF_ONE's one monomial is 0, which mono's test covers
+                    if mono & _GUARDS or (out is not RF_ONE and any(
+                            (m + mono) & _GUARDS for m in out.num)):
+                        raise _too_large()
+                    if coef is None:
+                        coef = ONE
+                    continue
+            if coef is not None:
+                out = RF(p_mul(out.num, {mono: coef}), DEN_ONE)
+                mono = 0
+                coef = None
             out = rf_mul(out, to_rf(f))
             if out.is_zero():
                 return RF_ZERO
+        if coef is not None:
+            out = RF(p_mul(out.num, {mono: coef}), DEN_ONE)
         return out
     if isinstance(e, Pow):
         rb = to_rf(e.base)

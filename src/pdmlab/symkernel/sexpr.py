@@ -95,76 +95,82 @@ def parse_sexpr(text: str) -> Expr:
     """Parse one expression.
 
     Equal subtrees come back as one shared object: within a call, each atom
-    is built once per token text and each list once per exact source slice,
-    and a repeated list is skipped without reading its tokens again.
+    is built once per token text, and each list once per head and
+    identities of its parsed children, so two copies of a list that differ
+    only in spacing are one object too.
     """
-    tokens = []
-    close = {}  # token index of each "(" -> token index of its matching ")"
-    opened = []
-    for m in _TOKEN.finditer(text):
-        tok = m[0]
-        if tok == "(":
-            opened.append(len(tokens))
-        elif tok == ")" and opened:
-            close[opened.pop()] = len(tokens)
-        tokens.append((tok, m.start()))
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input")
     try:
-        expr, rest = _parse(text, tokens, close, {}, 0)
+        expr, rest = _parse(text, tokens, {}, 0)
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
     if rest != len(tokens):
-        raise ParseError(f"trailing input at offset {tokens[rest][1]}")
+        raise ParseError(f"trailing input at offset {_offset(text, rest)}")
     return expr
 
 
-def _parse(text, tokens, close, memo, k):
-    tok, off = tokens[k]
+def _offset(text: str, k: int) -> int:
+    """Character offset of token k, found again for an error message."""
+    for n, m in enumerate(_TOKEN.finditer(text)):
+        if n == k:
+            return m.start()
+
+
+def _parse(text, tokens, memo, k):
+    tok = tokens[k]
+    if tok == "(":
+        return _parse_list(text, tokens, memo, k)
     if tok == ")":
-        raise ParseError(f"unexpected ')' at offset {off}")
-    if tok != "(":
-        node = memo.get(tok)
-        if node is None:
-            node = memo[tok] = _parse_atom(tok, off)
-        return node, k + 1
-    end = close.get(k)
-    if end is not None:
-        key = text[off:tokens[end][1] + 1]
-        node = memo.get(key)
-        if node is not None:
-            return node, end + 1
-    if k + 1 >= len(tokens):
+        raise ParseError(f"unexpected ')' at offset {_offset(text, k)}")
+    node = memo.get(tok)
+    if node is None:
+        node = memo[tok] = _parse_atom(tok, text, k)
+    return node, k + 1
+
+
+def _parse_list(text, tokens, memo, k):
+    """The list whose "(" is token k, and the index after its ")"."""
+    at = k + 1
+    if at >= len(tokens):
         raise ParseError("unterminated list")
-    head, hoff = tokens[k + 1]
+    head = tokens[at]
     args = []
     k += 2
     while True:
         if k >= len(tokens):
             raise ParseError("unterminated list")
-        if tokens[k][0] == ")":
+        tok = tokens[k]
+        if tok == ")":
             k += 1
             break
-        node, k = _parse(text, tokens, close, memo, k)
+        if tok == "(":
+            node, k = _parse_list(text, tokens, memo, k)
+        else:
+            node = memo.get(tok)
+            if node is None:
+                node = memo[tok] = _parse_atom(tok, text, k)
+            k += 1
         args.append(node)
-    node = _build(head, hoff, args)
-    if end is not None:
-        # a list that parses has a head _build accepts, never a parenthesis,
-        # so it ends at its matching ")": k == end + 1
-        memo[key] = node
+    # the memo holds every child, so an id names one child for the call
+    key = (head, *map(id, args))
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = _build(head, text, at, args)
     return node, k
 
 
-def _parse_atom(tok: str, off: int) -> Expr:
+def _parse_atom(tok: str, text: str, k: int) -> Expr:
     if _RATIONAL.match(tok):
         num, _, den = tok.partition("/")
         try:
             return Num(Fraction(int(num), int(den)) if den else int(num))
         except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {tok!r} at offset {off}") from None
+            raise ParseError(f"zero denominator in {tok!r} at offset {_offset(text, k)}") from None
         except ValueError:
             # int() reads at most sys.get_int_max_str_digits() digits
-            raise ParseError(f"number at offset {off} has more than "
+            raise ParseError(f"number at offset {_offset(text, k)} has more than "
                              f"{sys.get_int_max_str_digits()} digits") from None
     if tok == "i":
         return Num(GRat(0, 1))
@@ -175,7 +181,7 @@ def _parse_atom(tok: str, off: int) -> Expr:
             return Param(tok)
         except ExprError as e:
             raise ParseError(str(e)) from None
-    raise ParseError(f"bad atom {tok!r} at offset {off}")
+    raise ParseError(f"bad atom {tok!r} at offset {_offset(text, k)}")
 
 
 def _as_fraction_literal(e: Expr, head: str) -> Fraction:
@@ -184,7 +190,8 @@ def _as_fraction_literal(e: Expr, head: str) -> Fraction:
     raise ParseError(f"{head} expects a rational literal")
 
 
-def _build(head: str, off: int, args) -> Expr:
+def _build(head: str, text: str, at: int, args) -> Expr:
+    """The node of a list whose head is token `at` of text."""
     if head == "+":
         if not args:
             raise ParseError("empty sum")
@@ -212,11 +219,12 @@ def _build(head: str, off: int, args) -> Expr:
     m = _DERIV.match(head)
     if m:
         if len(args) != 1 or not isinstance(args[0], AbsApp):
-            raise ParseError(f"{head} expects one abstract application at offset {off}")
+            raise ParseError(f"{head} expects one abstract application at offset "
+                             f"{_offset(text, at)}")
         inner = args[0]
         slot = int(m.group(1))
         if slot > len(inner.args):
-            raise ParseError(f"derivative slot {slot} out of range at offset {off}")
+            raise ParseError(f"derivative slot {slot} out of range at offset {_offset(text, at)}")
         dc = list(inner.dcounts)
         dc[slot - 1] += 1
         return AbsApp(inner.name, tuple(dc), inner.args)
@@ -224,4 +232,4 @@ def _build(head: str, off: int, args) -> Expr:
         if not args:
             raise ParseError(f"abstract application {head} needs arguments")
         return AbsApp(head, (0,) * len(args), tuple(as_expr(a) for a in args))
-    raise ParseError(f"unknown head {head!r} at offset {off}")
+    raise ParseError(f"unknown head {head!r} at offset {_offset(text, at)}")

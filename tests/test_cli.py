@@ -106,12 +106,18 @@ class TestSpectrumCommand:
         assert abs(float(row.split(",")[3]) - 37.0) < 0.5
 
     def test_scale_residual_line(self, capsys):
-        code, out = run_cli(
-            ["spectrum", "--system", "scale", "--kappa", "0", "--etilde", "1",
-             "--omega", "2"], capsys
-        )
-        assert code == 0
-        assert out.splitlines()[1].startswith("scale,0,")
+        # at omega 6 and 10 the Bessel series cancels through 10 and 17
+        # digits, all that a float sum holds: such a sum reads 2.3e-06 and
+        # 2.9e+02
+        for omega in ("2", "6", "10"):
+            code, out = run_cli(
+                ["spectrum", "--system", "scale", "--kappa", "0", "--etilde", "1",
+                 "--omega", omega], capsys
+            )
+            assert code == 0
+            row = out.splitlines()[1]
+            assert row.startswith("scale,0,")
+            assert float(row.split(",")[5]) < 1e-13
 
     def test_dump_solves_once(self, tmp_path, monkeypatch, capsys):
         # one eigensystem solve serves the three-row table and level 5 of

@@ -279,6 +279,9 @@ class TestParser:
         a, b, c = e.terms
         assert b is a
         assert c.arg is a.factors[0]
+        # a list is one object per head and children, whatever its spacing
+        e = parse_sexpr("(+ (* x1 (+ mu 1)) (*  x1\n (+ mu  1) ))")
+        assert e.terms[1] is e.terms[0]
         # the memo ends with the call: a new parse builds new objects
         assert parse_sexpr("(sqrt (+ x1 1))") is not c.arg
 

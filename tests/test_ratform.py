@@ -8,6 +8,7 @@ inside one scope."""
 
 import hashlib
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -38,6 +39,10 @@ from pdmlab.symkernel.ratform import (
     _coprime_certified,
     _p_gcd_core,
     _p_reduce,
+    _shift,
+    RF,
+    RF_ONE,
+    RF_ZERO,
     m_div,
     m_divides,
     m_gcd,
@@ -55,10 +60,11 @@ from pdmlab.symkernel.ratform import (
     p_mul_raw,
     rf_canon,
     rf_diff,
+    rf_mul,
     rf_to_expr,
     to_rf,
 )
-from pdmlab.symkernel.expr import AbstractFn, Num, add, arctan, mul, pow_, sin
+from pdmlab.symkernel.expr import AbstractFn, Mul, Num, add, arctan, mul, pow_, sin
 from pdmlab.symkernel.scalars import GRat
 
 # the square-root atom is an independent variable in the gcd's model
@@ -424,6 +430,97 @@ def test_is_provably_zero_agrees_with_normalize(e, f):
         assume(False)
     assert wants[2]
     assert [is_provably_zero(d) for d in cases] == wants
+
+
+# -- products against the factor-by-factor reference ----------------------------
+
+
+def _product_reference(e: Mul) -> RF:
+    """A product's form as each factor's own to_rf, multiplied in one factor
+    at a time by rf_mul: the reference for to_rf, which folds a run of
+    numbers and atom powers into one term."""
+    out = RF_ONE
+    for f in e.factors:
+        out = rf_mul(out, to_rf(f))
+        if out.is_zero():
+            return RF_ZERO
+    return out
+
+
+def _product_outcome(convert, e: Mul):
+    """(numerator, denominator, atom texts in field order) of convert(e) in
+    a fresh scope, or its ExprError's message and the atoms registered by
+    then.  A form is valid only in the scope that made it, and two scopes
+    that register the same atoms in the same order give their forms the
+    same fields, so outcomes of two scopes compare as values."""
+    with kernel_scope:
+        try:
+            rf = convert(e)
+        except ExprError as err:
+            got = str(err)
+        else:
+            got = (rf.num, rf.den)
+        return got, [text for text, _ in ratform._ATOMS.values()]
+
+
+_PRODUCT_ATOMS = (x1, x2, x3, _A)
+_gaussian = st.builds(lambda a, b, d: Num(GRat(Fraction(a, d), Fraction(b, d))),
+                      st.integers(-4, 4), st.integers(-2, 2), st.integers(1, 3))
+_sums = st.sampled_from((x1 + 1, x2 - x3, x1 - x1, 2 * x1 + _A, x1 * x2 - _A + 3))
+_roots = st.sampled_from((sqrt(x1**2 + 1), sqrt(x2 + _A)))
+_product_bases = st.one_of(_gaussian, st.sampled_from(_PRODUCT_ATOMS), _sums, _roots,
+                           st.just(exp(x3)))
+_product_factors = st.one_of(
+    _product_bases,
+    st.tuples(st.sampled_from(_PRODUCT_ATOMS),
+              st.sampled_from((-2, -1, 2, 3, LIMIT // 2, LIMIT - 1))).map(_power),
+    st.tuples(_product_bases, st.sampled_from((-2, -1, 2))).map(_power),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_product_factors, min_size=1, max_size=6))
+def test_products_match_the_factor_by_factor_reference(factors):
+    # Mul, not mul: numbers stay where they were drawn, zero among them
+    e = Mul(tuple(factors))
+    assert _product_outcome(to_rf, e) == _product_outcome(_product_reference, e)
+    with kernel_scope:
+        try:
+            rf = to_rf(e)
+        except ExprError:
+            return
+        ref = _product_reference(e)
+        assert rf.num == ref.num and rf.den == ref.den
+
+
+class TestProductFold:
+    def test_exponent_limit_across_three_factors(self):
+        # 2^30 + (2^30 - 1) fits a field; the third factor's 1 does not
+        e = parse_sexpr(f"(* (^ x1 {LIMIT // 2}) (^ x1 {LIMIT // 2 - 1}) x1)")
+        assert len(e.factors) == 3
+        with kernel_scope:
+            with pytest.raises(ExprError, match="exponent too large"):
+                to_rf(e)
+            with pytest.raises(ExprError, match="exponent too large"):
+                _product_reference(e)
+            rf = to_rf(parse_sexpr(f"(* (^ x1 {LIMIT // 2}) (^ x1 {LIMIT // 2 - 1}) x2)"))
+            assert rf.num == {((LIMIT - 1) << _shift(x1)) + (1 << _shift(x2)): GRat(1)}
+
+    def test_first_fault_is_the_one_reported(self):
+        # the zero denominator comes first, the exponent past the limit last
+        e = parse_sexpr(f"(* (^ (+ x1 (* -1 x1)) -1) (^ x1 {LIMIT - 1}) x1)")
+        with pytest.raises(ExprError, match="^division by zero in normalization$"):
+            normalize(e)
+
+    def test_overflow_raises_before_later_atoms_register(self):
+        # (x1 + 1) x1^(2^31 - 1) passes the limit at the second factor, as
+        # one factor at a time, so x2 and x3 get no field
+        e = parse_sexpr(f"(* (+ x1 1) (^ x1 {LIMIT - 1}) x2 x3)")
+        assert _product_outcome(to_rf, e) == _product_outcome(_product_reference, e)
+        with kernel_scope:
+            with pytest.raises(ExprError, match="exponent too large"):
+                to_rf(e)
+            assert [text for text, _ in ratform._ATOMS.values()] == ["x1"]
 
 
 # -- the kernel scope ----------------------------------------------------------

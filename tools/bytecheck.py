@@ -14,8 +14,8 @@ argument list of SPECTRUM_INPUTS through `pdmlab spectrum`, and each command of
 OPTION_INPUTS through `pdmlab`, under both trees, and the exit codes,
 stdout and stderr are compared.  A command still running after
 RUN_TIMEOUT_S seconds is stopped, and its exit code reads "timeout".  Then
-perfbench/kernel_stream.py runs part 0 at both seeds under both trees, and
-the verdict and result digest of every item are compared.  An item stopped
+perfbench/kernel_stream.py runs each of KERNEL_PARTS at both seeds under
+both trees, and the verdict and result digest of every item are compared.  An item stopped
 at the stream's time limit in either run has no result to compare; those
 are counted apart and are not a difference.  Nothing is written under
 perfbench/.  One line is printed per command and seed, followed, when the
@@ -44,6 +44,9 @@ DIFF_WIDTH = 160
 # shares its jobs with a forked worker on two or more CPUs and runs them
 # alone on one, and both paths must print the revision's bytes.
 ONE_CPU = ("catalog verify --all --worked",)
+# Every product of the kernel stream takes the normal form's product path,
+# so four parts, 6,000 items a seed, are compared, not one.
+KERNEL_PARTS = (0, 1, 2, 3)
 
 # Forty-one parameters and a cube root: the widest monomials of EXPR_INPUTS,
 # whose fields lie past the fortieth atom's.
@@ -57,7 +60,11 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # sum on both sides of the expansion budget; and numbers past the 4300
 # digits that int() and str() convert, which a revision without the checks
 # ends with a ValueError traceback; and a power of a sum whose coefficients
-# stay far below the kernel's size bound.  Folded powers and powers of sums
+# stay far below the kernel's size bound; products whose numbers and atom
+# powers fold into one term, with a zero denominator before an exponent
+# past the limit, one after it, an exponent that reaches 2^31 - 1 only
+# across two factors, and a run of them between other factors.  Folded
+# powers and powers of sums
 # past that bound are left out: a revision without the bound computes them,
 # in gigabytes, and tests/test_cli.py runs them in a capped child instead.
 EXPR_INPUTS = (
@@ -107,6 +114,10 @@ EXPR_INPUTS = (
     ("normalize", "(^ (+ x1 1) (^ 10 5000))"),
     ("normalize", "(^ 2 65537)"),
     ("normalize", "(^ (+ x1 1000) 30)"),
+    ("normalize", "(* (^ (+ x1 (* -1 x1)) -1) (^ x1 2147483647) x1)"),
+    ("normalize", "(* (^ x1 2147483647) (+ x1 1) (^ (+ x2 (* -1 x2)) -1))"),
+    ("normalize", "(* (^ x1 1073741824) (^ x1 1073741823) x2)"),
+    ("normalize", "(* (gauss 1 2) mu (^ x2 3) (^ (+ x1 1) -1) (exp x3))"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
@@ -114,8 +125,10 @@ EXPR_INPUTS = (
 # the eigensolver's memory bound, min(grid, 3 count + 24) x grid at most
 # 8,000,000; a revision without the bound solves them.  The seven scale
 # inputs after --omega 0 are non-finite or overflow a float in the Bessel
-# residual, which a revision without those checks ends with a traceback;
-# the last, --kappa 100, is good input and prints its line.
+# residual, which a revision without those checks ends with a traceback.
+# The last three are good input and print their line: --kappa 100, and
+# --omega 6 and 10, where a float sum of the Bessel series lost its
+# digits and failed the residual with rc 1.
 SPECTRUM_INPUTS = (
     ("--system", "so4", "--grid", "8"),
     ("--system", "so4", "--l", "-1"),
@@ -135,6 +148,8 @@ SPECTRUM_INPUTS = (
     ("--system", "scale", "--omega", "1e308"),
     ("--system", "scale", "--kappa", "100000"),
     ("--system", "scale", "--kappa", "100"),
+    ("--system", "scale", "--omega", "6"),
+    ("--system", "scale", "--omega", "10"),
 )
 
 # Options that a subcommand, or the chosen --system or --kind, does not read,
@@ -271,13 +286,13 @@ def child_env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
 
 
-def kernel_items(src: Path, seed: int, workdir: Path) -> list:
-    """[kind, op_s, ok, digest] of every item of one kernel-stream run,
-    part 0, untraced."""
+def kernel_items(src: Path, seed: int, part: int, workdir: Path) -> list:
+    """[kind, op_s, ok, digest] of every item of one kernel-stream run of
+    one part, untraced."""
     workdir.mkdir()
     out = workdir / "kernel.json"
     argv = [sys.executable, str(ROOT / "perfbench" / "kernel_stream.py"), "--seed", str(seed),
-            "--part", "0", "--trace", "0", "--out", str(out)]
+            "--part", str(part), "--trace", "0", "--out", str(out)]
     subprocess.run(argv, capture_output=True, env=child_env(src), cwd=workdir, check=True)
     return json.loads(out.read_text())["items"]
 
@@ -332,15 +347,17 @@ def main() -> int:
             [(list(args), " ".join(args)) for args in OPTION_INPUTS])
         kernel_differ = 0
         for seed in SEEDS:
-            items = {name: kernel_items(src, seed, tmp / f"kernel-{name}-{seed}")
-                     for name, src in trees.items()}
-            bad, stopped_rev, stopped_tree = compare_kernel(items["rev"], items["tree"])
-            kernel_differ += bool(bad)
-            verdict = f"{bad} items DIFFER" if bad else "identical"
-            print(f"kernel-stream --seed {seed} --part 0: {verdict} "
-                  f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
-                  f"{stopped_tree} in the tree)", flush=True)
-        print(f"{kernel_differ} of {len(SEEDS)} kernel-stream runs differ from {rev}")
+            for part in KERNEL_PARTS:
+                items = {name: kernel_items(src, seed, part, tmp / f"kernel-{name}-{seed}-{part}")
+                         for name, src in trees.items()}
+                bad, stopped_rev, stopped_tree = compare_kernel(items["rev"], items["tree"])
+                kernel_differ += bool(bad)
+                verdict = f"{bad} items DIFFER" if bad else "identical"
+                print(f"kernel-stream --seed {seed} --part {part}: {verdict} "
+                      f"({len(items['tree'])} items; stopped {stopped_rev} at {rev}, "
+                      f"{stopped_tree} in the tree)", flush=True)
+        print(f"{kernel_differ} of {len(SEEDS) * len(KERNEL_PARTS)} kernel-stream runs differ"
+              f" from {rev}")
     return 1 if differ or expr_differ or spectrum_differ or option_differ or kernel_differ else 0
 
 
