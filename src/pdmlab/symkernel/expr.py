@@ -8,6 +8,18 @@ applications F(u1,...,uk) together with their formal partial derivatives.
 Construction applies only cheap local simplifications (flattening,
 constant folding).  Canonical forms are produced by
 :func:`pdmlab.symkernel.ratform.normalize`.
+
+Each node stores its hash, computed once from plain data and its
+children's stored hashes (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): a `Num` hashes ("Num", a, b, d) of its value, a
+`Pow` its base's hash with the exponent's numerator and denominator, a
+sum, product or application its tag, names and its children's hashes.
+Building a node thus calls no Python-level `__hash__`.  Equal nodes have
+equal fields, so equal hashes.
+
+`add` and `mul` fold the numbers among their terms into one; when exactly
+one number comes in, nothing folds, and that `Num` object itself goes into
+the result instead of a new equal one.
 """
 
 from __future__ import annotations
@@ -90,8 +102,8 @@ class Num(Expr):
     _fields = ("val",)
 
     def __init__(self, val):
-        object.__setattr__(self, "val", grat(val))
-        object.__setattr__(self, "_hash", hash(("Num", self.val)))
+        v = self.val = grat(val)
+        self._hash = hash(("Num", v.a, v.b, v.d))
 
 
 class Var(Expr):
@@ -103,9 +115,9 @@ class Var(Expr):
     def __init__(self, name: str):
         if name not in VAR_NAMES:
             raise ExprError(f"unknown spatial variable {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "axis", int(name[1]))
-        object.__setattr__(self, "_hash", hash(("Var", name)))
+        self.name = name
+        self.axis = int(name[1])
+        self._hash = hash(("Var", name))
 
 
 class Param(Expr):
@@ -119,8 +131,8 @@ class Param(Expr):
             raise ExprError(f"bad parameter name {name!r}")
         if name[0] == "x" and name[1:].isdigit():
             raise ExprError(f"{name!r} is reserved for spatial variables")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("Param", name)))
+        self.name = name
+        self._hash = hash(("Param", name))
 
 
 class Add(Expr):
@@ -128,8 +140,8 @@ class Add(Expr):
     _fields = ("terms",)
 
     def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(("Add", terms)))
+        self.terms = terms
+        self._hash = hash(("Add", *[t._hash for t in terms]))
 
 
 class Mul(Expr):
@@ -137,8 +149,8 @@ class Mul(Expr):
     _fields = ("factors",)
 
     def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(("Mul", factors)))
+        self.factors = factors
+        self._hash = hash(("Mul", *[f._hash for f in factors]))
 
 
 class Pow(Expr):
@@ -148,9 +160,9 @@ class Pow(Expr):
     _fields = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: Fraction):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_hash", hash(("Pow", base, exponent)))
+        self.base = base
+        self.exponent = exponent
+        self._hash = hash(("Pow", base._hash, exponent.numerator, exponent.denominator))
 
 
 class App(Expr):
@@ -162,9 +174,9 @@ class App(Expr):
     def __init__(self, fn: str, arg: Expr):
         if fn not in ELEMENTARY:
             raise ExprError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash(("App", fn, arg)))
+        self.fn = fn
+        self.arg = arg
+        self._hash = hash(("App", fn, arg._hash))
 
 
 class AbsApp(Expr):
@@ -183,10 +195,10 @@ class AbsApp(Expr):
             raise ExprError(f"bad abstract function name {name!r}")
         if len(dcounts) != len(args) or not args:
             raise ExprError("argument/derivative-count arity mismatch")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dcounts", dcounts)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("AbsApp", name, dcounts, args)))
+        self.name = name
+        self.dcounts = dcounts
+        self.args = args
+        self._hash = hash(("AbsApp", name, dcounts, *[a._hash for a in args]))
 
     @property
     def symbol(self) -> str:
@@ -228,21 +240,28 @@ def param(name: str) -> Param:
 
 def add(*terms) -> Expr:
     flat = []
-    const = ZERO
+    nums = []
     for t in terms:
-        t = as_expr(t)
-        if isinstance(t, Add):
+        tt = type(t)
+        if tt is Add:
             for s in t.terms:
-                if isinstance(s, Num):
-                    const = const + s.val
-                else:
-                    flat.append(s)
-        elif isinstance(t, Num):
-            const = const + t.val
-        else:
+                (nums if type(s) is Num else flat).append(s)
+        elif tt is Num:
+            nums.append(t)
+        elif isinstance(t, Expr):
             flat.append(t)
+        else:
+            nums.append(as_expr(t))
+    if len(nums) == 1:
+        lone = nums[0]  # nothing folds: the result keeps this object
+        const = lone.val
+    else:
+        lone = None
+        const = ZERO
+        for n in nums:
+            const = const + n.val
     if not const.is_zero() or not flat:
-        flat.append(Num(const))
+        flat.append(Num(const) if lone is None else lone)
     if len(flat) == 1:
         return flat[0]
     return Add(tuple(flat))
@@ -250,23 +269,30 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat = []
-    const = ONE
+    nums = []
     for f in factors:
-        f = as_expr(f)
-        if isinstance(f, Mul):
+        tf = type(f)
+        if tf is Mul:
             for g in f.factors:
-                if isinstance(g, Num):
-                    const = const * g.val
-                else:
-                    flat.append(g)
-        elif isinstance(f, Num):
-            const = const * f.val
-        else:
+                (nums if type(g) is Num else flat).append(g)
+        elif tf is Num:
+            nums.append(f)
+        elif isinstance(f, Expr):
             flat.append(f)
+        else:
+            nums.append(as_expr(f))
+    if len(nums) == 1:
+        lone = nums[0]  # nothing folds: the result keeps this object
+        const = lone.val
+    else:
+        lone = None
+        const = ONE
+        for n in nums:
+            const = const * n.val
     if const.is_zero():
         return NUM_ZERO
     if not const.is_one() or not flat:
-        flat.insert(0, Num(const))
+        flat.insert(0, Num(const) if lone is None else lone)
     if len(flat) == 1:
         return flat[0]
     return Mul(tuple(flat))
@@ -295,21 +321,25 @@ def pow_(base, exponent) -> Expr:
         exponent = Fraction(exponent)
     if not isinstance(exponent, Fraction):
         raise ExprError("exponent must be an integer or Fraction")
-    if exponent == 0:
+    p, q = exponent.numerator, exponent.denominator
+    if p == 0:
         return NUM_ONE
-    if exponent == 1:
+    if p == 1 and q == 1:
         return base
-    if isinstance(base, Num):
-        q = exponent.denominator
+    tb = type(base)
+    if tb is Num:
+        if p < 0 and base.val.is_zero():
+            raise ExprError("division by zero")
         root = base.val if q == 1 else _exact_root(base.val, q)
         if root is not None:
-            check_power_size(root, exponent.numerator)
-            return Num(root ** exponent.numerator)
-    if isinstance(base, Pow) and exponent.denominator == 1:
-        # (b^q)^n == b^(q*n) is sound for integer n
-        return pow_(base.base, base.exponent * exponent)
-    if isinstance(base, Mul) and exponent.denominator == 1:
-        return mul(*(pow_(f, exponent) for f in base.factors))
+            check_power_size(root, p)
+            return Num(root ** p)
+    elif q == 1:
+        if tb is Pow:
+            # (b^q)^n == b^(q*n) is sound for integer n
+            return pow_(base.base, base.exponent * exponent)
+        if tb is Mul:
+            return mul(*(pow_(f, exponent) for f in base.factors))
     return Pow(base, exponent)
 
 

@@ -236,6 +236,13 @@ def p_add(a: dict, b: dict) -> dict:
     if not b:
         return a
     out = dict(a)
+    _p_add_into(out, b)
+    return out
+
+
+def _p_add_into(out: dict, b: dict) -> None:
+    """out += b in place: a key whose sum is zero is deleted, a new key is
+    appended at the end."""
     for m, c in b.items():
         s = out.get(m)
         if s is None:
@@ -246,7 +253,6 @@ def p_add(a: dict, b: dict) -> dict:
                 del out[m]
             else:
                 out[m] = s
-    return out
 
 
 def p_neg(a: dict) -> dict:
@@ -1021,10 +1027,33 @@ def _to_rf(e: Expr) -> RF:
     if isinstance(e, (Var, Param)):
         return RF(p_atom(e), DEN_ONE)
     if isinstance(e, Add):
+        # The sum is rf_add's, one term at a time, with one saving: while
+        # a run of nonzero terms shares the nonzero sum's denominator,
+        # rf_add would copy the numerator for each term (p_add), so the
+        # run adds into one copy that this loop owns, by p_add's rules and
+        # in term order.  The numerator's keys and their order, a zero
+        # over a denominator met midway (which the next term replaces),
+        # the denominators and the errors are therefore rf_add's.
         out = RF_ZERO
+        num = None  # while a run lasts, the sum is RF(num, out.den)
         for t in e.terms:
-            out = rf_add(out, to_rf(t))
-        return out
+            r = to_rf(t)
+            if num:
+                if not r.num:
+                    continue
+                if out.den == r.den:
+                    _p_add_into(num, r.num)
+                    continue
+            if num is not None:
+                # the run ends; rf_add, which replaces a zero sum by r, goes on
+                out = RF(num, out.den)
+                num = None
+            if out.num and r.num and out.den == r.den:
+                num = dict(out.num)
+                _p_add_into(num, r.num)
+            else:
+                out = rf_add(out, r)
+        return out if num is None else RF(num, out.den)
     if isinstance(e, Mul):
         # A run of nonzero numbers, Var/Param atoms and positive integer
         # powers of those atoms folds into one term, coef * x**mono, which

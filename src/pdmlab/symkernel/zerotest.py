@@ -190,29 +190,31 @@ def _compile(e: Expr):
         got = index.get(id(n))
         if got is not None:
             return got
-        if isinstance(n, Num):
+        # exact types, most frequent first: no node class has a subclass
+        kind = type(n)
+        if kind is Mul:
+            ins = (_MUL, tuple(visit(f) for f in n.factors), None, n)
+        elif kind is Add:
+            ins = (_ADD, tuple(visit(t) for t in n.terms), None, n)
+        elif kind is Num:
             try:
                 ins = (_CONST, None, complex(n.val), n)
             except OverflowError:
                 ins = (_NUM, None, n.val, n)  # raises again at evaluation
-        elif isinstance(n, Var):
+        elif kind is Var:
             ins = (_VAR, n.axis - 1, None, n)
-        elif isinstance(n, Param):
-            names.add(n.name)
-            ins = (_PARAM, None, n.name, n)
-        elif isinstance(n, Add):
-            ins = (_ADD, tuple(visit(t) for t in n.terms), None, n)
-        elif isinstance(n, Mul):
-            ins = (_MUL, tuple(visit(f) for f in n.factors), None, n)
-        elif isinstance(n, Pow):
+        elif kind is Pow:
             q = n.exponent
             if q.denominator == 1:
                 ins = (_POWI, visit(n.base), q.numerator, n)
             else:
                 ins = (_POWQ, visit(n.base), float(q), n)
-        elif isinstance(n, App):
+        elif kind is Param:
+            names.add(n.name)
+            ins = (_PARAM, None, n.name, n)
+        elif kind is App:
             ins = (_APP_OPS[n.fn], visit(n.arg), None, n)
-        elif isinstance(n, AbsApp):
+        elif kind is AbsApp:
             for u in n.args:
                 visit(u)
             symbols.add(n.symbol)

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from pdmlab.symkernel import (
     AbstractFn,
+    ExprError,
     arctan,
     diff,
     evaluate,
     exp,
     instantiate,
     is_provably_zero,
+    kernel_scope,
     ln,
     normalize,
     num,
@@ -32,7 +34,8 @@ from pdmlab.symkernel import (
     x2,
     x3,
 )
-from pdmlab.symkernel.expr import NUM_ZERO
+from pdmlab.symkernel.expr import NUM_ZERO, Add, Mul, Num, add, children, mul, walk
+from pdmlab.symkernel.ratform import rf_to_expr, to_rf
 
 R2 = x1**2 + x2**2 + x3**2
 RT = sqrt(x1**2 + x2**2)
@@ -349,3 +352,106 @@ class TestProperties:
         lhs = diff(e1 * e2, 2)
         rhs = diff(e1, 2) * e2 + e1 * diff(e2, 2)
         assert is_provably_zero(lhs - rhs)
+
+
+# -- nodes: stored hashes, the lone number, zero to a negative power ------------
+
+
+_MU = param("mu")
+_G = AbstractFn("G", 2)
+_node_leaves = st.one_of(
+    st.sampled_from((x1, x2, x3, _MU, sqrt(x1 + 2), exp(x2))),
+    st.builds(num, st.fractions(-3, 3, max_denominator=3), st.integers(-1, 1)))
+
+
+def _quotient(pair):
+    a, b = pair
+    try:
+        return a / b
+    except ExprError:  # b is the number zero
+        return a
+
+
+_node_exprs = st.recursive(
+    _node_leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: t[0] + t[1]),
+        st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+        st.tuples(kids, kids).map(lambda t: t[0] - t[1]),
+        st.tuples(kids, kids).map(_quotient),
+        st.tuples(kids, st.sampled_from((2, 3))).map(lambda t: t[0] ** t[1]),
+        kids.map(sin),
+        st.tuples(kids, kids).map(lambda t: _G(*t))),
+    max_leaves=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_node_exprs)
+def test_equal_nodes_hash_alike_whoever_built_them(e):
+    # trees from the Python operators, from parse_sexpr and from a raw
+    # normal form: two nodes are equal exactly when they are of one type
+    # and print alike, and equal nodes hash alike and find each other as
+    # dict keys
+    parsed = parse_sexpr(to_sexpr(e))
+    with kernel_scope:
+        try:
+            raw = rf_to_expr(to_rf(e))
+        except ExprError:
+            raw = NUM_ZERO
+    nodes = [n for tree in (e, parsed, raw) for n in walk(tree)]
+    texts = [to_sexpr(n) for n in nodes]
+    keys = {}
+    for n in nodes:
+        keys.setdefault(n, n)
+    for a, ta in zip(nodes, texts):
+        assert keys[a] == a
+        for b, tb in zip(nodes, texts):
+            same = type(a) is type(b) and ta == tb
+            assert (a == b) is same
+            if same:
+                assert hash(a) == hash(b)
+        if isinstance(a, (Add, Mul)):
+            # the same children under the other head: never equal
+            other = (Mul if isinstance(a, Add) else Add)(children(a))
+            assert a != other and other not in keys
+
+
+class TestNodes:
+    def test_a_lone_number_is_the_object_that_came_in(self):
+        n = parse_sexpr("-3/2")
+        assert mul(n, x1).factors[0] is n
+        assert add(x1, n).terms[-1] is n
+        # also one nested in a product or sum that is flattened
+        p, s = parse_sexpr("(* 5 x2)"), parse_sexpr("(+ x2 5)")
+        assert mul(x1, p).factors[0] is p.factors[0]
+        assert add(s, x1).terms[-1] is s.terms[-1]
+        # two numbers fold into a new one
+        assert mul(n, p) == parse_sexpr("(* -15/2 x2)")
+        assert add(n, s) == parse_sexpr("(+ x2 7/2)")
+
+    def test_parse_builds_one_number_per_numeric_token(self, monkeypatch):
+        built = []
+        init = Num.__init__
+
+        def counting(self, val):
+            built.append(val)
+            init(self, val)
+
+        monkeypatch.setattr(Num, "__init__", counting)
+        e = parse_sexpr("(+ (* -3 x1) (* -3 x2))")
+        assert built == [-3]
+        assert e.terms[0].factors[0] is e.terms[1].factors[0]
+
+    @pytest.mark.parametrize("text", ["(^ 0 -1)", "(* (^ 0 -2) x1)", "(^ 0 -1/2)"])
+    def test_zero_to_a_negative_power_is_an_expr_error(self, text):
+        # ExprError, never the ZeroDivisionError of GRat.inverse
+        with pytest.raises(ExprError, match="^division by zero$"):
+            parse_sexpr(text)
+
+    def test_zero_to_a_negative_power_from_python(self):
+        with pytest.raises(ExprError, match="^division by zero$"):
+            num(0) ** -1
+        with pytest.raises(ExprError, match="^division by zero$"):
+            x1 / num(0)
+        assert num(0) ** Fraction(1, 2) == NUM_ZERO
+        assert pow_(num(0), 3) == NUM_ZERO

@@ -58,13 +58,14 @@ from pdmlab.symkernel.ratform import (
     p_mono_content,
     p_diff,
     p_mul_raw,
+    rf_add,
     rf_canon,
     rf_diff,
     rf_mul,
     rf_to_expr,
     to_rf,
 )
-from pdmlab.symkernel.expr import AbstractFn, Mul, Num, add, arctan, mul, pow_, sin
+from pdmlab.symkernel.expr import AbstractFn, Add, Expr, Mul, Num, add, arctan, mul, pow_, sin
 from pdmlab.symkernel.scalars import GRat
 
 # the square-root atom is an independent variable in the gcd's model
@@ -521,6 +522,88 @@ class TestProductFold:
             with pytest.raises(ExprError, match="exponent too large"):
                 to_rf(e)
             assert [text for text, _ in ratform._ATOMS.values()] == ["x1"]
+
+
+# -- sums against the term-by-term reference ------------------------------------
+
+
+def _sum_reference(e: Add) -> RF:
+    """A sum's form as each term's own to_rf, added in one term at a time by
+    rf_add: the reference for to_rf, which adds a run of terms over one
+    denominator into one numerator in place."""
+    out = RF_ZERO
+    for t in e.terms:
+        out = rf_add(out, to_rf(t))
+    return out
+
+
+def _sum_outcome(convert, e: Add):
+    """_product_outcome's, with the key order of the numerator and of each
+    denominator factor, and is_zero()."""
+    with kernel_scope:
+        try:
+            rf = convert(e)
+        except ExprError as err:
+            got = str(err)
+        else:
+            got = (list(rf.num.items()), [(list(f.items()), k) for f, k in rf.den],
+                   rf.is_zero())
+        return got, [text for text, _ in ratform._ATOMS.values()]
+
+
+def _cancelling(t: Expr) -> Add:
+    """t - t, as a sum that to_rf adds up to zero over t's denominator."""
+    return Add((t, mul(-1, t)))
+
+
+_SUM_ATOMS = _PRODUCT_ATOMS + (sqrt(x1**2 + 1), exp(x3))
+_SUM_DENS = (x2, x2 + 1, x1 * x3 - _A, sqrt(x1**2 + 1) + x3)
+_over = st.tuples(st.lists(st.one_of(_gaussian, st.sampled_from(_SUM_ATOMS)),
+                           min_size=1, max_size=3),
+                  st.sampled_from(_SUM_DENS)).map(lambda t: mul(*t[0], pow_(t[1], -1)))
+_sum_terms = st.one_of(
+    _gaussian,
+    st.sampled_from(_SUM_ATOMS),
+    st.tuples(st.sampled_from(_PRODUCT_ATOMS), st.sampled_from((-1, 2, 3))).map(_power),
+    _over,
+    _over.map(_cancelling),
+    st.just(pow_(x1 - x1, -1)),  # a zero denominator
+)
+_zero_sums = st.lists(st.one_of(st.just(NUM_ZERO), _over.map(_cancelling),
+                                _sum_terms.map(_cancelling)),
+                      min_size=1, max_size=4).map(lambda ts: Add(tuple(ts)))
+
+
+@st.composite
+def _sums(draw):
+    terms = draw(st.lists(_sum_terms, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        # a pair that cancels, at the start (so the sum so far is zero
+        # midway) or further in
+        t = draw(_sum_terms)
+        k = draw(st.integers(0, len(terms)))
+        terms[k:k] = [t, mul(-1, t)]
+    return Add(tuple(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sums(), _zero_sums))
+def test_sums_match_the_term_by_term_reference(e):
+    # Add, not add: terms stay as drawn, numbers and zeros among them
+    assert _sum_outcome(to_rf, e) == _sum_outcome(_sum_reference, e)
+
+
+def test_a_sum_that_is_zero_midway():
+    # x1/x2 - x1/x2 is zero over x2; the next term takes its place, with its
+    # own denominator, and 1 then joins over x2
+    e = parse_sexpr("(+ (* x1 (^ x2 -1)) (* -1 x1 (^ x2 -1)) (* x3 (^ x2 -1)) 1)")
+    assert _sum_outcome(to_rf, e) == _sum_outcome(_sum_reference, e)
+    with kernel_scope:
+        rf = to_rf(e)
+        assert list(rf.num.items()) == [(1 << _shift(x3), GRat(1)), (1 << _shift(x2), GRat(1))]
+        assert rf.den == (({1 << _shift(x2): GRat(1)}, 1),)
+        zero = to_rf(Add(e.terms[:2]))
+        assert zero.is_zero() and zero.den == rf.den
 
 
 # -- the kernel scope ----------------------------------------------------------

@@ -63,7 +63,11 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # stay far below the kernel's size bound; products whose numbers and atom
 # powers fold into one term, with a zero denominator before an exponent
 # past the limit, one after it, an exponent that reaches 2^31 - 1 only
-# across two factors, and a run of them between other factors.  Folded
+# across two factors, and a run of them between other factors; sums whose
+# terms share a denominator, one that is zero midway and one whose run is
+# cut by a term over another denominator; zero to a negative power inside
+# a product and to a fractional one; and a product of two numbers around a
+# sum, which fold into one.  Folded
 # powers and powers of sums
 # past that bound are left out: a revision without the bound computes them,
 # in gigabytes, and tests/test_cli.py runs them in a capped child instead.
@@ -118,6 +122,14 @@ EXPR_INPUTS = (
     ("normalize", "(* (^ x1 2147483647) (+ x1 1) (^ (+ x2 (* -1 x2)) -1))"),
     ("normalize", "(* (^ x1 1073741824) (^ x1 1073741823) x2)"),
     ("normalize", "(* (gauss 1 2) mu (^ x2 3) (^ (+ x1 1) -1) (exp x3))"),
+    ("normalize", "(+ (* x1 (^ x2 -1)) (* -1 x1 (^ x2 -1)) (* x3 (^ x2 -1)) 1)"),
+    ("normalize", "(+ (* x1 (^ x2 -1)) (* x3 (^ (+ x2 1) -1)) (* -1 x1 (^ x2 -1)))"),
+    ("parse", "(* (^ 0 -2) x1)"),
+    ("normalize", "(* (^ 0 -2) x1)"),
+    ("parse", "(^ 0 -1/2)"),
+    ("normalize", "(^ 0 -1/2)"),
+    ("parse", "(* 5 (+ x1 x2) 7)"),
+    ("normalize", "(* 5 (+ x1 x2) 7)"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
