@@ -411,9 +411,15 @@ def test_equal_nodes_hash_alike_whoever_built_them(e):
             if same:
                 assert hash(a) == hash(b)
         if isinstance(a, (Add, Mul)):
-            # the same children under the other head: never equal
+            # the same children under the other head: never equal, and
+            # as a key it finds only a node of its own head and text (one
+            # the trees really hold, as x1*x2 in the expansion of
+            # x1*(x1 + x2))
             other = (Mul if isinstance(a, Add) else Add)(children(a))
-            assert a != other and other not in keys
+            assert a != other
+            found = keys.get(other)
+            assert found is None or (type(found) is type(other)
+                                     and to_sexpr(found) == to_sexpr(other))
 
 
 class TestNodes:
