@@ -20,6 +20,13 @@ equal fields, so equal hashes.
 `add` and `mul` fold the numbers among their terms into one; when exactly
 one number comes in, nothing folds, and that `Num` object itself goes into
 the result instead of a new equal one.
+
+Exponent type: `pow_` stores an integral exponent as a Python `int`, also
+one given as a `Fraction` with denominator 1, and any other exponent as a
+`Fraction`.  So `Pow.exponent` is an `int` exactly when it is integral.
+Readers take its `numerator` and `denominator`, which an int holds as C
+attributes; `2 == Fraction(2)` and both hash alike, so nodes built from
+either compare, hash and print the same.
 """
 
 from __future__ import annotations
@@ -154,12 +161,13 @@ class Mul(Expr):
 
 
 class Pow(Expr):
-    """base ** exponent with a rational (possibly negative) exponent."""
+    """base ** exponent with a rational (possibly negative) exponent: an
+    int when integral, else a Fraction (module docstring)."""
 
     __slots__ = ("base", "exponent")
     _fields = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
+    def __init__(self, base: Expr, exponent):
         self.base = base
         self.exponent = exponent
         self._hash = hash(("Pow", base._hash, exponent.numerator, exponent.denominator))
@@ -317,11 +325,17 @@ def check_power_size(c: GRat, n: int) -> None:
 
 def pow_(base, exponent) -> Expr:
     base = as_expr(base)
-    if isinstance(exponent, int):
-        exponent = Fraction(exponent)
-    if not isinstance(exponent, Fraction):
+    if type(exponent) is int:
+        p, q = exponent, 1
+    elif isinstance(exponent, Fraction):
+        p, q = exponent.numerator, exponent.denominator
+        if q == 1:
+            exponent = p
+    elif isinstance(exponent, int):
+        exponent = p = int(exponent)  # a bool or another int subclass
+        q = 1
+    else:
         raise ExprError("exponent must be an integer or Fraction")
-    p, q = exponent.numerator, exponent.denominator
     if p == 0:
         return NUM_ONE
     if p == 1 and q == 1:
@@ -370,8 +384,11 @@ def _exact_root(c: GRat, q: int):
     return None
 
 
+HALF = Fraction(1, 2)
+
+
 def sqrt(e) -> Expr:
-    return pow_(e, Fraction(1, 2))
+    return pow_(e, HALF)
 
 
 def exp(e) -> Expr:

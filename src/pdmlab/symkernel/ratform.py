@@ -413,6 +413,12 @@ def p_divexact(a: dict, b: dict):
         if all(m_divides(mb, m) for m in a):
             return {m_div(m, mb): c / cb for m, c in a.items()}
         return None
+    # Division here is in the free ring of the packed monomials (no root
+    # reduction), where deg_z(q*b) = deg_z(q) + deg_z(b) >= deg_z(b) for
+    # every atom z and nonzero q.  An atom of b that a lacks would have
+    # degree 0 in a = q*b, so no quotient exists.
+    if _support(p_atoms(b)) & ~_support(p_atoms(a)):
+        return None
     lb_m, lb_c = p_lead(b)
     q: dict = {}
     r = dict(a)
@@ -1149,7 +1155,7 @@ def _mono_expr(m: int, c: GRat) -> Expr:
     factors = _MFACTORS.get(m)
     if factors is None:
         pairs = sorted((_ATOMS[s] + (e,) for s, e in _unpack(m)), key=lambda t: t[0])
-        factors = _MFACTORS[m] = tuple(pow_(atom, Fraction(e)) for _, atom, e in pairs)
+        factors = _MFACTORS[m] = tuple(pow_(atom, e) for _, atom, e in pairs)
     return mul(Num(c), *factors)
 
 
@@ -1166,7 +1172,7 @@ def rf_to_expr(rf: RF) -> Expr:
     npart = _poly_expr(rf.num)
     if not rf.den:
         return npart
-    inv = [pow_(_poly_expr(f), Fraction(-e)) for f, e in rf.den]
+    inv = [pow_(_poly_expr(f), -e) for f, e in rf.den]
     return mul(npart, *inv)
 
 

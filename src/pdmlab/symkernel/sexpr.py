@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 from .expr import (
+    HALF,
     AbsApp,
     Add,
     App,
@@ -184,9 +185,11 @@ def _parse_atom(tok: str, text: str, k: int) -> Expr:
     raise ParseError(f"bad atom {tok!r} at offset {_offset(text, k)}")
 
 
-def _as_fraction_literal(e: Expr, head: str) -> Fraction:
+def _rational_literal(e: Expr, head: str):
+    """The int of an integral rational literal, else its Fraction."""
     if isinstance(e, Num) and e.val.is_rational():
-        return e.val.re
+        v = e.val
+        return v.a if v.d == 1 else v.re
     raise ParseError(f"{head} expects a rational literal")
 
 
@@ -203,15 +206,15 @@ def _build(head: str, text: str, at: int, args) -> Expr:
     if head == "^":
         if len(args) != 2:
             raise ParseError("^ expects base and exponent")
-        return pow_(args[0], _as_fraction_literal(args[1], "^"))
+        return pow_(args[0], _rational_literal(args[1], "^"))
     if head == "sqrt":
         if len(args) != 1:
             raise ParseError("sqrt expects one argument")
-        return pow_(args[0], Fraction(1, 2))
+        return pow_(args[0], HALF)
     if head == "gauss":
         if len(args) != 2:
             raise ParseError("gauss expects two rational literals")
-        return Num(GRat(_as_fraction_literal(args[0], "gauss"), _as_fraction_literal(args[1], "gauss")))
+        return Num(GRat(_rational_literal(args[0], "gauss"), _rational_literal(args[1], "gauss")))
     if head in ("exp", "ln", "arctan", "sin", "cos"):
         if len(args) != 1:
             raise ParseError(f"{head} expects one argument")

@@ -25,6 +25,11 @@ plain complex arithmetic, with the operations, their order and the domain
 checks of a node-by-node evaluation, so values, scales, witnesses and
 rejections do not depend on the sharing.  The screen, numeric_sample and
 evaluate all use it.
+
+Sample points are exact floats: each coordinate and parameter is k/1024
+for an int k, which a float holds exactly, so a point is drawn without a
+`Fraction`.  The witness text of a NonZero, str() of the coordinates'
+`Fraction`s, is built only for a verdict that is returned.
 """
 
 from __future__ import annotations
@@ -52,13 +57,25 @@ from .expr import (
 from .ratform import normalize, raw_form
 from .sexpr import to_sexpr
 
-# Sampling ranges, as numerators over 1024: coordinate magnitudes in
-# [0.1, 2], avoiding the singular loci r=0, r~=0, x1=0 of the catalog;
-# parameters and abstract-derivative symbols in [0.3, 1.7].  A test gives
-# up after points * MAX_ATTEMPT_FACTOR draws.
+# Sampling ranges, as numerators k over 1024, both ends drawn: coordinate
+# magnitudes k/1024 for k in 102..2048, so in [0.0996, 2], avoiding the
+# singular loci r=0, r~=0, x1=0 of the catalog; parameters and
+# abstract-derivative symbols for k in 307..1740, so in [0.2998, 1.6992].
+# A test gives up after points * MAX_ATTEMPT_FACTOR draws.
 COORD_RANGE = (102, 2048)
 PARAM_RANGE = (307, 1740)
 MAX_ATTEMPT_FACTOR = 20
+
+
+def _coord_numerator(rng: random.Random) -> int:
+    """k of one coordinate k/1024: a magnitude, then a sign."""
+    k = rng.randint(*COORD_RANGE)
+    return k if rng.random() < 0.5 else -k
+
+
+def _param_numerator(rng: random.Random) -> int:
+    """k of one parameter or abstract-derivative symbol k/1024."""
+    return rng.randint(*PARAM_RANGE)
 
 
 class EvalDomainError(ArithmeticError):
@@ -74,9 +91,10 @@ class ZeroTestPolicy(NamedTuple):
     """Sampling policy for the numeric tier: the point count, the relative
     tolerance and the seed.
 
-    Coordinates are rationals from [-2,-0.1] u [0.1,2] (denominator 1024),
-    parameters and abstract-derivative symbols rationals from [0.3, 1.7]:
-    fixed ranges, the module constants COORD_RANGE and PARAM_RANGE.
+    Coordinates are rationals k/1024 with 102 <= |k| <= 2048, so from
+    [-2, -0.0996] u [0.0996, 2]; parameters and abstract-derivative symbols
+    are k/1024 with 307 <= k <= 1740, so from [0.2998, 1.6992]: fixed
+    ranges, the module constants COORD_RANGE and PARAM_RANGE.
     """
 
     points: int = DEFAULT_POINTS
@@ -88,11 +106,10 @@ class ZeroTestPolicy(NamedTuple):
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def sample_coord(self, rng: random.Random) -> Fraction:
-        mag = Fraction(rng.randint(*COORD_RANGE), 1024)
-        return mag if rng.random() < 0.5 else -mag
+        return Fraction(_coord_numerator(rng), 1024)
 
     def sample_param(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(*PARAM_RANGE), 1024)
+        return Fraction(_param_numerator(rng), 1024)
 
 
 DEFAULT_POLICY = ZeroTestPolicy()
@@ -193,9 +210,9 @@ def _compile(e: Expr):
         # exact types, most frequent first: no node class has a subclass
         kind = type(n)
         if kind is Mul:
-            ins = (_MUL, tuple(visit(f) for f in n.factors), None, n)
+            ins = (_MUL, tuple(map(visit, n.factors)), None, n)
         elif kind is Add:
-            ins = (_ADD, tuple(visit(t) for t in n.terms), None, n)
+            ins = (_ADD, tuple(map(visit, n.terms)), None, n)
         elif kind is Num:
             try:
                 ins = (_CONST, None, complex(n.val), n)
@@ -324,10 +341,14 @@ def evaluate(e: Expr, point, params=None, abstract_values=None):
     return v.real if v.imag == 0 else v
 
 
-def _assignment(e_params, e_abstract, policy: ZeroTestPolicy, rng: random.Random):
-    point = tuple(policy.sample_coord(rng) for _ in range(3))
-    params = {name: float(policy.sample_param(rng)) for name in sorted(e_params)}
-    absvals = {sym: float(policy.sample_param(rng)) for sym in sorted(e_abstract)}
+def _assignment(e_params, e_abstract, rng: random.Random):
+    """(point, params, absvals) of floats k/1024, drawn as the policy's
+    sample_coord and sample_param draw them; k/1024 is exactly
+    float(Fraction(k, 1024))."""
+    point = (_coord_numerator(rng) / 1024, _coord_numerator(rng) / 1024,
+             _coord_numerator(rng) / 1024)
+    params = {name: _param_numerator(rng) / 1024 for name in sorted(e_params)}
+    absvals = {sym: _param_numerator(rng) / 1024 for sym in sorted(e_abstract)}
     return point, params, absvals
 
 
@@ -348,10 +369,9 @@ def _samples(e: Expr, policy: ZeroTestPolicy, label: str):
     code, names, symbols = _compile(e)
     rng = policy.rng(label)
     for _ in range(policy.points * MAX_ATTEMPT_FACTOR):
-        assignment = _assignment(names, symbols, policy, rng)
-        point, params, absvals = assignment
+        assignment = _assignment(names, symbols, rng)
         try:
-            v, scale = _run(code, tuple(float(c) for c in point), params, absvals)
+            v, scale = _run(code, *assignment)
         except ArithmeticError:
             yield None
             continue
@@ -363,7 +383,8 @@ def _samples(e: Expr, policy: ZeroTestPolicy, label: str):
 
 def _nonzero(sample) -> NonZero:
     _, v, (point, params, absvals) = sample
-    witness = {"point": tuple(str(c) for c in point)}
+    # a float k/1024 converts to Fraction(k, 1024) exactly
+    witness = {"point": tuple(str(Fraction(c)) for c in point)}
     if params:
         witness["params"] = params
     if absvals:

@@ -34,7 +34,7 @@ from pdmlab.symkernel import (
     x2,
     x3,
 )
-from pdmlab.symkernel.expr import NUM_ZERO, Add, Mul, Num, add, children, mul, walk
+from pdmlab.symkernel.expr import NUM_ZERO, Add, Mul, Num, Pow, add, children, mul, walk
 from pdmlab.symkernel.ratform import rf_to_expr, to_rf
 
 R2 = x1**2 + x2**2 + x3**2
@@ -448,6 +448,23 @@ class TestNodes:
         assert built == [-3]
         assert e.terms[0].factors[0] is e.terms[1].factors[0]
 
+    def test_integral_exponents_build_no_fraction(self, monkeypatch):
+        # parsing, the raw form and the normal form of integral powers, an
+        # exponent written as 4/2 among them, keep their exponents ints
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        e = parse_sexpr("(* (^ x1 2) (^ (+ x2 1) -1) (^ x3 4/2) (gauss 3 -1))")
+        with kernel_scope:
+            rf_to_expr(to_rf(e))
+        normalize(e)
+        assert built == [(4, 2)]  # the number token 4/2 itself, read once
+
     @pytest.mark.parametrize("text", ["(^ 0 -1)", "(* (^ 0 -2) x1)", "(^ 0 -1/2)"])
     def test_zero_to_a_negative_power_is_an_expr_error(self, text):
         # ExprError, never the ZeroDivisionError of GRat.inverse
@@ -461,3 +478,64 @@ class TestNodes:
             x1 / num(0)
         assert num(0) ** Fraction(1, 2) == NUM_ZERO
         assert pow_(num(0), 3) == NUM_ZERO
+
+
+# -- exponent type: an int exactly when integral ---------------------------------
+
+
+_EXP_BASES = (x1, _MU, sin(x2), x1 + 2, sqrt(x1 + 2), _G(x1, x3), num(2), num(9))
+
+
+def _exponents_are_typed(tree):
+    """Every Pow node of tree holds an int exponent exactly when it is
+    integral, and a Fraction otherwise."""
+    for n in walk(tree):
+        if type(n) is Pow:
+            q = n.exponent
+            assert (type(q) is int) is (q.denominator == 1)
+            assert type(q) in (int, Fraction)
+
+
+def _same_node(nodes):
+    """The nodes are equal, hash alike, are one dict key and print alike."""
+    first = nodes[0]
+    keys = {}
+    for n in nodes:
+        keys.setdefault(n, n)
+    assert len(keys) == 1
+    for n in nodes:
+        assert n == first and hash(n) == hash(first)
+        assert keys[n] is first
+        assert to_sexpr(n) == to_sexpr(first)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(_EXP_BASES), st.integers(-6, 6).filter(bool), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from((None, -1, 2, 3)))
+def test_integral_exponents_are_ints_whoever_built_them(base, p, q, scale, outer):
+    # the literal p*scale/(q*scale) is unreduced; outer, when given, is an
+    # integral power of the power, whose product exponent may be integral
+    value = Fraction(p, q)
+    plain = value.numerator if value.denominator == 1 else value
+    literal = f"{p * scale}/{q * scale}"
+    routes = [pow_(base, plain), pow_(base, Fraction(p * scale, q * scale)), base ** value,
+              parse_sexpr(f"(^ {to_sexpr(base)} {literal})")]
+    if outer is not None:
+        routes = [pow_(r, outer) for r in routes[:2]] + [routes[2] ** outer] + [
+            parse_sexpr(f"(^ (^ {to_sexpr(base)} {literal}) {outer})")]
+    for r in routes:
+        _exponents_are_typed(r)
+    top = routes[0]
+    if type(top) is Pow:
+        # a node built around a Fraction exponent, past pow_, is the same node
+        routes.append(Pow(top.base, Fraction(top.exponent)))
+    _same_node(routes)
+    with kernel_scope:
+        try:
+            raws = [rf_to_expr(to_rf(r)) for r in routes]
+        except ExprError:
+            return
+        raws.append(parse_sexpr(to_sexpr(raws[0])))
+        for r in raws:
+            _exponents_are_typed(r)
+        _same_node(raws)

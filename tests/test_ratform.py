@@ -7,6 +7,7 @@ polynomial strategies draw terms, and each test builds its polynomials
 inside one scope."""
 
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 from unittest import mock
@@ -39,7 +40,10 @@ from pdmlab.symkernel.ratform import (
     _coprime_certified,
     _p_gcd_core,
     _p_reduce,
+    _NegKey,
     _shift,
+    M_ONE,
+    P_ZERO,
     RF,
     RF_ONE,
     RF_ZERO,
@@ -55,8 +59,11 @@ from pdmlab.symkernel.ratform import (
     p_const,
     p_gcd,
     p_is_const,
+    p_lead,
     p_mono_content,
     p_diff,
+    p_divexact,
+    p_mul,
     p_mul_raw,
     rf_add,
     rf_canon,
@@ -66,18 +73,18 @@ from pdmlab.symkernel.ratform import (
     to_rf,
 )
 from pdmlab.symkernel.expr import AbstractFn, Add, Expr, Mul, Num, add, arctan, mul, pow_, sin
-from pdmlab.symkernel.scalars import GRat
+from pdmlab.symkernel.scalars import ZERO, GRat
 
 # the square-root atom is an independent variable in the gcd's model
 ATOMS = (x1, x2, param("a"), sqrt(x3 + 1))
 
 
-def _poly(terms) -> dict:
+def _poly(terms, atoms=ATOMS) -> dict:
     """The polynomial of ((re, im), exponents) terms; call it in a scope."""
     out: dict = {}
     for (re, im), exps in terms:
         t = p_const(GRat(re, im))
-        for atom, e in zip(ATOMS, exps):
+        for atom, e in zip(atoms, exps):
             if e:
                 t = p_mul_raw(t, p_atom(atom, e))
         out = p_add(out, t)
@@ -604,6 +611,114 @@ def test_a_sum_that_is_zero_midway():
         assert rf.den == (({1 << _shift(x2): GRat(1)}, 1),)
         zero = to_rf(Add(e.terms[:2]))
         assert zero.is_zero() and zero.den == rf.den
+
+
+# -- exact division against the heap-only reference -----------------------------
+
+
+def _divexact_reference(a: dict, b: dict):
+    """Exact division a / b by the heap alone, with no test of the atoms'
+    support first: the reference for p_divexact."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return P_ZERO
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        if all(m_divides(mb, m) for m in a):
+            return {m_div(m, mb): c / cb for m, c in a.items()}
+        return None
+    lb_m, lb_c = p_lead(b)
+    q: dict = {}
+    r = dict(a)
+    heap = [(_NegKey(m_key(m)), m) for m in r]
+    heapq.heapify(heap)
+    while r:
+        while heap:
+            _, la_m = heap[0]
+            if la_m in r:
+                break
+            heapq.heappop(heap)
+        la_c = r[la_m]
+        if not m_divides(lb_m, la_m):
+            return None
+        qm = m_div(la_m, lb_m)
+        qc = la_c / lb_c
+        q[qm] = q.get(qm, ZERO) + qc
+        for mb2, cb2 in b.items():
+            m = m_mul(qm, mb2)
+            s = r.get(m)
+            if s is None:
+                r[m] = -(qc * cb2)
+                heapq.heappush(heap, (_NegKey(m_key(m)), m))
+            else:
+                s = s - qc * cb2
+                if s.is_zero():
+                    del r[m]
+                else:
+                    r[m] = s
+    return q
+
+
+# x1..x3, a parameter and a cube root, whose exponents stay at most 1 in
+# each drawn polynomial, so that a product of two reduces nothing
+_DIV_ROOT = pow_(x1 + 2, Fraction(1, 3))
+_DIV_ATOMS = (x1, x2, x3, _A, _DIV_ROOT)
+_div_exps = st.tuples(*(st.integers(0, 2) for _ in range(4)), st.integers(0, 1))
+_div_terms = st.lists(st.tuples(_coeff, _div_exps), min_size=1, max_size=4)
+
+
+@st.composite
+def _division_cases(draw):
+    """(a terms, b terms, q terms or None): a / b, or (q*b + a) / b when q
+    is drawn.  b may hold an atom that a lacks, and a may be 0 or a
+    constant."""
+    kind = draw(st.sampled_from(("any", "foreign", "small", "product")))
+    b = draw(_div_terms)
+    a = draw(_div_terms)
+    q = None
+    if kind == "foreign":
+        # every term of a lacks atom z; a term of b holds it
+        z = draw(st.integers(0, len(_DIV_ATOMS) - 1))
+        a = [(c, tuple(0 if k == z else e for k, e in enumerate(exps))) for c, exps in a]
+        exps = list(draw(_div_exps))
+        exps[z] = 1
+        b = b + [(draw(_coeff), tuple(exps))]
+    elif kind == "small":
+        a = draw(st.sampled_from(([], [(draw(_coeff), (0,) * len(_DIV_ATOMS))])))
+    elif kind == "product":
+        q = draw(_div_terms)
+        a = draw(st.sampled_from(([], a[:1])))  # q*b exactly, or plus a term
+    assume(_nonzero(b))
+    return a, b, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_division_cases())
+def test_exact_division_matches_the_heap_reference(case):
+    a_terms, b_terms, q_terms = case
+    with kernel_scope:
+        to_rf(_DIV_ROOT)  # a root atom: p_mul reduces its powers
+        b = _poly(b_terms, _DIV_ATOMS)
+        a = _poly(a_terms, _DIV_ATOMS)
+        if q_terms is not None:
+            q = _poly(q_terms, _DIV_ATOMS)
+            qb = p_mul(q, b)
+            assert p_divexact(qb, b) == q
+            a = p_add(qb, a)
+        got, want = p_divexact(a, b), _divexact_reference(a, b)
+        assert (got is None) is (want is None)
+        if got is not None:
+            assert list(got.items()) == list(want.items())
+
+
+def test_division_by_an_atom_the_dividend_lacks_is_refused():
+    with kernel_scope:
+        a = _poly([((1, 0), (2, 0, 0, 0, 0)), ((3, 0), (0, 1, 0, 0, 0))], _DIV_ATOMS)
+        b = _poly([((1, 0), (1, 0, 0, 0, 0)), ((1, 0), (0, 0, 1, 0, 0))], _DIV_ATOMS)
+        assert p_divexact(a, b) is None and _divexact_reference(a, b) is None
+        assert p_divexact(p_mul(a, b), b) == a
+        assert p_divexact({M_ONE: GRat(5)}, b) is None
 
 
 # -- the kernel scope ----------------------------------------------------------

@@ -149,13 +149,80 @@ class TestDeterminism:
         assert a.witness != b.witness
 
 
+class _EndsRng:
+    """A stub rng: randint gives the low or the high end of its range, and
+    random() the given value, so a draw lands on a range's end."""
+
+    def __init__(self, high: bool, r: float):
+        self.high, self.r = high, r
+
+    def randint(self, lo, hi):
+        return hi if self.high else lo
+
+    def random(self):
+        return self.r
+
+
 class TestPolicy:
     def test_coordinates_avoid_origin_band(self):
+        # magnitudes k/1024 for k in COORD_RANGE, both ends included
+        lo, hi = (Fraction(k, 1024) for k in zerotest.COORD_RANGE)
         pol = ZeroTestPolicy()
         rng = pol.rng("coords")
         for _ in range(200):
             c = pol.sample_coord(rng)
-            assert 0.1 <= abs(c) <= 2
+            assert lo <= abs(c) <= hi
+
+    @pytest.mark.parametrize("high", [False, True])
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_range_ends_are_drawn(self, high, r):
+        pol = ZeroTestPolicy()
+        k = zerotest.COORD_RANGE[high]
+        sign = 1 if r < 0.5 else -1
+        assert pol.sample_coord(_EndsRng(high, r)) == Fraction(sign * k, 1024)
+        m = zerotest.PARAM_RANGE[high]
+        assert pol.sample_param(_EndsRng(high, r)) == Fraction(m, 1024)
+        point, params, absvals = zerotest._assignment({"mu"}, {"F"}, _EndsRng(high, r))
+        assert point == (sign * k / 1024,) * 3
+        assert params == {"mu": m / 1024} and absvals == {"F": m / 1024}
+
+    def test_ranges_as_stated(self):
+        # the drawn ends, as the module text states them: 102/1024 and
+        # 307/1024 lie just under 0.1 and 0.3, and 1740/1024 under 1.7
+        assert [round(k / 1024, 4) for k in zerotest.COORD_RANGE] == [0.0996, 2.0]
+        assert [round(k / 1024, 4) for k in zerotest.PARAM_RANGE] == [0.2998, 1.6992]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.text(max_size=8), st.sets(st.sampled_from(("mu", "nu"))),
+           st.sets(st.sampled_from(("F", "D1F"))))
+    def test_points_are_the_policy_fractions_as_floats(self, seed, label, names, symbols):
+        # three streams of one seed and label: _assignment's floats, the
+        # policy's Fractions, and those Fractions drawn by their own rng calls
+        def coord(rng):
+            mag = Fraction(rng.randint(*zerotest.COORD_RANGE), 1024)
+            return mag if rng.random() < 0.5 else -mag
+
+        def param(rng):
+            return Fraction(rng.randint(*zerotest.PARAM_RANGE), 1024)
+
+        pol = ZeroTestPolicy(seed=seed)
+        rng, twin, ref = pol.rng(label), pol.rng(label), pol.rng(label)
+        for _ in range(3):
+            point, params, absvals = zerotest._assignment(names, symbols, rng)
+            coords = [pol.sample_coord(twin) for _ in range(3)]
+            want_params = {n: pol.sample_param(twin) for n in sorted(names)}
+            want_abs = {s: pol.sample_param(twin) for s in sorted(symbols)}
+            assert coords == [coord(ref) for _ in range(3)]
+            assert list(want_params.values()) + list(want_abs.values()) == [
+                param(ref) for _ in range(len(names) + len(symbols))]
+            assert all(type(c) is float for c in point)
+            assert point == tuple(float(c) for c in coords)
+            assert params == {n: float(v) for n, v in want_params.items()}
+            assert absvals == {s: float(v) for s, v in want_abs.items()}
+        # a NonZero witness prints the policy's Fractions of its point
+        verdict = numeric_sample(x1 + 3, ZeroTestPolicy(points=1, seed=seed), label)
+        twin = pol.rng(label)
+        assert verdict.witness["point"] == tuple(str(pol.sample_coord(twin)) for _ in range(3))
 
     def test_scale_relative_tolerance(self):
         # residual ~1e-12 of terms ~1e3: relatively zero
@@ -260,16 +327,19 @@ def _eval(e, point, params, absvals, scale: _Scale) -> complex:
 
 
 def _oracle_samples(e, policy, label):
-    """The sampling loop of the recursive evaluator."""
+    """The sampling loop of the recursive evaluator, drawing each point
+    through the policy's Fraction samplers."""
     names = {n.name for n in walk(e) if isinstance(n, Param)}
     symbols = {n.symbol for n in walk(e) if isinstance(n, AbsApp)}
     rng = policy.rng(label)
     for _ in range(policy.points * zerotest.MAX_ATTEMPT_FACTOR):
-        assignment = zerotest._assignment(names, symbols, policy, rng)
-        point, params, absvals = assignment
+        point = tuple(float(policy.sample_coord(rng)) for _ in range(3))
+        params = {name: float(policy.sample_param(rng)) for name in sorted(names)}
+        absvals = {sym: float(policy.sample_param(rng)) for sym in sorted(symbols)}
+        assignment = point, params, absvals
         scale = _Scale()
         try:
-            v = _eval(e, tuple(float(c) for c in point), params, absvals, scale)
+            v = _eval(e, point, params, absvals, scale)
         except ArithmeticError:
             yield None
             continue

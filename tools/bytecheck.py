@@ -66,8 +66,10 @@ _WIDE_DEN = "(^ (+ (* a7 a33) (* x2 a40) 1) -1)"
 # across two factors, and a run of them between other factors; sums whose
 # terms share a denominator, one that is zero midway and one whose run is
 # cut by a term over another denominator; zero to a negative power inside
-# a product and to a fractional one; and a product of two numbers around a
-# sum, which fold into one.  Folded
+# a product and to a fractional one; a product of two numbers around a
+# sum, which fold into one; and integral exponents written as fractions, a
+# power of a power whose product exponent is integral, and a gauss literal
+# of integral fractions, under both actions.  Folded
 # powers and powers of sums
 # past that bound are left out: a revision without the bound computes them,
 # in gigabytes, and tests/test_cli.py runs them in a capped child instead.
@@ -130,6 +132,20 @@ EXPR_INPUTS = (
     ("normalize", "(^ 0 -1/2)"),
     ("parse", "(* 5 (+ x1 x2) 7)"),
     ("normalize", "(* 5 (+ x1 x2) 7)"),
+    ("parse", "(^ x1 4/2)"),
+    ("normalize", "(^ x1 4/2)"),
+    ("parse", "(^ x1 -6/3)"),
+    ("normalize", "(^ x1 -6/3)"),
+    ("parse", "(^ (^ x1 1/2) 4)"),
+    ("normalize", "(^ (^ x1 1/2) 4)"),
+    ("parse", "(^ (^ x1 2) 3/2)"),
+    ("normalize", "(^ (^ x1 2) 3/2)"),
+    ("parse", "(* (^ x1 2/1) (^ x1 -2))"),
+    ("normalize", "(* (^ x1 2/1) (^ x1 -2))"),
+    ("parse", "(^ (gauss 9 0) -1/2)"),
+    ("normalize", "(^ (gauss 9 0) -1/2)"),
+    ("parse", "(gauss 4/2 -2/2)"),
+    ("normalize", "(gauss 4/2 -2/2)"),
 )
 
 # Arguments of `pdmlab spectrum` that are bad input: each exits with rc 2
