@@ -248,3 +248,25 @@ def so13_window_report() -> VerificationReport:
     rep.add(annotation("window derivations", WINDOW_ANNOTATION["note"],
                        extra={k: v for k, v in WINDOW_ANNOTATION.items() if k != "note"}))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the `casimir` command
+# ---------------------------------------------------------------------------
+
+
+def _cmd_casimir(args) -> int:
+    from .cli import _document, _policy, _report
+
+    def build():
+        # no Casimir check samples: the header records the default policy
+        doc = _document(_policy(args))
+        doc.add(verify_casimir_identity(args.system))
+        doc.add(verify_casimir_centrality(args.system))
+        if args.system == "so4":
+            doc.add(verify_qg_decoupling())
+        else:
+            doc.add(so13_window_report())
+        return doc
+
+    return _report(args, build)

@@ -17,12 +17,18 @@ output.
 
 `catalog verify --all` shares its rows and worked families with one forked
 worker when the process may run on two or more CPUs
-(catalog.verify_all); the report is the same either way.
+(verify.verify_all); the report is the same either way.
 
-Each command imports only the modules that it runs: `spectrum`, which
-computes in floats, loads no kernel (pdmlab.symkernel); `catalog list` no
-operator module (conformal, diffop); and only `catalog verify`, whose checks
-sample, loads the zero test and hashlib.  json loads with --json alone.
+Each command imports only the modules that it runs.  This module holds the
+parser, main, the handlers of `catalog` and `expr` and the helpers that
+more than one handler uses; the handler of `algebra`, `casimir`, `spectrum`
+and `transform` lives in the module of its own command (algebra, casimir,
+spectral, transform), which is imported when that command runs.  So
+`spectrum`, which computes in floats, loads no kernel (pdmlab.symkernel);
+`catalog list` no operator module (conformal, diffop); only `transform`
+loads pdmlab.transform, and it loads no report; only `algebra` loads
+pdmlab.algebra; and only `catalog verify`, whose checks sample, loads
+pdmlab.verify, the zero test and hashlib.  json loads with --json alone.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import contextlib
 import os
 import re
 import sys
+from importlib import import_module
 
 from . import __version__
 
@@ -89,7 +96,7 @@ def _cmd_catalog_list(args) -> int:
 
 
 def _cmd_catalog_verify(args) -> int:
-    from . import catalog
+    from . import catalog, verify
     from .symkernel import ZeroTestPolicy
 
     if args.worked and args.entry is not None:
@@ -103,56 +110,21 @@ def _cmd_catalog_verify(args) -> int:
         if args.entry is not None:
             doc.add(catalog.verify_entry(args.entry, policy))
         else:
-            for rep in catalog.verify_all(policy, worked=args.worked):
+            for rep in verify.verify_all(policy, worked=args.worked):
                 doc.add(rep)
         return doc
 
     return _report(args, build)
-
-
-def _cmd_algebra(args) -> int:
-    from . import conformal
-
-    def build():
-        # no algebra check samples: the header records the default policy
-        doc = _document(_policy(args))
-        if args.subalgebras:
-            for rep in conformal.verify_subalgebras():
-                doc.add(rep)
-            return doc
-        checks = {
-            "c3": conformal.verify_c3,
-            "so14": conformal.verify_so14,
-            "so4": conformal.verify_so4,
-            "so13": conformal.verify_so13,
-        }
-        doc.add(checks[args.check]())
-        if args.check in ("c3", "so14"):
-            doc.add(conformal.verify_iso_roundtrip())
-            doc.add(conformal.verify_killing_table())
-        return doc
-
-    return _report(args, build)
-
-
-# The options that each --system of `spectrum` and each --kind of
-# `transform` reads, with their defaults.  Their parser defaults are None,
-# so an option given to a system or kind that does not read it is seen.
-SPECTRUM_OPTIONS = {
-    "so4": {"l": 0, "count": 3, "grid": 4000, "rel_tol": 5e-3, "dump": None, "dump_index": 0},
-    "scale": {"kappa": 0, "etilde": 1.0, "omega": 2.0},
-}
-TRANSFORM_OPTIONS = {
-    "shift": {"nu": "0,0,0"},
-    "dilatation": {"scale": "2"},
-    "rotation": {"axis": 3, "cos": "3/5", "sin": "4/5"},
-    "inversion": {"weight": "auto"},
-}
 
 
 def _take_options(args, table: dict, chosen: str, flag: str):
     """Set the defaults of the options that `chosen` reads, and return the
-    error text for the first given option that it does not read, or None."""
+    error text for the first given option that it does not read, or None.
+
+    table maps each --system of `spectrum` (spectral.SPECTRUM_OPTIONS) or
+    each --kind of `transform` (transform.TRANSFORM_OPTIONS) to the options
+    it reads and their defaults.  Their parser defaults are None, so an
+    option given to a system or kind that does not read it is seen."""
     for choice, options in table.items():
         for name, default in options.items():
             if choice == chosen:
@@ -164,159 +136,14 @@ def _take_options(args, table: dict, chosen: str, flag: str):
     return None
 
 
-def _cmd_spectrum(args) -> int:
-    # spectral alone: the table needs none of the operator modules
-    from . import spectral
+def _handler(module: str, name: str):
+    """The handler `name` of pdmlab.<module>, a module that only its own
+    command runs; the module is imported when the command runs."""
 
-    unread = _take_options(args, SPECTRUM_OPTIONS, args.system, "--system")
-    if unread:
-        print(f"spectrum error: {unread}", file=sys.stderr)
-        return 2
-    # every input is checked, and the dump written, before the first line of
-    # output: a rejected input prints its one error line and nothing else
-    try:
-        if args.system == "scale":
-            sol = spectral.ClosedFormSolution(
-                system="scale", kappa=args.kappa, etilde=args.etilde, omega=args.omega
-            )
-            # Bessel residual line at the 25 points of numpy.linspace(0.2,
-            # 4.0, 25), bit for bit, without loading numpy
-            step = 3.8 / 24
-            pts = [i * step + 0.2 for i in range(24)] + [4.0]
-            res = spectral.closed_form_residual(sol, pts)
-        else:
-            if args.count < 1:
-                raise ValueError(f"--count must be at least 1, not {args.count}")
-            if args.dump and args.dump_index < 0:
-                raise ValueError(f"--dump-index must be at least 0, not {args.dump_index}")
-            prob = spectral.RadialProblem(system="so4", l=args.l, grid_points=args.grid)
-            if args.dump:
-                # one solve serves the table and the dump
-                eig = spectral.fd_eigensystem(prob, max(args.count, args.dump_index + 1))
-                spectral.dump_eigenfunction(prob, eig, args.dump_index, args.dump)
-                vals = list(eig[0][:args.count])
-            else:
-                vals = spectral.fd_eigenvalues(prob, args.count)
-    except spectral.EigensolveError as err:
-        # no table whose level indices the Sturm count did not certify
-        print(f"spectrum error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        # a grid below 16 points, a negative l, more levels than grid
-        # points, levels x grid past the solver's memory bound, a negative
-        # index squared or omega, a non-finite Etilde or omega, a dump path
-        # not writable
-        print(f"spectrum error: {err}", file=sys.stderr)
-        return 2
-    except ArithmeticError:
-        # kappa, Etilde or omega so large that a float overflows
-        print("spectrum error: these kappa, Etilde and omega overflow a float", file=sys.stderr)
-        return 2
-    if args.system == "scale":
-        beta = (args.kappa**2 + 1 - args.etilde) ** 0.5
-        print("system,kappa,Etilde,omega,index_beta,max_residual,points")
-        print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
-        return 0 if res < 1e-8 else 1
-    # level n = l + 1 + i has the radial eigenvalue Etilde - 4 = 4n^2 + 1
-    levels = [spectral.algebraic_spectrum_so4(args.l + 1 + i) for i in range(len(vals))]
-    print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
-    rels = []
-    for i, (v, lv) in enumerate(zip(vals, levels)):
-        exact = lv.etilde - 4
-        rels.append(abs(v - exact) / exact)
-        print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rels[-1]:.3e}")
-    print()
-    print("n,Etilde,E_mu_coeff,E_const")
-    for lv in levels:
-        print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
-    return 0 if all(rel < args.rel_tol for rel in rels) else 1
+    def run(args) -> int:
+        return getattr(import_module(f"{__package__}.{module}"), name)(args)
 
-
-def _cmd_casimir(args) -> int:
-    from . import casimir
-
-    def build():
-        # no Casimir check samples: the header records the default policy
-        doc = _document(_policy(args))
-        doc.add(casimir.verify_casimir_identity(args.system))
-        doc.add(casimir.verify_casimir_centrality(args.system))
-        if args.system == "so4":
-            doc.add(casimir.verify_qg_decoupling())
-        else:
-            doc.add(casimir.so13_window_report())
-        return doc
-
-    return _report(args, build)
-
-
-def _rational(option: str, text: str):
-    """Fraction(text) of an exact rational [+-]digits[/digits] (ASCII digits;
-    no decimal point or exponent, whose value Fraction would compute
-    exactly at any size), failing with ValueError otherwise."""
-    from fractions import Fraction
-
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{option} has a zero denominator: {text!r}") from None
-
-
-def _cmd_transform(args) -> int:
-    from . import catalog
-    from .conformal import FormError, TransformSpec, apply_transform, axis_rotation, find_inversion_weight
-    from .diffop import PDMHamiltonian
-    from .symkernel import normalize, to_sexpr
-
-    unread = _take_options(args, TRANSFORM_OPTIONS, args.kind, "--kind")
-    if unread:
-        print(f"transform error: {unread}", file=sys.stderr)
-        return 2
-    row = catalog.entry(args.entry)
-    h = PDMHamiltonian(row.f, row.V)
-    try:
-        if args.kind == "shift":
-            nu = tuple(_rational("--nu", s) for s in args.nu.split(","))
-            if len(nu) != 3:
-                raise ValueError("--nu needs three comma-separated rationals")
-            out = apply_transform(TransformSpec(kind="shift", nu=nu), h)
-            w = None
-        elif args.kind == "dilatation":
-            out = apply_transform(
-                TransformSpec(kind="dilatation", scale=_rational("--scale", args.scale)), h
-            )
-            w = None
-        elif args.kind == "rotation":
-            R = axis_rotation(args.axis, _rational("--cos", args.cos), _rational("--sin", args.sin))
-            out = apply_transform(TransformSpec(kind="rotation", rotation=R), h)
-            w = None
-        else:  # inversion
-            if args.weight == "auto":
-                w, out = find_inversion_weight(h)
-            else:
-                w = int(args.weight)
-                out = apply_transform(
-                    TransformSpec(kind="inversion_conjugation", weight_exponent=w), h
-                )
-    except FormError as e:
-        print(f"form error: {e}")
-        if e.obstruction is not None:
-            ob = e.obstruction
-            if isinstance(ob, tuple):
-                for k, comp in enumerate(ob):
-                    print(f"obstruction[{k}] = {to_sexpr(normalize(comp))}")
-            else:
-                print(f"obstruction = {to_sexpr(normalize(ob))}")
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if w is not None:
-        print(f"weight_exponent = {w}")
-    print(f"f' = {to_sexpr(normalize(out.f))}")
-    print(f"V' = {to_sexpr(normalize(out.V))}")
-    return 0
+    return run
 
 
 def _cmd_expr(args) -> int:
@@ -402,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     g = p_alg.add_mutually_exclusive_group(required=True)
     g.add_argument("--check", choices=["c3", "so14", "so4", "so13"])
     g.add_argument("--subalgebras", action="store_true")
-    p_alg.set_defaults(func=_cmd_algebra)
+    p_alg.set_defaults(func=_handler("algebra", "_cmd_algebra"))
 
     p_spec = sub.add_parser("spectrum", parents=[seeded],
                             help="radial eigenvalue tables and Bessel residuals")
     p_spec.add_argument("--system", choices=["so4", "scale"], required=True)
     # so4 reads --l ... --dump-index, scale reads --kappa, --etilde, --omega;
-    # the defaults are in SPECTRUM_OPTIONS
+    # the defaults are in spectral.SPECTRUM_OPTIONS
     p_spec.add_argument("--l", type=int)
     p_spec.add_argument("--count", type=int)
     p_spec.add_argument("--grid", type=int)
@@ -420,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--kappa", type=int)
     p_spec.add_argument("--etilde", type=float)
     p_spec.add_argument("--omega", type=float)
-    p_spec.set_defaults(func=_cmd_spectrum)
+    p_spec.set_defaults(func=_handler("spectral", "_cmd_spectrum"))
 
     p_cas = sub.add_parser("casimir", parents=[reported],
                            help="Casimir identity reports")
     p_cas.add_argument("--system", choices=["so4", "so13"], required=True)
-    p_cas.set_defaults(func=_cmd_casimir)
+    p_cas.set_defaults(func=_handler("casimir", "_cmd_casimir"))
 
     p_tr = sub.add_parser("transform", parents=[seeded],
                           help="equivalence transformations of catalog rows")
@@ -433,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True)
     p_tr.add_argument("--entry", type=int, choices=range(1, 19), metavar="N",
                       required=True)
-    # each kind reads its own options; the defaults are in TRANSFORM_OPTIONS
+    # each kind reads its own options; the defaults are in
+    # transform.TRANSFORM_OPTIONS
     p_tr.add_argument("--nu", help="shift vector a,b,c (rationals)")
     p_tr.add_argument("--scale", help="dilatation factor (rational)")
     p_tr.add_argument("--axis", type=int, help="rotation axis")
@@ -441,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--sin", help="rotation sine (rational)")
     p_tr.add_argument("--weight",
                       help="inversion multiplier exponent, or 'auto' to search")
-    p_tr.set_defaults(func=_cmd_transform)
+    p_tr.set_defaults(func=_handler("transform", "_cmd_transform"))
 
     p_expr = sub.add_parser("expr", parents=[seeded],
                             help="parse or normalize a text-grammar expression")

@@ -1,13 +1,20 @@
 """The ten conformal generators, the rank-2 tensor basis M(mu,nu), structure
-verification, subalgebra closure, and the equivalence transformations.
+verification, subalgebra closure, and the renormalization of a transformed
+Hamiltonian into p f p - V form.
 
 A generator is defined by its coordinate column in the Killing span: a unit
 column for P/J/D/K, and the so(1,4) change of basis for M(mu,nu).  Every
-operator is realized from a column by killing_to_op; the commonly tabulated
-per-row (xi, eta) columns are shipped as data and compared against that
-realization, with per-row deltas reported instead of silently adopted.
-Closure and structure checks are exact linear algebra on coordinate columns,
-with brackets from a structure tensor proved once on the realization.
+operator is realized from a column by killing_to_op.  Closure and structure
+checks are exact linear algebra on coordinate columns, with brackets from a
+structure tensor proved once on the realization.
+
+The reports of the `algebra` command, among them the comparison of the
+commonly tabulated per-row (xi, eta) columns with this realization, are
+built in pdmlab.algebra, which only that command loads.  The
+transformations live in pdmlab.transform, which apply_transform and
+find_inversion_weight import when they run.  report is imported by the two
+report builders here, verify_structure and subalgebra_closure, so
+`transform` loads none of it.
 """
 
 from __future__ import annotations
@@ -17,21 +24,18 @@ import itertools
 import re
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import read_only
 from .diffop import (
     AXES,
     FirstOrderOp,
     _commutator,
     _first_form,
     PDMHamiltonian,
-    SecondOrderOp,
     eps,
     hamiltonian_to_op,
     killing_to_op,
 )
-from .report import Check, VerificationReport, annotation
 from .symkernel import (
     Expr,
     as_expr,
@@ -69,6 +73,10 @@ from .symkernel.ratform import (
     to_rf,
 )
 from .symkernel.scalars import I, MINUS_I, MINUS_ONE, ZERO, GRat
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
+    from .transform import TransformSpec
 
 X = (x1, x2, x3)
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
@@ -426,59 +434,6 @@ def pair_brackets(columns):
 # ---------------------------------------------------------------------------
 
 
-def expected_c3(a: str, b: str):
-    """Expected bracket [a, b] in the P/J/D/K basis as [(coeffit, gid), ...]."""
-    I = num(0, 1)
-
-    def kind(g):
-        return g[0] if g[0] in "PJK" else "D"
-
-    def idx(g):
-        return int(g[1]) if len(g) > 1 else 0
-
-    ka, kb = kind(a), kind(b)
-    # antisymmetric bracket: compute for a canonical order, flip otherwise
-    order = {"P": 0, "J": 1, "D": 2, "K": 3}
-    if order[ka] > order[kb]:
-        return [(mul(-1, c), g) for c, g in expected_c3(b, a)]
-    i, j = idx(a), idx(b)
-    if ka == "P" and kb == "P":
-        return []
-    if ka == "P" and kb == "J":
-        # [P^a, J^b] = i eps_abc P^c
-        return [(mul(Num(eps(i, j, c)), I), f"P{c}") for c in (1, 2, 3) if eps(i, j, c)]
-    if ka == "P" and kb == "D":
-        # [D, P^a] = i P^a  =>  [P^a, D] = -i P^a
-        return [(mul(-1, I), a)]
-    if ka == "P" and kb == "K":
-        # realization-consistent bracket: [K^a, P^b] = -2i(delta_ab D + eps_abc J^c),
-        # so [P^b, K^a] = 2i(delta_ab D + eps_abc J^c); the commonly printed
-        # table carries the opposite sign on the dilatation term (annotated in
-        # verify_c3)
-        out = []
-        if i == j:
-            out.append((mul(2, I), "D"))
-        for c in (1, 2, 3):
-            s = eps(j, i, c)
-            if s:
-                out.append((mul(Num(2 * s), I), f"J{c}"))
-        return out
-    if ka == "J" and kb == "J":
-        return [(mul(Num(eps(i, j, c)), I), f"J{c}") for c in (1, 2, 3) if eps(i, j, c)]
-    if ka == "J" and kb == "D":
-        return []
-    if ka == "J" and kb == "K":
-        # [K^a, J^b] = i eps_abc K^c, so [J^i, K^j] = -i eps_jic K^c = i eps_ijc K^c
-        return [(mul(Num(-eps(j, i, c)), I), f"K{c}") for c in (1, 2, 3) if eps(j, i, c)]
-    if ka == "D" and kb == "K":
-        # [D, K^a] = -i K^a
-        return [(mul(-1, I), b)]
-    if ka == "K" and kb == "K":
-        return []
-    raise ValueError(f"no rule for [{a},{b}]")
-
-
-SO14_METRIC = {0: 1, 1: -1, 2: -1, 3: -1, 4: -1}
 SO4_METRIC = {1: 1, 2: 1, 3: 1, 4: 1}
 SO13_METRIC = {0: -1, 1: 1, 2: 1, 3: 1}
 
@@ -501,17 +456,6 @@ def expected_metric_bracket(pair1, pair2, metric, pattern):
     return out
 
 
-def bracket_outer(mu, nu, lam, sig):
-    """Pattern i(g^{mu sig}M^{nu lam} + g^{nu lam}M^{mu sig}
-    - g^{mu lam}M^{nu sig} - g^{nu sig}M^{mu lam})."""
-    return (
-        ((mu, sig), (nu, lam), 1),
-        ((nu, lam), (mu, sig), 1),
-        ((mu, lam), (nu, sig), -1),
-        ((nu, sig), (mu, lam), -1),
-    )
-
-
 def bracket_inner(mu, nu, lam, sig):
     """Pattern i(g^{mu lam}M^{nu sig} + g^{nu sig}M^{mu lam}
     - g^{mu sig}M^{nu lam} - g^{nu lam}M^{mu sig})."""
@@ -527,10 +471,6 @@ def metric_table(metric, pattern):
     """Expected-bracket table (gid_a, gid_b) -> [(coeff, gid)] of M(mu,nu)
     ids under a diagonal metric and a bracket pattern."""
     return lambda a, b: expected_metric_bracket(_pair_of(a), _pair_of(b), metric, pattern)
-
-
-def so14_basis():
-    return ["M01", "M02", "M03", "M04", "M12", "M13", "M14", "M23", "M24", "M34"]
 
 
 def so4_basis():
@@ -554,6 +494,8 @@ def verify_structure(basis, table, report_id: str, title: str = "") -> Verificat
     realization; a pair is proved when bracket minus expected column is
     provably zero entry by entry, and otherwise decomposed over the basis.
     """
+    from .report import Check, VerificationReport
+
     rep = VerificationReport(report_id, title)
     with kernel_scope:
         for i, j, got, sol in pair_brackets([_rf_combo_column(gid) for gid in basis])[1]:
@@ -573,109 +515,6 @@ def _combo_text(combo) -> str:
     """The nonzero terms of [(RF coeff, name), ...], or "0"."""
     terms = [f"({to_sexpr(rf_to_expr(rf_canon(c)))})*{g}" for c, g in combo if not c.is_zero()]
     return " + ".join(terms) or "0"
-
-
-def verify_c3() -> VerificationReport:
-    rep = verify_structure(list(PJDK), expected_c3, "algebra.c3",
-                           "conformal algebra brackets, P/J/D/K basis")
-    rep.add(annotation(
-        "bracket table convention",
-        "the [K,P] entry of the expected table uses the dilatation-term sign "
-        "forced by the explicit realization, [K^a,P^b] = -2i(delta_ab D + "
-        "eps_abc J^c); the commonly printed form carries +delta_ab D, which "
-        "is inconsistent with the realization and with the metric table"))
-    return rep
-
-
-def verify_so14() -> VerificationReport:
-    return verify_structure(so14_basis(), metric_table(SO14_METRIC, bracket_outer), "algebra.so14",
-                            "rank-2 tensor basis with metric diag(1,-1,-1,-1,-1)")
-
-
-def verify_so4() -> VerificationReport:
-    return verify_structure(so4_basis(), metric_table(SO4_METRIC, bracket_inner), "algebra.so4",
-                            "six integrals of the compact realization vs Kronecker table")
-
-
-def verify_so13() -> VerificationReport:
-    rep = verify_structure(so13_basis(), metric_table(SO13_METRIC, bracket_inner), "algebra.so13",
-                           "six integrals of the Lorentz realization vs metric table")
-    rep.add(annotation(
-        "metric table reading",
-        "the tabulated bracket formula prints a Kronecker delta in its last "
-        "slot; it is read as the metric g^{nu lambda} (the delta reading "
-        "fails for brackets with nu = lambda = 0)"))
-    return rep
-
-
-def verify_iso_roundtrip() -> VerificationReport:
-    """Re-solve the tensor basis for P, J, D, K and compare the columns."""
-    rep = VerificationReport("algebra.iso", "tensor basis round trip")
-    inverses = [(f"{k}{a} = M0{a}{sign}M4{a}", f"{k}{a}", f"M0{a}{sign}M4{a}")
-                for a in AXES for k, sign in (("P", "-"), ("K", "+"))]
-    inverses += [(f"J{c} = (1/2) eps_abc M_ab", f"J{c}", f"1/2*M{a}{b}-1/2*M{b}{a}")
-                 for a, b, c in ((2, 3, 1), (3, 1, 2), (1, 2, 3))]
-    inverses.append(("D = M04", "D", "M04"))
-    with kernel_scope:
-        for name, gid, combo in inverses:
-            ok = _same_column(_rf_combo_column(combo), _rf_combo_column(gid))
-            rep.add(Check(name, "proved" if ok else "failed", "symbolic"))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# tabulated per-row (xi, eta) columns vs the factory
-# ---------------------------------------------------------------------------
-
-
-def _s(a):
-    return 2 * X[a - 1] ** 2 - (x1**2 + x2**2 + x3**2)
-
-
-KILLING_TABLE_ROWS = [
-    # (row, label, gid, xi columns as printed, eta as printed)
-    (1, "i*M43", "M43", (x1 * x3, x2 * x3, (_s(3) + 1) / 2), 3 * x3 / 2),
-    (2, "i*M42", "M42", (x1 * x2, (_s(2) + 1) / 2, x2 * x3), 3 * x2 / 2),
-    (3, "i*M41", "M41", ((_s(1) + 1) / 2, x1 * x2, x1 * x3), 3 * x1 / 2),
-    (4, "i*M40", "M40", (x1, x2, x3), NUM_ZERO),
-    (5, "i*M32", "M32", (NUM_ZERO, x3, -x2), NUM_ZERO),
-    (6, "i*M31", "M31", (x3, NUM_ZERO, -x1), NUM_ZERO),
-    (7, "i*M21", "M21", (x2, -x1, NUM_ZERO), NUM_ZERO),
-    (8, "i*M03", "M03", (x1 * x3, x2 * x3, (_s(3) - 1) / 2), 3 * x3 / 2),
-    (9, "i*M02", "M02", (x1 * x2, (_s(2) - 1) / 2, x2 * x3), 3 * x2 / 2),
-    (10, "i*M01", "M01", ((_s(1) - 1) / 2, x1 * x2, x1 * x3), 3 * x1 / 2),
-]
-
-
-def verify_killing_table() -> VerificationReport:
-    """Compare the shipped tabulated (xi, eta) rows with the factory
-    operators; per-row deltas are annotations, not failures."""
-    rep = VerificationReport("algebra.killing-table",
-                             "tabulated vector-field rows vs generator factory")
-    for row, label, gid, xi, eta in KILLING_TABLE_ROWS:
-        fact = generator(gid)
-        tab = FirstOrderOp(xi, eta)
-        if (tab - fact).is_zero():
-            rep.add(Check(f"row {row} ({label})", "proved", "symbolic", "matches factory"))
-            continue
-        if (tab + fact).is_zero():
-            rep.add(annotation(
-                f"row {row} ({label})",
-                "tabulated row equals the negative of the factory operator; "
-                "harmless for commutation checks, surfaced for transparency"))
-            continue
-        xi_flip = all(is_provably_zero(a + b) for a, b in zip(tab.xi, fact.xi))
-        if xi_flip:
-            delta = normalize(tab.eta + fact.eta)
-            rep.add(annotation(
-                f"row {row} ({label})",
-                f"xi columns are sign-flipped and eta differs: tabulated eta "
-                f"{to_sexpr(normalize(tab.eta))} vs -(factory eta) "
-                f"{to_sexpr(normalize(mul(-1, fact.eta)))}; delta {to_sexpr(delta)}"))
-        else:
-            rep.add(Check(f"row {row} ({label})", "failed", "symbolic",
-                          "tabulated xi columns disagree beyond an overall sign"))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +558,8 @@ def load_subalgebras():
 def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
     """Verify [b_i, b_j] lies in span(basis) with symbolic parameters; the
     structure functions may depend on the declared parameters."""
+    from .report import Check, VerificationReport, annotation
+
     rep = VerificationReport(f"subalgebra.{spec.id}",
                              f"<{', '.join(spec.basis)}>")
     irregular = "verbatim irregular" in spec.note
@@ -747,147 +588,17 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
     return rep
 
 
-def verify_subalgebras() -> list:
-    return [subalgebra_closure(s) for s in load_subalgebras()]
-
-
 # ---------------------------------------------------------------------------
-# equivalence transformations
+# transformed Hamiltonians (the transformations are in pdmlab.transform)
 # ---------------------------------------------------------------------------
-
-
-class TransformSpec:
-    """shift(nu), rotation(R), dilatation(scale), or inversion_conjugation
-    (weight_exponent w, multiplier |x|^w with the substitution x -> x/r^2)."""
-
-    __slots__ = ("kind", "nu", "rotation", "scale", "weight_exponent")
-    __setattr__ = __delattr__ = read_only
-
-    def __init__(self, kind: str, nu: tuple = (0, 0, 0), rotation: tuple = (), scale=1,
-                 weight_exponent: int = 0):
-        if kind not in ("shift", "rotation", "dilatation", "inversion_conjugation"):
-            raise ValueError(f"unknown transform kind {kind!r}")
-        if kind == "dilatation" and scale == 0:
-            raise ValueError("dilatation scale must be nonzero")
-        if kind == "rotation":
-            rotation = tuple(tuple(as_expr(v) for v in row) for row in rotation)
-            if len(rotation) != 3 or any(len(r) != 3 for r in rotation):
-                raise ValueError("rotation needs a 3x3 matrix")
-            for i in range(3):
-                for j in range(3):
-                    dot = add(*(mul(rotation[k][i], rotation[k][j]) for k in range(3)))
-                    want = 1 if i == j else 0
-                    if not is_provably_zero(dot - want):
-                        raise ValueError("rotation matrix is not exactly orthogonal")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "weight_exponent", weight_exponent)
-
-
-def axis_rotation(axis: int, cos_t, sin_t):
-    """Exact rotation matrix about a coordinate axis; requires
-    cos_t^2 + sin_t^2 == 1 exactly (e.g. 3/5, 4/5)."""
-    c, s = as_expr(cos_t), as_expr(sin_t)
-    if not is_provably_zero(c * c + s * s - 1):
-        raise ValueError("cos^2 + sin^2 must equal 1 exactly")
-    if axis == 3:
-        return ((c, mul(-1, s), NUM_ZERO), (s, c, NUM_ZERO), (NUM_ZERO, NUM_ZERO, as_expr(1)))
-    if axis == 1:
-        return ((as_expr(1), NUM_ZERO, NUM_ZERO), (NUM_ZERO, c, mul(-1, s)), (NUM_ZERO, s, c))
-    if axis == 2:
-        return ((c, NUM_ZERO, s), (NUM_ZERO, as_expr(1), NUM_ZERO), (mul(-1, s), NUM_ZERO, c))
-    raise ValueError("axis must be 1, 2 or 3")
-
-
-def _transform_data(t: TransformSpec):
-    """Returns (sigma, sigma_inv, m_grad_ratio, m_hess_ratio) where sigma is
-    the substitution map applied inside wavefunctions and m the multiplier."""
-    zero3 = (NUM_ZERO, NUM_ZERO, NUM_ZERO)
-    zero33 = tuple((NUM_ZERO,) * 3 for _ in range(3))
-    if t.kind == "shift":
-        nu = tuple(as_expr(v) for v in t.nu)
-        sigma = tuple(X[a] - nu[a] for a in range(3))
-        sigma_inv = tuple(X[a] + nu[a] for a in range(3))
-        return sigma, sigma_inv, zero3, zero33
-    if t.kind == "rotation":
-        R = t.rotation
-        sigma = tuple(add(*(mul(R[b][a], X[b]) for b in range(3))) for a in range(3))  # R^T x
-        sigma_inv = tuple(add(*(mul(R[a][b], X[b]) for b in range(3))) for a in range(3))  # R y
-        return sigma, sigma_inv, zero3, zero33
-    if t.kind == "dilatation":
-        s = as_expr(t.scale)
-        sigma = tuple(mul(s, X[a]) for a in range(3))
-        sigma_inv = tuple(X[a] / s for a in range(3))
-        return sigma, sigma_inv, zero3, zero33
-    # inversion: sigma = sigma_inv = x / r^2, multiplier m = r^w
-    r2 = x1**2 + x2**2 + x3**2
-    sigma = tuple(X[a] / r2 for a in range(3))
-    w = t.weight_exponent
-    m_grad = tuple(mul(w, X[a]) / r2 for a in range(3))
-    m_hess = tuple(
-        tuple(
-            (mul(w, as_expr(1 if a == b else 0)) / r2)
-            + mul(w * (w - 2), X[a] * X[b]) / r2**2
-            for b in range(3)
-        )
-        for a in range(3)
-    )
-    return sigma, sigma, m_grad, m_hess
-
-
-def conjugate_second_order(H: SecondOrderOp, t: TransformSpec) -> SecondOrderOp:
-    sigma, sigma_inv, m_grad, m_hess = _transform_data(t)
-    sub = {X[a]: sigma_inv[a] for a in range(3)}
-    dsig = [[diff(sigma[i], a + 1) for a in range(3)] for i in range(3)]
-    d2sig = [
-        [[diff(dsig[i][a], b + 1) for b in range(3)] for a in range(3)] for i in range(3)
-    ]
-    A2 = [[NUM_ZERO] * 3 for _ in range(3)]
-    B2 = [NUM_ZERO] * 3
-    C2 = NUM_ZERO
-    for a in range(3):
-        for b in range(3):
-            Aab = H.A[a][b]
-            if Aab == NUM_ZERO:
-                continue
-            for i in range(3):
-                for j in range(3):
-                    A2[i][j] = A2[i][j] + Aab * dsig[i][a] * dsig[j][b]
-                B2[i] = B2[i] + Aab * (
-                    m_grad[a] * dsig[i][b] + m_grad[b] * dsig[i][a] + d2sig[i][a][b]
-                )
-            C2 = C2 + Aab * m_hess[a][b]
-        Ba = H.B[a]
-        if Ba != NUM_ZERO:
-            for i in range(3):
-                B2[i] = B2[i] + Ba * dsig[i][a]
-            C2 = C2 + Ba * m_grad[a]
-    C2 = C2 + H.C
-    A2 = tuple(tuple(normalize(subst(v, sub)) for v in row) for row in A2)
-    B2 = tuple(normalize(subst(v, sub)) for v in B2)
-    C2 = normalize(subst(C2, sub))
-    return SecondOrderOp(A2, B2, C2)
-
-
-def conjugate_first_order(q: FirstOrderOp, t: TransformSpec) -> FirstOrderOp:
-    sigma, sigma_inv, m_grad, _ = _transform_data(t)
-    sub = {X[a]: sigma_inv[a] for a in range(3)}
-    xi2 = []
-    for i in range(3):
-        acc = add(*(mul(q.xi[a], diff(sigma[i], a + 1)) for a in range(3)))
-        xi2.append(normalize(subst(acc, sub)))
-    eta2 = normalize(
-        subst(add(*(mul(q.xi[a], m_grad[a]) for a in range(3))) + q.eta, sub)
-    )
-    return FirstOrderOp(tuple(xi2), eta2)
 
 
 def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
     """Transformed (f', V') with the Hamiltonian renormalized into
     p f' p - V' form; raises FormError when a first-order obstruction
     remains."""
+    from .transform import conjugate_second_order
+
     if t.kind == "inversion_conjugation":
         if not (is_rational_in_x(normalize(h.f)) and is_rational_in_x(normalize(h.V))):
             raise FormError("inversion conjugation requires f and V rational in x")
@@ -913,6 +624,8 @@ def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
 def find_inversion_weight(h: PDMHamiltonian, lo: int = -3, hi: int = 3):
     """Search the multiplier exponent w in [lo, hi] for which the inversion
     conjugation lands back in p f p - V form."""
+    from .transform import TransformSpec
+
     last_error = None
     for w in range(lo, hi + 1):
         try:

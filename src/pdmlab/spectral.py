@@ -792,3 +792,82 @@ def so13_lowest_eigenvalue_scan(deltas, l: int = 0, grid: int = 1500, r_min: flo
                              grid_points=grid)
         out.append(fd_eigenvalues(prob, 1)[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the `spectrum` command
+# ---------------------------------------------------------------------------
+
+# The options that each --system reads, with their defaults
+# (cli._take_options).
+SPECTRUM_OPTIONS = {
+    "so4": {"l": 0, "count": 3, "grid": 4000, "rel_tol": 5e-3, "dump": None, "dump_index": 0},
+    "scale": {"kappa": 0, "etilde": 1.0, "omega": 2.0},
+}
+
+
+def _cmd_spectrum(args) -> int:
+    from .cli import _take_options
+
+    unread = _take_options(args, SPECTRUM_OPTIONS, args.system, "--system")
+    if unread:
+        print(f"spectrum error: {unread}", file=sys.stderr)
+        return 2
+    # every input is checked, and the dump written, before the first line of
+    # output: a rejected input prints its one error line and nothing else
+    try:
+        if args.system == "scale":
+            sol = ClosedFormSolution(
+                system="scale", kappa=args.kappa, etilde=args.etilde, omega=args.omega
+            )
+            # Bessel residual line at the 25 points of numpy.linspace(0.2,
+            # 4.0, 25), bit for bit, without loading numpy
+            step = 3.8 / 24
+            pts = [i * step + 0.2 for i in range(24)] + [4.0]
+            res = closed_form_residual(sol, pts)
+        else:
+            if args.count < 1:
+                raise ValueError(f"--count must be at least 1, not {args.count}")
+            if args.dump and args.dump_index < 0:
+                raise ValueError(f"--dump-index must be at least 0, not {args.dump_index}")
+            prob = RadialProblem(system="so4", l=args.l, grid_points=args.grid)
+            if args.dump:
+                # one solve serves the table and the dump
+                eig = fd_eigensystem(prob, max(args.count, args.dump_index + 1))
+                dump_eigenfunction(prob, eig, args.dump_index, args.dump)
+                vals = list(eig[0][:args.count])
+            else:
+                vals = fd_eigenvalues(prob, args.count)
+    except EigensolveError as err:
+        # no table whose level indices the Sturm count did not certify
+        print(f"spectrum error: {err}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as err:
+        # a grid below 16 points, a negative l, more levels than grid
+        # points, levels x grid past the solver's memory bound, a negative
+        # index squared or omega, a non-finite Etilde or omega, a dump path
+        # not writable
+        print(f"spectrum error: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError:
+        # kappa, Etilde or omega so large that a float overflows
+        print("spectrum error: these kappa, Etilde and omega overflow a float", file=sys.stderr)
+        return 2
+    if args.system == "scale":
+        beta = (args.kappa**2 + 1 - args.etilde) ** 0.5
+        print("system,kappa,Etilde,omega,index_beta,max_residual,points")
+        print(f"scale,{args.kappa},{args.etilde},{args.omega},{beta:.10g},{res:.3e},{len(pts)}")
+        return 0 if res < 1e-8 else 1
+    # level n = l + 1 + i has the radial eigenvalue Etilde - 4 = 4n^2 + 1
+    levels = [algebraic_spectrum_so4(args.l + 1 + i) for i in range(len(vals))]
+    print("system,l_or_kappa,index,lambda_fd,lambda_exact,rel_err")
+    rels = []
+    for i, (v, lv) in enumerate(zip(vals, levels)):
+        exact = lv.etilde - 4
+        rels.append(abs(v - exact) / exact)
+        print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rels[-1]:.3e}")
+    print()
+    print("n,Etilde,E_mu_coeff,E_const")
+    for lv in levels:
+        print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
+    return 0 if all(rel < args.rel_tol for rel in rels) else 1

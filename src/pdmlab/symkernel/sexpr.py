@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 
 from .expr import (
     HALF,
@@ -29,7 +28,7 @@ from .expr import (
     mul,
     pow_,
 )
-from .scalars import GRat, ratio_text
+from .scalars import GRat, _reduced, ratio_text
 
 
 class ParseError(ValueError):
@@ -166,13 +165,16 @@ def _parse_atom(tok: str, text: str, k: int) -> Expr:
     if _RATIONAL.match(tok):
         num, _, den = tok.partition("/")
         try:
-            return Num(Fraction(int(num), int(den)) if den else int(num))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {tok!r} at offset {_offset(text, k)}") from None
+            if not den:
+                return Num(int(num))
+            n, d = int(num), int(den)
         except ValueError:
             # int() reads at most sys.get_int_max_str_digits() digits
             raise ParseError(f"number at offset {_offset(text, k)} has more than "
                              f"{sys.get_int_max_str_digits()} digits") from None
+        if not d:
+            raise ParseError(f"zero denominator in {tok!r} at offset {_offset(text, k)}")
+        return Num(_reduced(n, 0, d))
     if tok == "i":
         return Num(GRat(0, 1))
     if tok in VAR_NAMES:

@@ -36,7 +36,7 @@ def test_criterion_1_determining_equations():
 def test_criterion_2_structure_constants():
     """45 + 45 + 15 + 15 brackets certified exactly, in under five seconds."""
     t0 = time.perf_counter()
-    from pdmlab.conformal import verify_c3, verify_so13, verify_so14, verify_so4
+    from pdmlab.algebra import verify_c3, verify_so13, verify_so14, verify_so4
 
     counts = []
     ok = True
@@ -193,14 +193,10 @@ def test_criterion_8_equivalence_transforms():
     from fractions import Fraction
 
     from pdmlab.catalog import entry
-    from pdmlab.conformal import (
-        TransformSpec,
-        apply_transform,
-        axis_rotation,
-        find_inversion_weight,
-    )
+    from pdmlab.conformal import apply_transform, find_inversion_weight
     from pdmlab.diffop import PDMHamiltonian
     from pdmlab.symkernel import AbstractFn, is_provably_zero, param, x1, x2, x3
+    from pdmlab.transform import TransformSpec, axis_rotation
 
     mu, nu = param("mu"), param("nu")
     r2 = x1**2 + x2**2 + x3**2

@@ -5,7 +5,6 @@ import pytest
 
 from pdmlab import catalog
 from pdmlab.catalog import (
-    WORKED_FAMILIES,
     entry,
     load_catalog,
     verify_entry,
@@ -13,6 +12,7 @@ from pdmlab.catalog import (
 )
 from pdmlab.conformal import combo_column, combo_to_op
 from pdmlab.diffop import PDMHamiltonian, commute_hq, reduced_determining
+from pdmlab.verify import WORKED_CHECKS, WORKED_FAMILIES
 from pdmlab.symkernel import (
     Add,
     AbstractFn,
@@ -225,7 +225,7 @@ class TestWorkedFamilies:
                 hand[v_label] = (res_v, -2)
         h = PDMHamiltonian(G, W)
         seen = []
-        for rows in catalog.WORKED_CHECKS.values():
+        for rows in WORKED_CHECKS.values():
             for integral, _, tests, _, _ in rows:
                 r = reduced_determining(h, combo_column(integral))
                 for label, k in tests.items():

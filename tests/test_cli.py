@@ -634,6 +634,20 @@ def test_command_imports(command, tmp_path):
         assert not {"pdmlab.conformal", "pdmlab.diffop", "pdmlab.report"} & modules
     if command.startswith("catalog verify"):
         assert {"pdmlab.symkernel.zerotest", "hashlib"} <= modules
+    # the transformations, the algebra reports and the verification
+    # pipeline each load with their own command alone
+    split = {"pdmlab.transform", "pdmlab.algebra", "pdmlab.verify"}
+    if command.startswith("transform"):
+        assert "pdmlab.transform" in modules
+        assert not {"pdmlab.algebra", "pdmlab.verify", "pdmlab.report"} & modules
+    if command.startswith("algebra"):
+        assert "pdmlab.algebra" in modules
+        assert not {"pdmlab.transform", "pdmlab.verify"} & modules
+    if command.startswith(("casimir", "spectrum", "catalog list")):
+        assert not split & modules
+    if command.startswith("catalog verify"):
+        assert "pdmlab.verify" in modules
+        assert not {"pdmlab.transform", "pdmlab.algebra"} & modules
 
 
 def test_kernel_loads_the_zero_test_on_first_use():

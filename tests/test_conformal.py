@@ -5,17 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from pdmlab.algebra import (
+    so14_basis,
+    verify_c3,
+    verify_iso_roundtrip,
+    verify_killing_table,
+    verify_so13,
+    verify_so14,
+    verify_so4,
+)
 from pdmlab.conformal import (
     PJDK,
     DecompositionFailure,
     FormError,
-    TransformSpec,
     _generator_column,
     _rf_column,
     apply_transform,
-    axis_rotation,
     combo_to_op,
-    conjugate_first_order,
     decompose_in_basis,
     find_inversion_weight,
     generator,
@@ -23,12 +29,6 @@ from pdmlab.conformal import (
     op_coordinates,
     parse_combo,
     subalgebra_closure,
-    verify_c3,
-    verify_iso_roundtrip,
-    verify_killing_table,
-    verify_so13,
-    verify_so14,
-    verify_so4,
 )
 from pdmlab.diffop import PDMHamiltonian, commute_hq
 from pdmlab.symkernel import (
@@ -42,6 +42,7 @@ from pdmlab.symkernel import (
     x3,
 )
 from pdmlab.symkernel.ratform import rf_canon, rf_to_expr
+from pdmlab.transform import TransformSpec, axis_rotation, conjugate_first_order
 
 R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
@@ -85,7 +86,7 @@ class TestGenerators:
 
         conformal._generator.cache_clear()
         monkeypatch.setattr(conformal, "killing_to_op", counting)
-        ids = conformal.PJDK + tuple(conformal.so14_basis())
+        ids = conformal.PJDK + tuple(so14_basis())
         for gid in ids:
             generator(gid)
         assert len(calls) == len(ids)

@@ -1,4 +1,4 @@
-"""catalog.verify_all: the reports of rows 1-18 and the worked families in
+"""verify.verify_all: the reports of rows 1-18 and the worked families in
 job order, whichever process made each one.
 
 A report must not depend on what ran before it in the same kernel scope,
@@ -13,7 +13,8 @@ import select
 import pytest
 
 from pdmlab import catalog
-from pdmlab.catalog import WORKED_FAMILIES, verify_all, verify_entry, verify_worked_family
+from pdmlab.catalog import verify_entry, verify_worked_family
+from pdmlab.verify import WORKED_FAMILIES, verify_all
 from pdmlab.symkernel import ZeroTestPolicy, kernel_scope
 
 POLICY = ZeroTestPolicy(seed=271828)
