@@ -19,6 +19,7 @@ from typing import NamedTuple
 from .conformal import combo_to_op, generator, so4_basis, so13_basis
 from .diffop import (
     PDMHamiltonian,
+    R2,
     SecondOrderOp,
     _commutator,
     _first_form,
@@ -31,11 +32,9 @@ from .diffop import (
     hamiltonian_to_op,
 )
 from .report import Check, VerificationReport, annotation
-from .symkernel import kernel_scope, x1, x2, x3
+from .symkernel import kernel_scope
 from .symkernel.ratform import RF_ONE, RF_ZERO
 from .symkernel.scalars import MINUS_ONE, ONE, GRat
-
-R2 = x1 * x1 + x2 * x2 + x3 * x3
 
 
 class CasimirPair(NamedTuple):
@@ -190,12 +189,6 @@ def verify_casimir_centrality(tag: str = "so4") -> VerificationReport:
 # ---------------------------------------------------------------------------
 # algebraic spectra
 # ---------------------------------------------------------------------------
-
-
-def casimir_bridge_holds(n: int) -> bool:
-    """4q(q+1) with q = (n-1)/2 equals n^2 - 1."""
-    q = Fraction(n - 1, 2)
-    return 4 * q * (q + 1) == n * n - 1
 
 
 class So13Window(NamedTuple):

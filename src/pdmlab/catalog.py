@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 # the verify functions that use them: load_catalog and entry, all that
 # `catalog list` and `transform` read, need only the kernel core.
 
+# x1**2, not diffop.R2's x1*x1: the worked-family residuals are sampled on this tree.
 R2 = x1**2 + x2**2 + x3**2
 RT2 = x1**2 + x2**2
 

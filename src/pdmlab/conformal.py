@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .diffop import (
     AXES,
+    X,
     FirstOrderOp,
     _commutator,
     _first_form,
@@ -78,7 +79,6 @@ if TYPE_CHECKING:
     from .report import VerificationReport
     from .transform import TransformSpec
 
-X = (x1, x2, x3)
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
 
 

@@ -21,6 +21,19 @@ A commutator L*R - R*L leaves out the S = alpha terms l_alpha r_beta
 d^{alpha+beta}: coefficients commute, so they cancel term by term against
 the same terms of R*L.  [S, Q] of a second- and a first-order operator thus
 never forms a third-order term.
+
+Public entry points:
+- the operators `FirstOrderOp`, `SecondOrderOp` and `PDMHamiltonian`, and
+  `hamiltonian_to_op`, which writes H as a second-order operator;
+- `killing_to_op`, the generator realized from its 11-entry coordinate
+  column;
+- `commute_qq` ([Q1, Q2]) and `commute_hq` ([H, Q], whose ten coefficients
+  over abstract f, V, xi and eta are the determining system);
+- `reduced_determining`, the two residuals that every integral check reads;
+- `AXES`, `X`, `R2` and `eps`.
+`casimir` and `conformal` also build on the dict forms: `_first_form`,
+`_second_form`, `_product`, `_commutator`, `_form_sum`, `_form_is_zero` and
+`_from_second_form`.
 """
 
 from __future__ import annotations
@@ -29,14 +42,12 @@ from fractions import Fraction
 
 from . import read_only
 from .symkernel import (
-    AbstractFn,
     Expr,
     IMAG,
     as_expr,
     diff,
     is_provably_zero,
     mul,
-    normalize,
     x1,
     x2,
     x3,
@@ -85,16 +96,8 @@ class FirstOrderOp:
         c = as_expr(c)
         return FirstOrderOp(tuple(mul(c, x) for x in self.xi), mul(c, self.eta))
 
-    def __neg__(self) -> "FirstOrderOp":
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return all(is_provably_zero(x) for x in self.xi) and is_provably_zero(self.eta)
-
-    def eta_tilde(self) -> Expr:
-        """The symmetrized-form constant: eta = (1/2) d_a xi^a + i*eta_tilde."""
-        div = add(*(diff(self.xi[a - 1], a) for a in AXES))
-        return normalize(mul(MINUS_I, self.eta - Fraction(1, 2) * div))
 
 
 class SecondOrderOp:
@@ -169,19 +172,6 @@ def killing_to_op(column) -> FirstOrderOp:
         xi.append(comp)
     eta = -3 * lam_dot_x + Fraction(3, 2) * omega + IMAG * c0
     return FirstOrderOp(tuple(xi), eta)
-
-
-def conformal_killing_residuals(q: FirstOrderOp):
-    """Residuals xi^b_a + xi^a_b - (2/3) delta_ab div(xi) for a <= b."""
-    div = add(*(diff(q.xi[i], i + 1) for i in range(3)))
-    out = []
-    for a in range(3):
-        for b in range(a, 3):
-            r = diff(q.xi[b], a + 1) + diff(q.xi[a], b + 1)
-            if a == b:
-                r = r - Fraction(2, 3) * div
-            out.append(r)
-    return out
 
 
 def hamiltonian_to_op(h: PDMHamiltonian) -> SecondOrderOp:
@@ -306,12 +296,6 @@ def _from_second_form(form: dict) -> SecondOrderOp:
     return SecondOrderOp(A, tuple(coeff(a) for a in AXES), coeff())
 
 
-def compose_first_order(q1: FirstOrderOp, q2: FirstOrderOp) -> SecondOrderOp:
-    """Exact operator product q1*q2 as a second-order operator."""
-    with kernel_scope:
-        return _from_second_form(_product(_first_form(q1), _first_form(q2)))
-
-
 def commute_qq(q1: FirstOrderOp, q2: FirstOrderOp) -> FirstOrderOp:
     """Exact commutator [q1, q2], again in the -i(xi d + eta) convention."""
     with kernel_scope:
@@ -329,43 +313,9 @@ def commute_hq(h: PDMHamiltonian, q: FirstOrderOp) -> SecondOrderOp:
         return _from_second_form(_commutator(_second_form(hamiltonian_to_op(h)), _first_form(q)))
 
 
-def commute_second_first(H: SecondOrderOp, q: FirstOrderOp) -> SecondOrderOp:
-    """[S, Q] for a general second-order S and first-order Q."""
-    with kernel_scope:
-        return _from_second_form(_commutator(_second_form(H), _first_form(q)))
-
-
 # ---------------------------------------------------------------------------
 # determining equations
 # ---------------------------------------------------------------------------
-
-
-def abstract_setup():
-    """Fully abstract f, V, xi^a, eta as functions of x."""
-    f = AbstractFn("f", 3)(x1, x2, x3)
-    V = AbstractFn("V", 3)(x1, x2, x3)
-    xi = tuple(AbstractFn(f"xi{a}", 3)(x1, x2, x3) for a in AXES)
-    eta = AbstractFn("eta", 3)(x1, x2, x3)
-    return f, V, xi, eta
-
-
-def extract_determining(h: PDMHamiltonian = None, q: FirstOrderOp = None):
-    """The ten coefficient residuals of [H, Q] over abstract f, V, xi, eta.
-
-    Residuals are rescaled by -i so that each is a real-coefficient
-    expression; they match the classical determining system up to a nonzero
-    rational factor per equation.  Returned as (second_order, first_order,
-    zeroth_order) lists.
-    """
-    if h is None or q is None:
-        f, V, xi, eta = abstract_setup()
-        h = PDMHamiltonian(f, V)
-        q = FirstOrderOp(xi, eta)
-    comm = commute_hq(h, q)
-    second = [normalize(mul(MINUS_I, comm.A[a][b])) for a in range(3) for b in range(a, 3)]
-    first = [normalize(mul(MINUS_I, b)) for b in comm.B]
-    zeroth = [normalize(mul(MINUS_I, comm.C))]
-    return second, first, zeroth
 
 
 def reduced_determining(h: PDMHamiltonian, column):

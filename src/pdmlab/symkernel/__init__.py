@@ -43,7 +43,7 @@ from .expr import (
     x2,
     x3,
 )
-from .ratform import is_provably_zero, kernel_scope, normalize, poly_degree_in_vars
+from .ratform import is_provably_zero, kernel_scope, normalize
 from .sexpr import ParseError, parse_sexpr, to_sexpr
 
 # ZeroTestPolicy's defaults, the one copy: a report header reads them here

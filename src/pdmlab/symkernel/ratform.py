@@ -34,10 +34,10 @@ so every canonical form is the same.
 Memo lifetime: the rational forms and normal forms of subtrees, the atom
 table, the root-atom bases, the atom derivatives and the per-monomial
 memos live for one kernel scope, `kernel_scope`.  `normalize`, `raw_form`
-(so `is_zero`), `is_provably_zero` and `poly_degree_in_vars` enter it, and
-the outermost exit empties them, so a library caller's memory is that of
-one outermost call.  `pdmlab.cli.main` holds one scope for a whole
-command, whose checks then share normal forms.  A form or monomial
+(so `is_zero`) and `is_provably_zero` enter it, and the outermost exit
+empties them, so a library caller's memory is that of one outermost call.
+`pdmlab.cli.main` holds one scope for a whole command, whose checks then
+share normal forms.  A form or monomial
 returned by the internal helpers (`to_rf`, `rf_canon`, `rf_diff`, ...) is
 valid only inside the scope that made it; call them inside one.
 """
@@ -1212,22 +1212,3 @@ def is_provably_zero(e: Expr) -> bool:
             return to_rf(e).is_zero()
         except RecursionError:
             raise ExprError("expression nested too deeply") from None
-
-
-def poly_degree_in_vars(e: Expr):
-    """Total degree in x1,x2,x3 when e is polynomial in them, else None."""
-    with kernel_scope:
-        rf = rf_canon(to_rf(e))
-        if rf.den != DEN_ONE:
-            return None
-        deg = 0
-        for m in rf.num:
-            d = 0
-            for s, ex in _unpack(m):
-                atom = _ATOMS[s][1]
-                if isinstance(atom, Var):
-                    d += ex
-                elif not isinstance(atom, Param):
-                    return None
-            deg = max(deg, d)
-        return deg

@@ -15,11 +15,9 @@ import re
 import sys
 
 from . import read_only
-from .diffop import FirstOrderOp, PDMHamiltonian, SecondOrderOp
+from .diffop import FirstOrderOp, PDMHamiltonian, SecondOrderOp, X
 from .symkernel import as_expr, diff, is_provably_zero, mul, normalize, subst, to_sexpr, x1, x2, x3
 from .symkernel.expr import NUM_ZERO, add
-
-X = (x1, x2, x3)
 
 
 class TransformSpec:

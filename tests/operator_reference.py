@@ -1,13 +1,14 @@
 """Expr-tree references for the operator algebra, independent of the RF
 arithmetic that pdmlab.diffop runs: the Leibniz product and commutator of
-dict forms on Expr trees, the determining system written out from the
-same abstract symbols, the hand-derived worked-family equations, and an
-exact proportionality test."""
+dict forms on Expr trees, the determining system written out from
+abstract symbols and read off commute_hq over the same symbols, the
+hand-derived worked-family equations, and an exact proportionality test."""
 
 import itertools
 
-from pdmlab.diffop import AXES, abstract_setup
+from pdmlab.diffop import AXES, FirstOrderOp, PDMHamiltonian, commute_hq
 from pdmlab.symkernel import (
+    AbstractFn,
     Expr,
     diff,
     is_provably_zero,
@@ -62,6 +63,21 @@ def expr_first_form(q) -> dict:
 
 def expr_second_form(s) -> dict:
     return {key: mul(2, v) if len(set(key)) == 2 else v for key, v in s.slots()}
+
+
+def abstract_setup():
+    """Fully abstract f, V, xi^a, eta as functions of x."""
+    f, V, eta = (AbstractFn(name, 3)(x1, x2, x3) for name in ("f", "V", "eta"))
+    xi = tuple(AbstractFn(f"xi{a}", 3)(x1, x2, x3) for a in AXES)
+    return f, V, xi, eta
+
+
+def determining_residuals() -> list:
+    """The ten coefficients of commute_hq over the abstract symbols, each
+    times -i and normalized, in slot order: A^{ab} for a <= b, B^a, C."""
+    f, V, xi, eta = abstract_setup()
+    comm = commute_hq(PDMHamiltonian(f, V), FirstOrderOp(xi, eta))
+    return [normalize(mul(num(0, -1), v)) for _, v in comm.slots()]
 
 
 def expected_determining():

@@ -1,10 +1,11 @@
 """Casimir operators, their Hamiltonian identities and the algebraic spectra."""
 
+from fractions import Fraction
+
 import pytest
 
 from pdmlab.casimir import (
     build_casimirs,
-    casimir_bridge_holds,
     qg_operators,
     so13_energy_window,
     so13_window_report,
@@ -80,7 +81,13 @@ class TestSpectrum:
             algebraic_spectrum_so4(0)
 
     def test_casimir_bridge(self):
-        assert all(casimir_bridge_holds(n) for n in range(1, 11))
+        # level n is the so(4) irrep (q, q) with q = (n-1)/2: C1 = 4q(q+1)
+        # = n^2 - 1 = (Etilde - 9)/4, and the dimension is (2q+1)^2
+        for n in range(1, 11):
+            q = Fraction(n - 1, 2)
+            lv = algebraic_spectrum_so4(n)
+            assert lv.etilde == 4 * (4 * q * (q + 1)) + 9
+            assert lv.degeneracy == (2 * q + 1) ** 2
 
 
 class TestWindows:

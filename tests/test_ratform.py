@@ -9,6 +9,7 @@ inside one scope."""
 import hashlib
 import heapq
 import random
+from datetime import timedelta
 from fractions import Fraction
 from unittest import mock
 
@@ -412,7 +413,7 @@ _rf_diff_exprs = st.recursive(
     max_leaves=6)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=timedelta(seconds=10))
 @given(_rf_diff_exprs, st.sampled_from(_DIFF_ATOMS))
 def test_rf_diff_matches_the_expr_derivative(e, v):
     # the quotient rule, p_diff on v's own field and the chain rule through
@@ -426,7 +427,7 @@ def test_rf_diff_matches_the_expr_derivative(e, v):
         assert rf_to_expr(rf_canon(rf_diff(to_rf(e), v))) == want
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=timedelta(seconds=10))
 @given(_rf_diff_exprs, _rf_diff_exprs)
 def test_is_provably_zero_agrees_with_normalize(e, f):
     # the reduced numerator decides zero as the canonical form does: on e,

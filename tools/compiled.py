@@ -15,7 +15,10 @@ imported: the AST nodes of its source (ast.walk over the parsed file), and
 those of them that lie in top-level definitions (functions and classes)
 that the command never entered.  A class counts as entered when one of its
 methods ran; its own body runs at import.  Then it prints the command's
-totals, and at the end the totals of the pass.
+totals, and at the end the totals of the pass, followed by each top-level
+definition (module, kind, name, first and last line) that no command
+entered.  A class whose methods never ran is listed even where commands
+use it, as records and exceptions with no methods are.
 """
 
 from __future__ import annotations
@@ -79,9 +82,11 @@ def _size(node) -> int:
 
 def module_nodes(path: str, entered: list) -> tuple:
     """(nodes of the source, nodes of its top-level definitions that no
-    entered code object (first line, name) lies in)."""
+    entered code object (first line, name) lies in, and those definitions
+    as a frozenset of (first line, last line, kind, name))."""
     tree = ast.parse(Path(path).read_text(), path)
     never = 0
+    never_defs = set()
     for stmt in tree.body:
         if not isinstance(stmt, _DEFS):
             continue
@@ -90,11 +95,14 @@ def module_nodes(path: str, entered: list) -> tuple:
         if not any(start <= line <= stmt.end_lineno and (line, name) != body_of_class
                    for line, name in entered):
             never += _size(stmt)
-    return _size(tree), never
+            kind = "class" if isinstance(stmt, ast.ClassDef) else "def"
+            never_defs.add((start, stmt.end_lineno, kind, stmt.name))
+    return _size(tree), never, frozenset(never_defs)
 
 
 def run_command(root: Path, args: list, work: Path) -> dict:
-    """{module: (nodes, never-entered nodes)} of one command's process."""
+    """{module: (nodes, never-entered nodes, never-entered definitions)} of
+    one command's process."""
     out_path = work / "modules.json"
     args = [a if a != "--json" else f"--json={work / 'report.json'}" for a in args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
@@ -114,19 +122,27 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else DEFAULT_ROOT
     total = never_total = 0
+    # per module, the definitions that no command so far entered: the
+    # intersection of the never-entered sets of the commands that loaded it
+    unused: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         for args in cli_commands(root):
             counts = run_command(root, args, Path(tmp))
-            nodes = sum(n for n, _ in counts.values())
-            never = sum(u for _, u in counts.values())
+            nodes = sum(n for n, _, _ in counts.values())
+            never = sum(u for _, u, _ in counts.values())
             total += nodes
             never_total += never
             print(f"{' '.join(args)}")
-            for name, (n, u) in counts.items():
+            for name, (n, u, defs) in counts.items():
                 print(f"    {name:<28} {n:>7,} nodes {u:>7,} never entered")
+                unused[name] = unused.get(name, defs) & defs
             print(f"    {len(counts)} modules, {nodes:,} nodes, {never:,} never entered")
     print(f"pass: {total:,} nodes, {never_total:,} in top-level definitions never entered "
           f"({never_total / total:.1%})")
+    rows = [(name, *d) for name, defs in sorted(unused.items()) for d in sorted(defs)]
+    print(f"top-level definitions that no command entered: {len(rows)}")
+    for name, first, last, kind, fn in rows:
+        print(f"    {name:<28} {kind:<5} {fn:<32} lines {first}-{last}")
     return 0
 
 
