@@ -414,9 +414,21 @@ def p_divexact(a: dict, b: dict):
             return {m_div(m, mb): c / cb for m, c in a.items()}
         return None
     # Division here is in the free ring of the packed monomials (no root
-    # reduction), where deg_z(q*b) = deg_z(q) + deg_z(b) >= deg_z(b) for
-    # every atom z and nonzero q.  An atom of b that a lacks would have
-    # degree 0 in a = q*b, so no quotient exists.
+    # reduction), where every atom is prime.  b's cofactor of its monomial
+    # content has no atom factor, so b divides a exactly when b's content
+    # divides a's and b's cofactor divides a's.  Dividing the cofactors
+    # keeps a common atom power out of the loop below, which would take
+    # one step per unit of its exponent before refuting.
+    ma, mb = p_mono_content(a), p_mono_content(b)
+    if not m_divides(mb, ma):
+        return None
+    if ma:
+        a = {m_div(m, ma): c for m, c in a.items()}
+    if mb:
+        b = {m_div(m, mb): c for m, c in b.items()}
+    # deg_z(q*b) = deg_z(q) + deg_z(b) >= deg_z(b) for every atom z and
+    # nonzero q.  An atom of b that a lacks would have degree 0 in a = q*b,
+    # so no quotient exists.
     if _support(p_atoms(b)) & ~_support(p_atoms(a)):
         return None
     lb_m, lb_c = p_lead(b)
@@ -449,6 +461,10 @@ def p_divexact(a: dict, b: dict):
                     del r[m]
                 else:
                     r[m] = s
+    shift = m_div(ma, mb)
+    if shift:
+        # graded lex is multiplicative: the shift keeps q's term order
+        q = {m_mul(m, shift): c for m, c in q.items()}
     return q
 
 

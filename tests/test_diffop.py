@@ -150,6 +150,18 @@ class TestKillingToOp:
             assert not all(is_provably_zero(d) for d in derivatives(comp, 2))
         assert all(is_provably_zero(d) for d in derivatives(q.eta, 2))
 
+    def test_eta_tilde_real_for_real_c0(self):
+        # in the symmetrized form eta = (1/2) d_a xi^a + i*eta_tilde, the
+        # constant of the column is eta_tilde itself
+        q = killing_to_op(_column(lam=(0, 1, 0), omega=1, c0=5))
+        div = diff(q.xi[0], 1) + diff(q.xi[1], 2) + diff(q.xi[2], 3)
+        eta_tilde = num(0, -1) * (q.eta - Fraction(1, 2) * div)
+        assert normalize(eta_tilde) == normalize(as_expr(5))
+        # a complex c0 comes back as itself: only a real c0 gives a real eta_tilde
+        q = killing_to_op(_column(lam=(0, 1, 0), omega=1, c0=num(5, 1)))
+        div = diff(q.xi[0], 1) + diff(q.xi[1], 2) + diff(q.xi[2], 3)
+        assert normalize(num(0, -1) * (q.eta - Fraction(1, 2) * div)) == normalize(num(5, 1))
+
 
 class TestCommutators:
     def test_d_p_bracket(self):

@@ -722,6 +722,20 @@ def test_division_by_an_atom_the_dividend_lacks_is_refused():
         assert p_divexact({M_ONE: GRat(5)}, b) is None
 
 
+def test_a_common_atom_power_stays_out_of_the_division_loop():
+    # x2^10000 (2 x1 + a) / (x2 + a) refutes on the cofactor 2 x1 + a; a
+    # loop over the whole dividend steps x2's exponent down one unit at a
+    # time, 2^30 steps and their memory for the largest power a field holds
+    with kernel_scope:
+        a = to_rf(pow_(x2, 10_000) * (2 * x1 + _A)).num
+        b = to_rf(x2 + _A).num
+        with mock.patch.object(ratform, "m_key", wraps=m_key) as key:
+            assert p_divexact(a, b) is None
+            assert p_divexact(p_mul(a, b), b) == a
+            assert p_divexact(a, p_mul(b, p_atom(x2, 10_001))) is None
+        assert key.call_count < 50
+
+
 # -- the kernel scope ----------------------------------------------------------
 
 
