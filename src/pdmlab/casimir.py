@@ -40,7 +40,6 @@ from .symkernel.scalars import MINUS_ONE, ONE, GRat
 class CasimirPair(NamedTuple):
     C1: SecondOrderOp
     C2: SecondOrderOp
-    algebra_tag: str  # "so4" | "so13"
 
 
 def _realization(tag: str):
@@ -74,7 +73,7 @@ def build_casimirs(tag: str) -> CasimirPair:
             (GRat(Fraction(eps(a, b, c), 2)), _product(boosts[a], rots[b, c]))
             for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3) if eps(a, b, c)
         )
-        return CasimirPair(C1=_from_second_form(c1), C2=_from_second_form(c2), algebra_tag=tag)
+        return CasimirPair(C1=_from_second_form(c1), C2=_from_second_form(c2))
 
 
 def reference_hamiltonian(tag: str) -> PDMHamiltonian:
@@ -173,7 +172,7 @@ def verify_qg_decoupling() -> VerificationReport:
     return rep
 
 
-def verify_casimir_centrality(tag: str = "so4") -> VerificationReport:
+def verify_casimir_centrality(tag: str) -> VerificationReport:
     rep = VerificationReport(f"casimir.{tag}.central",
                              "C1 commutes with every basis integral")
     pair = build_casimirs(tag)
@@ -192,7 +191,6 @@ def verify_casimir_centrality(tag: str = "so4") -> VerificationReport:
 
 
 class So13Window(NamedTuple):
-    j1_squared: float
     etilde: float                    # tabulated formula: -5 - j1^2
     windows: tuple                   # window tags the value falls in
     annotation: dict
@@ -223,7 +221,6 @@ def so13_energy_window(j1sq: float) -> So13Window:
     if not windows:
         windows.append("outside both tabulated windows")
     return So13Window(
-        j1_squared=float(j1sq),
         etilde=etilde,
         windows=tuple(windows),
         annotation=dict(WINDOW_ANNOTATION),

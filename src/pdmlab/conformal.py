@@ -621,13 +621,13 @@ def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
     return PDMHamiltonian(f2, normalize(mul(-1, H2.C)))
 
 
-def find_inversion_weight(h: PDMHamiltonian, lo: int = -3, hi: int = 3):
-    """Search the multiplier exponent w in [lo, hi] for which the inversion
+def find_inversion_weight(h: PDMHamiltonian):
+    """Search the multiplier exponent w in [-3, 3] for which the inversion
     conjugation lands back in p f p - V form."""
     from .transform import TransformSpec
 
     last_error = None
-    for w in range(lo, hi + 1):
+    for w in range(-3, 4):
         try:
             out = apply_transform(
                 TransformSpec(kind="inversion_conjugation", weight_exponent=w), h
@@ -636,6 +636,6 @@ def find_inversion_weight(h: PDMHamiltonian, lo: int = -3, hi: int = 3):
         except FormError as e:
             last_error = e
     raise FormError(
-        f"no multiplier exponent in [{lo},{hi}] removes the first-order part",
+        "no multiplier exponent in [-3,3] removes the first-order part",
         obstruction=getattr(last_error, "obstruction", None),
     )

@@ -48,33 +48,23 @@ class Check:
         return out
 
 
-def check_from_status(name: str, status, detail: str = "", extra: dict | None = None) -> Check:
+def check_from_status(name: str, status) -> Check:
     """Translate a ZeroStatus into a report check.
 
     The status's own `tier` and `is_zero` name its kind (ProvedZero,
     NumericZero, NonZero, Inconclusive), so a report loads no kernel
     module to read one."""
-    extra = extra or {}
     kind = (getattr(status, "tier", None), getattr(status, "is_zero", None))
     if kind == ("symbolic", True):
-        return Check(name, STATUS_PROVED, "symbolic", detail, extra=extra)
+        return Check(name, STATUS_PROVED, "symbolic")
     if kind == ("numeric", True):
-        return Check(
-            name,
-            STATUS_NUMERIC,
-            "numeric",
-            detail,
-            max_residual=status.max_residual,
-            points=status.points_tested,
-            extra=extra,
-        )
+        return Check(name, STATUS_NUMERIC, "numeric",
+                     max_residual=status.max_residual, points=status.points_tested)
     if kind == ("numeric", False):
-        extra = dict(extra)
-        extra["witness"] = status.witness
-        extra["value"] = repr(status.value)
-        return Check(name, STATUS_FAILED, "numeric", detail or "nonzero residual", extra=extra)
+        return Check(name, STATUS_FAILED, "numeric", "nonzero residual",
+                     extra={"witness": status.witness, "value": repr(status.value)})
     if kind == ("none", False):
-        return Check(name, STATUS_INCONCLUSIVE, "none", status.reason, extra=extra)
+        return Check(name, STATUS_INCONCLUSIVE, "none", status.reason)
     raise TypeError(f"not a zero status: {status!r}")
 
 
@@ -88,10 +78,10 @@ class VerificationReport:
 
     __slots__ = ("id", "title", "checks")
 
-    def __init__(self, id: str, title: str = "", checks: list | None = None):
+    def __init__(self, id: str, title: str = ""):
         self.id = id
         self.title = title
-        self.checks = [] if checks is None else checks
+        self.checks = []
 
     def add(self, check: Check) -> Check:
         self.checks.append(check)
@@ -129,12 +119,11 @@ class ReportDocument:
 
     __slots__ = ("seed", "policy", "sections", "version")
 
-    def __init__(self, seed: int, policy: dict | None = None, sections: list | None = None,
-                 version: str = __version__):
+    def __init__(self, seed: int, policy: dict | None = None):
         self.seed = seed
         self.policy = {} if policy is None else policy
-        self.sections = [] if sections is None else sections
-        self.version = version
+        self.sections = []
+        self.version = __version__
 
     def add(self, section: VerificationReport) -> VerificationReport:
         self.sections.append(section)

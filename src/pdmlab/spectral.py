@@ -19,7 +19,10 @@ and phi = (pw)^(-1/4) u the equation becomes -u'' + Q(t) u = Lambda u.
     lorentz:  r = tanh t, t in (artanh r_min, artanh r_max),
               Q = 4 l(l+1)/sinh^2(2t) - 1
 
-liouville_q_residual proves both Q from (p, q, w).  The compact map takes the
+liouville_q_residual proves both Q from (p, q, w), and the closed-form
+residuals read that same operator, -p phi'' - p' phi' + q phi, from
+_coefficients: so4_residual_expr proves the so4 eigenfunctions with it, and
+closed_form_residual samples it in floats.  The compact map takes the
 whole half-line onto a finite interval whose ends take exact Dirichlet
 conditions, so the lowest levels come from one symmetric tridiagonal solve
 on a uniform t-grid.  That solve is spectral-transformation Lanczos
@@ -52,6 +55,8 @@ RITZ_TOL = 1e-10
 # pass MAX_BASIS_VALUES, 64 MB of float64: a bound on count x grid alone
 # would let one level of a few million points fill gigabytes.
 MAX_BASIS_VALUES = 8_000_000
+# The sign of r^2 in p = (r^2 + sign)^2 of each radial system
+_SIGN = {"so4": 1, "so13": -1}
 
 
 class EigensolveError(ArithmeticError):
@@ -73,7 +78,7 @@ class RadialProblem:
 
     def __init__(self, system: str = "so4", l: int = 0, r_min: float | None = None,
                  r_max: float | None = None, grid_points: int = 4000):
-        if system not in ("so4", "so13"):
+        if system not in _SIGN:
             raise ValueError(f"no radial FD problem for system {system!r}"
                              " (the scale system is handled by the Bessel path)")
         if grid_points < 16:
@@ -100,15 +105,19 @@ class RadialProblem:
 def sturm_liouville_form(prob: RadialProblem):
     """Self-adjoint coefficients (p, q, w) as callables with
     -(p phi')' + q phi = Lambda w phi reproducing the radial operator."""
-    return _coefficients(1 if prob.system == "so4" else -1, prob.l * (prob.l + 1))
+    p, _, q, w = _coefficients(_SIGN[prob.system], prob.l * (prob.l + 1))
+    return p, q, w
 
 
 def _coefficients(sign: int, ll):
-    """(p, q, w) for sign +1 (compact) or -1 (lorentz) and ll = l(l+1).  The
-    callables take floats, arrays and kernel expressions alike, and ll may
-    be a kernel parameter."""
+    """(p, p', q, w) for sign +1 (compact) or -1 (lorentz) and ll = l(l+1):
+    the one definition of the radial operator.  The callables take floats,
+    arrays and kernel expressions alike, and ll may be a kernel parameter."""
     def p(r):
         return (r * r + sign) ** 2
+
+    def dp(r):
+        return 4 * r * (r * r + sign)
 
     def q(r):
         return (r * r + sign) ** 2 * ll / (r * r) - 2 * r * r
@@ -116,7 +125,15 @@ def _coefficients(sign: int, ll):
     def w(r):
         return r**0
 
-    return p, q, w
+    return p, dp, q, w
+
+
+def _radial_residual(sign: int, ll, lam, r, phi, dphi, d2phi):
+    """L phi - lam w phi = -p phi'' - p' phi' + q phi - lam w phi at r, with
+    (p, p', q, w) from _coefficients: phi and its derivatives are kernel
+    expressions in x1 := r with r = x1, or floats at a float r."""
+    p, dp, q, w = _coefficients(sign, ll)
+    return -p(r) * d2phi - dp(r) * dphi + (q(r) - lam * w(r)) * phi
 
 
 def liouville_q_residual(system: str):
@@ -131,11 +148,11 @@ def liouville_q_residual(system: str):
     """
     from .symkernel import diff, param, pow_, x1
 
-    if system not in ("so4", "so13"):
+    if system not in _SIGN:
         raise ValueError(f"no radial problem for system {system!r}")
-    s = 1 if system == "so4" else -1
+    s = _SIGN[system]
     ll = param("L")
-    _, q, w = _coefficients(s, ll)
+    _, _, q, w = _coefficients(s, ll)
     g = 1 + s * x1 * x1  # sqrt(p/w): p = (r^2 + s)^2, w = 1, and g > 0 on the domain
     m = pow_(g, Fraction(1, 2))
 
@@ -210,8 +227,7 @@ def _fd_solve(prob: RadialProblem, count: int, vectors: bool = False):
     r = np.tan(t) if prob.system == "so4" else np.tanh(t)
     # phi = (pw)^(-1/4) u, and the unit l2 columns divided by sqrt(h) have
     # int u^2 dt = 1
-    sign = 1.0 if prob.system == "so4" else -1.0
-    u /= np.sqrt(h * (1.0 + sign * r * r))[:, None]
+    u /= np.sqrt(h * (1.0 + _SIGN[prob.system] * r * r))[:, None]
     return vals, r, u
 
 
@@ -421,7 +437,7 @@ def hyp2f1_poly_coeffs(a: Fraction, b: Fraction, c: Fraction):
     return coeffs
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss series at |z| < 1 (or any z when terminating); near z = 1 the
     standard connection formula in 1 - z is used unless c - a - b is an
     integer (where the direct series still converges acceptably)."""
@@ -430,19 +446,19 @@ def hyp2f1(a: float, b: float, c: float, z: float, tol: float = 1e-16) -> float:
         A = math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
         B = math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
         w = 1.0 - z
-        return A * _hyp_series(a, b, 1.0 - s, w, tol) + B * w**s * _hyp_series(
-            c - a, c - b, 1.0 + s, w, tol
-        )
-    return _hyp_series(a, b, c, z, tol)
+        return (A * _hyp_series(a, b, 1.0 - s, w)
+                + B * w**s * _hyp_series(c - a, c - b, 1.0 + s, w))
+    return _hyp_series(a, b, c, z)
 
 
-def _hyp_series(a: float, b: float, c: float, z: float, tol: float) -> float:
+def _hyp_series(a: float, b: float, c: float, z: float) -> float:
+    """The Gauss series, summed until a term is below 1e-16 of the sum."""
     total = 1.0
     term = 1.0
     for k in range(0, 200000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
+        if abs(term) <= 1e-16 * max(1.0, abs(total)):
             return total
     raise ArithmeticError("hypergeometric series did not converge")
 
@@ -504,9 +520,7 @@ def besselj(beta: float, s: float, derivative: int = 0) -> float:
 
 class So4Level(NamedTuple):
     n: int
-    etilde: int                      # 4 n^2 + 5
-    mu_coeff: int
-    nu_coeff: int
+    etilde: int                      # 4 n^2 + 5, the coefficient of mu in E
     allowed_l: tuple
     degeneracy: int                  # sum of 2l+1 over allowed l
 
@@ -527,14 +541,8 @@ def algebraic_spectrum_so4(n: int) -> So4Level:
         raise ValueError("level index must be a positive integer")
     etilde = 4 * n * n + 5
     allowed = tuple(range(0, n))
-    return So4Level(
-        n=n,
-        etilde=etilde,
-        mu_coeff=etilde,
-        nu_coeff=1,
-        allowed_l=allowed,
-        degeneracy=sum(2 * l + 1 for l in allowed),
-    )
+    return So4Level(n=n, etilde=etilde, allowed_l=allowed,
+                    degeneracy=sum(2 * l + 1 for l in allowed))
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +606,10 @@ def so4_wavefunction_expr(n: int, l: int):
 def so4_residual_expr(n: int, l: int):
     """Exact symbolic residual L(phi) - (4n^2+1) phi in x1 := r."""
     from .symkernel import diff, x1
-    from .symkernel.expr import add, mul
 
     phi = so4_wavefunction_expr(n, l)
     d1 = diff(phi, 1)
-    d2 = diff(d1, 1)
-    r2p1 = add(1, mul(x1, x1))
-    lam = 4 * n * n + 1
-    lphi = (
-        mul(-1, r2p1, r2p1, add(d2, mul(-l * (l + 1), phi, x1**-2)))
-        + mul(-4, x1, r2p1, d1)
-        + mul(-2, x1, x1, phi)
-    )
-    return lphi - lam * phi
+    return _radial_residual(1, l * (l + 1), 4 * n * n + 1, x1, phi, d1, diff(d1, 1))
 
 
 def _so13_phi(sol: ClosedFormSolution, r: float, derivative: int = 0) -> float:
@@ -645,36 +644,34 @@ def _so13_phi(sol: ClosedFormSolution, r: float, derivative: int = 0) -> float:
 
 
 def closed_form_residual(sol: ClosedFormSolution, sample_points) -> float:
-    """max |L phi - Lambda phi| / max(1, |Lambda phi|) over the samples."""
-    worst = 0.0
-    if sol.system == "so4":
-        from .symkernel import evaluate
+    """max |L phi - Lambda phi| / max(1, |Lambda phi|) over the samples.
 
-        res = so4_residual_expr(sol.n, sol.l)
-        phi = so4_wavefunction_expr(sol.n, sol.l)
-        lam = 4 * sol.n**2 + 1
-        for r in sample_points:
-            num = abs(evaluate(res, (r, 0.0, 0.0)))
-            den = max(1.0, abs(lam * evaluate(phi, (r, 0.0, 0.0))))
-            worst = max(worst, num / den)
-        return worst
-    if sol.system == "so13":
-        etilde = -4.0 * sol.k**2 - 5.0
-        lam = etilde + 4.0
-        ll = sol.l * (sol.l + 1)
-        for r in sample_points:
-            if not 0 < r < 1:
+    The so4 and so13 residuals apply the operator of _coefficients in
+    floats to phi, phi' and phi'' at each sample: so4 evaluates the kernel
+    expressions of so4_wavefunction_expr and its derivatives, so13 sums
+    their hypergeometric series."""
+    worst = 0.0
+    if sol.system in _SIGN:
+        if sol.system == "so4":
+            from .symkernel import diff, evaluate, kernel_scope
+
+            lam = 4 * sol.n**2 + 1
+            phi = so4_wavefunction_expr(sol.n, sol.l)
+            d1 = diff(phi, 1)
+            derivs = (phi, d1, diff(d1, 1))
+            # one scope: each expression normalizes once for all the samples
+            with kernel_scope:
+                values = [[evaluate(e, (r, 0.0, 0.0)) for e in derivs] for r in sample_points]
+        else:
+            # Etilde = -4k^2 - 5 and Lambda = Etilde + 4
+            lam = -4.0 * sol.k**2 - 1.0
+            if not all(0 < r < 1 for r in sample_points):
                 raise ValueError("samples must lie inside (0, 1)")
-            phi0 = _so13_phi(sol, r, 0)
-            phi1 = _so13_phi(sol, r, 1)
-            phi2 = _so13_phi(sol, r, 2)
-            lphi = (
-                -((r * r - 1) ** 2) * (phi2 - ll / (r * r) * phi0)
-                - 4 * r * (r * r - 1) * phi1
-                - 2 * r * r * phi0
-            )
-            den = max(1.0, abs(lam * phi0))
-            worst = max(worst, abs(lphi - lam * phi0) / den)
+            values = [[_so13_phi(sol, r, d) for d in (0, 1, 2)] for r in sample_points]
+        ll = sol.l * (sol.l + 1)
+        for r, (phi0, phi1, phi2) in zip(sample_points, values):
+            res = _radial_residual(_SIGN[sol.system], ll, lam, r, phi0, phi1, phi2)
+            worst = max(worst, abs(res) / max(1.0, abs(lam * phi0)))
         return worst
     # scale system: Phi = J_beta(omega rt)/rt against the cylindrical equation
     beta = math.sqrt(sol.kappa**2 + 1 - sol.etilde)
@@ -720,23 +717,21 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
     from scipy.integrate import quad
 
     if sol.system == "so4":
-        from .symkernel import evaluate
+        from .symkernel import evaluate, kernel_scope
 
         phi = so4_wavefunction_expr(sol.n, sol.l)
 
         def f(r):
             return evaluate(phi, (r, 0.0, 0.0)) ** 2
 
-        val, _ = quad(f, 0.0, math.inf, limit=200)
+        # one scope: phi normalizes once for all the quadrature nodes
+        with kernel_scope:
+            val, _ = quad(f, 0.0, math.inf, limit=200)
         return NormalizationResult(value=val, finite=True, tail_exponent=-2 * sol.l - 4)
     if sol.system == "so13":
-        def f(r):
-            v = _so13_phi(sol, r, 0)
-            return v * v * (r * r - 1) ** 3
-
         cut = 1e-3
-        val, _ = quad(f, 0.0, 1.0 - cut, limit=200)
-        aval, _ = quad(lambda r: abs(f(r)), 0.0, 1.0 - cut, limit=200)
+        val, _ = quad(lambda r: _so13_density(sol, r), 0.0, 1.0 - cut, limit=200)
+        aval, _ = quad(lambda r: abs(_so13_density(sol, r)), 0.0, 1.0 - cut, limit=200)
         edge_exp = 2.0 - 2.0 * sol.k
         return NormalizationResult(
             value=val,
@@ -748,13 +743,15 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
     raise ValueError("normalization diagnostics cover the so4 and so13 solutions")
 
 
+def _so13_density(sol: ClosedFormSolution, r: float) -> float:
+    """The so13 metric-weighted integrand phi^2 (r^2-1)^3."""
+    v = _so13_phi(sol, r, 0)
+    return v * v * (r * r - 1) ** 3
+
+
 def so13_boundary_values(sol: ClosedFormSolution, eps: float = 1e-3):
     """Metric-weighted integrand near both endpoints (boundary-vanishing check)."""
-    def f(r):
-        v = _so13_phi(sol, r, 0)
-        return v * v * (r * r - 1) ** 3
-
-    return f(eps), f(1.0 - eps)
+    return _so13_density(sol, eps), _so13_density(sol, 1.0 - eps)
 
 
 def dump_eigenfunction(prob: RadialProblem, eigensystem, index: int, path: str) -> None:
@@ -780,16 +777,15 @@ def dump_eigenfunction(prob: RadialProblem, eigensystem, index: int, path: str) 
             fh.write(f"{ri:.10g} {vi:.10g}\n")
 
 
-def so13_lowest_eigenvalue_scan(deltas, l: int = 0, grid: int = 1500, r_min: float = 1e-3):
-    """Lowest FD eigenvalue of the lorentz problem on (r_min, 1-delta) for a
-    shrinking sequence of deltas.  No level may reach the continuum bottom
-    -1: Q + 1 = l(l+1)(1-r^2)^2/r^2 >= 0 and the FD matrix of -u'' is
-    positive definite, so every truncated level has Lambda > -1, that is
-    Etilde > -5."""
+def so13_lowest_eigenvalue_scan(deltas):
+    """Lowest FD eigenvalue of the l = 0 lorentz problem on (1e-3, 1-delta),
+    on 1500 points, for a shrinking sequence of deltas.  No level may reach
+    the continuum bottom -1: Q + 1 = l(l+1)(1-r^2)^2/r^2 >= 0 and the FD
+    matrix of -u'' is positive definite, so every truncated level has
+    Lambda > -1, that is Etilde > -5."""
     out = []
     for d in deltas:
-        prob = RadialProblem(system="so13", l=l, r_min=r_min, r_max=1.0 - d,
-                             grid_points=grid)
+        prob = RadialProblem(system="so13", l=0, r_min=1e-3, r_max=1.0 - d, grid_points=1500)
         out.append(fd_eigenvalues(prob, 1)[0])
     return out
 
@@ -867,7 +863,8 @@ def _cmd_spectrum(args) -> int:
         rels.append(abs(v - exact) / exact)
         print(f"so4,{args.l},{i},{v:.10g},{exact:.10g},{rels[-1]:.3e}")
     print()
+    # E = Etilde mu + 1 nu
     print("n,Etilde,E_mu_coeff,E_const")
     for lv in levels:
-        print(f"{lv.n},{lv.etilde},{lv.mu_coeff},{lv.nu_coeff}")
+        print(f"{lv.n},{lv.etilde},{lv.etilde},1")
     return 0 if all(rel < args.rel_tol for rel in rels) else 1

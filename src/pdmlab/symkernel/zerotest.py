@@ -118,6 +118,14 @@ DEFAULT_POLICY = ZeroTestPolicy()
 # -- zero statuses -----------------------------------------------------------
 
 
+def _hashable(v):
+    """v with each dict, at any depth, replaced by the frozenset of its
+    items: a NonZero witness is a dict of a point and of dicts."""
+    if isinstance(v, dict):
+        return frozenset((k, _hashable(x)) for k, x in v.items())
+    return v
+
+
 class ZeroStatus:
     """A zero-test verdict.  Read-only; equal only to a verdict of the same
     type with equal fields, so ProvedZero() is not (); printed as
@@ -135,7 +143,7 @@ class ZeroStatus:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(map(_hashable, self._values())))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -329,7 +337,7 @@ def _run(code, point, params, absvals):
     return vals[-1], _scale(vals)
 
 
-def evaluate(e: Expr, point, params=None, abstract_values=None):
+def evaluate(e: Expr, point, params=None):
     """Double-precision value of e at a spatial point.
 
     Evaluation order is fixed by the normalized tree.  Returns a float when
@@ -337,7 +345,7 @@ def evaluate(e: Expr, point, params=None, abstract_values=None):
     at poles (division by zero, ln of a non-positive value, ...).
     """
     code, _, _ = _compile(normalize(e))
-    v, _ = _run(code, tuple(float(c) for c in point), params or {}, abstract_values or {})
+    v, _ = _run(code, tuple(float(c) for c in point), params or {}, {})
     return v.real if v.imag == 0 else v
 
 

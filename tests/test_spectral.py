@@ -292,10 +292,22 @@ class TestClosedForms:
         assert is_provably_zero(phi - want)
 
     def test_residuals_at_samples(self):
+        # acceptance criterion 7's points: the operator is applied in floats,
+        # so the residual is rounding, not the zero of the symbolic proof
         pts = np.linspace(0.1, 3.0, 25)
         for n, l in [(1, 0), (2, 0), (2, 1), (3, 2)]:
             sol = ClosedFormSolution(system="so4", n=n, l=l)
-            assert closed_form_residual(sol, pts) < 1e-10
+            assert 0.0 < closed_form_residual(sol, pts) < 1e-10
+
+    def test_wrong_eigenvalue_shows(self, monkeypatch):
+        # Lambda = 4n^2 + 2 in place of 4n^2 + 1
+        apply = spectral._radial_residual
+        monkeypatch.setattr(spectral, "_radial_residual",
+                            lambda sign, ll, lam, *rest: apply(sign, ll, lam + 1, *rest))
+        pts = np.linspace(0.1, 3.0, 25)
+        for n, l in [(1, 0), (2, 0), (2, 1), (3, 2)]:
+            sol = ClosedFormSolution(system="so4", n=n, l=l)
+            assert closed_form_residual(sol, pts) > 1e-3
 
     def test_lorentz_solutions(self):
         pts = np.linspace(0.05, 0.85, 25)
