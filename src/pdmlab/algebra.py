@@ -18,7 +18,6 @@ from .conformal import (
     SO13_METRIC,
     _rf_combo_column,
     _same_column,
-    bracket_inner,
     generator,
     load_subalgebras,
     metric_table,
@@ -93,17 +92,6 @@ def expected_c3(a: str, b: str):
 SO14_METRIC = {0: 1, 1: -1, 2: -1, 3: -1, 4: -1}
 
 
-def bracket_outer(mu, nu, lam, sig):
-    """Pattern i(g^{mu sig}M^{nu lam} + g^{nu lam}M^{mu sig}
-    - g^{mu lam}M^{nu sig} - g^{nu sig}M^{mu lam})."""
-    return (
-        ((mu, sig), (nu, lam), 1),
-        ((nu, lam), (mu, sig), 1),
-        ((mu, lam), (nu, sig), -1),
-        ((nu, sig), (mu, lam), -1),
-    )
-
-
 def so14_basis():
     return ["M01", "M02", "M03", "M04", "M12", "M13", "M14", "M23", "M24", "M34"]
 
@@ -126,17 +114,19 @@ def verify_c3() -> VerificationReport:
 
 
 def verify_so14() -> VerificationReport:
-    return verify_structure(so14_basis(), metric_table(SO14_METRIC, bracket_outer), "algebra.so14",
+    # so(1,4) brackets have the so(4) pattern with the opposite sign: its table under -g
+    so14 = metric_table({i: -g for i, g in SO14_METRIC.items()})
+    return verify_structure(so14_basis(), so14, "algebra.so14",
                             "rank-2 tensor basis with metric diag(1,-1,-1,-1,-1)")
 
 
 def verify_so4() -> VerificationReport:
-    return verify_structure(so4_basis(), metric_table(SO4_METRIC, bracket_inner), "algebra.so4",
+    return verify_structure(so4_basis(), metric_table(SO4_METRIC), "algebra.so4",
                             "six integrals of the compact realization vs Kronecker table")
 
 
 def verify_so13() -> VerificationReport:
-    rep = verify_structure(so13_basis(), metric_table(SO13_METRIC, bracket_inner), "algebra.so13",
+    rep = verify_structure(so13_basis(), metric_table(SO13_METRIC), "algebra.so13",
                            "six integrals of the Lorentz realization vs metric table")
     rep.add(annotation(
         "metric table reading",

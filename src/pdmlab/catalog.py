@@ -121,7 +121,7 @@ def entry(eid: int) -> CatalogEntry:
 
 def verify_entry(eid: int, policy: ZeroTestPolicy | None = None) -> VerificationReport:
     """The report of row eid; policy None is the zero test's DEFAULT_POLICY."""
-    from .conformal import SO4_METRIC, SO13_METRIC, bracket_inner, metric_table, verify_structure
+    from .conformal import SO4_METRIC, SO13_METRIC, metric_table, verify_structure
     from .report import STATUS_ANNOTATION, Check, VerificationReport, annotation
     from .symkernel import DEFAULT_POLICY
     from .verify import _verify_row
@@ -146,7 +146,7 @@ def verify_entry(eid: int, policy: ZeroTestPolicy | None = None) -> Verification
     # structure-constant cross-checks for the two six-integral rows
     if eid in (16, 17):
         metric = SO4_METRIC if eid == 16 else SO13_METRIC
-        sub = verify_structure(list(row.integrals), metric_table(metric, bracket_inner),
+        sub = verify_structure(list(row.integrals), metric_table(metric),
                                f"catalog.entry{eid}.structure")
         okc = sub.passed
         rep.add(Check("structure constants match the metric table",

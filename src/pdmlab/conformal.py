@@ -438,14 +438,15 @@ SO4_METRIC = {1: 1, 2: 1, 3: 1, 4: 1}
 SO13_METRIC = {0: -1, 1: 1, 2: 1, 3: 1}
 
 
-def expected_metric_bracket(pair1, pair2, metric, pattern):
-    """Expected [M(pair1), M(pair2)] as [(coeff, gid), ...]: the terms of a
-    bracket pattern (bracket_outer or bracket_inner) weighted by the
-    diagonal metric."""
+def expected_metric_bracket(pair1, pair2, metric):
+    """Expected [M(pair1), M(pair2)] as [(coeff, gid), ...] under a diagonal
+    metric g: i(g^{mu lam}M^{nu sig} + g^{nu sig}M^{mu lam}
+    - g^{mu sig}M^{nu lam} - g^{nu lam}M^{mu sig})."""
     (mu, nu), (lam, sig) = pair1, pair2
     I = num(0, 1)
     out = []
-    for g_idx, m_pair, sgn in pattern(mu, nu, lam, sig):
+    for g_idx, m_pair, sgn in (((mu, lam), (nu, sig), 1), ((nu, sig), (mu, lam), 1),
+                               ((mu, sig), (nu, lam), -1), ((nu, lam), (mu, sig), -1)):
         gval = metric.get(g_idx[0], 0) if g_idx[0] == g_idx[1] else 0
         if not gval:
             continue
@@ -456,21 +457,10 @@ def expected_metric_bracket(pair1, pair2, metric, pattern):
     return out
 
 
-def bracket_inner(mu, nu, lam, sig):
-    """Pattern i(g^{mu lam}M^{nu sig} + g^{nu sig}M^{mu lam}
-    - g^{mu sig}M^{nu lam} - g^{nu lam}M^{mu sig})."""
-    return (
-        ((mu, lam), (nu, sig), 1),
-        ((nu, sig), (mu, lam), 1),
-        ((mu, sig), (nu, lam), -1),
-        ((nu, lam), (mu, sig), -1),
-    )
-
-
-def metric_table(metric, pattern):
+def metric_table(metric):
     """Expected-bracket table (gid_a, gid_b) -> [(coeff, gid)] of M(mu,nu)
-    ids under a diagonal metric and a bracket pattern."""
-    return lambda a, b: expected_metric_bracket(_pair_of(a), _pair_of(b), metric, pattern)
+    ids under a diagonal metric."""
+    return lambda a, b: expected_metric_bracket(_pair_of(a), _pair_of(b), metric)
 
 
 def so4_basis():

@@ -21,9 +21,16 @@ and phi = (pw)^(-1/4) u the equation becomes -u'' + Q(t) u = Lambda u.
 
 liouville_q_residual proves both Q from (p, q, w), and the closed-form
 residuals read that same operator, -p phi'' - p' phi' + q phi, from
-_coefficients: so4_residual_expr proves the so4 eigenfunctions with it, and
-closed_form_residual samples it in floats.  The compact map takes the
-whole half-line onto a finite interval whose ends take exact Dirichlet
+_coefficients.  Both systems' solutions are one hypergeometric family,
+mapped onto each other by r^2 -> -r^2 (s = +1, nu = n compact; s = -1,
+nu = k lorentz):
+
+    phi = (1 + s r^2)^(-1/2-nu) r^(l+1) 2F1(-nu+l+1, -nu+1/2; l+3/2; -s r^2)
+
+_phi sums phi, phi' and phi'' in floats for closed_form_residual and the
+normalization integrals; so4_residual_expr proves the so4 eigenfunctions on
+the exact kernel expression so4_wavefunction_expr.  The compact map takes
+the whole half-line onto a finite interval whose ends take exact Dirichlet
 conditions, so the lowest levels come from one symmetric tridiagonal solve
 on a uniform t-grid.  That solve is spectral-transformation Lanczos
 (Ericsson & Ruhe, Math. Comp. 35, 1980) on (T - sigma)^-1, whose products
@@ -452,12 +459,17 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    """The Gauss series, summed until a term is below 1e-16 of the sum."""
+    """The Gauss series, summed until a term is below 1e-16 of the sum.
+    ArithmeticError when it does not converge, or when its sum leaves the
+    floats: an overflowed term makes the sum inf or nan, and inf <= inf
+    would pass the stop test."""
     total = 1.0
     term = 1.0
     for k in range(0, 200000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
+        if not math.isfinite(total):
+            raise ArithmeticError("hypergeometric series diverges")
         if abs(term) <= 1e-16 * max(1.0, abs(total)):
             return total
     raise ArithmeticError("hypergeometric series did not converge")
@@ -551,7 +563,7 @@ def algebraic_spectrum_so4(n: int) -> So4Level:
 
 
 class ClosedFormSolution:
-    """system 'so4': quantum numbers (n, l), terminating polynomial solution;
+    """system 'so4': integer quantum numbers (n, l), terminating polynomial;
     system 'so13': (k, l) with k in (0,1), infinite series inside r < 1;
     system 'scale': (kappa, etilde, omega) Bessel solution with index
     beta = sqrt(kappa^2 + 1 - etilde)."""
@@ -562,8 +574,8 @@ class ClosedFormSolution:
     def __init__(self, system: str, n: int = 0, l: int = 0, k: float = 0.0, kappa: int = 0,
                  etilde: float = 0.0, omega: float = 1.0):
         if system == "so4":
-            if not (n >= 1 and 0 <= l <= n - 1):
-                raise ValueError("need n >= 1 and l <= n-1 (terminating series)")
+            if not (isinstance(n, int) and isinstance(l, int) and 0 <= l <= n - 1):
+                raise ValueError("need integers n >= 1 and 0 <= l <= n-1 (terminating series)")
         elif system == "so13":
             if not 0 < k < 1:
                 raise ValueError("need 0 < k < 1")
@@ -612,71 +624,61 @@ def so4_residual_expr(n: int, l: int):
     return _radial_residual(1, l * (l + 1), 4 * n * n + 1, x1, phi, d1, diff(d1, 1))
 
 
-def _so13_phi(sol: ClosedFormSolution, r: float, derivative: int = 0) -> float:
-    """Value/derivatives of (1-r^2)^(-1/2-k) r^(l+1) F(a,b;c;r^2)."""
-    k, l = sol.k, sol.l
-    a, b, c = -k + l + 1, -k + 0.5, 1.5 + l
+def _phi(sign: int, nu: float, l: int, r: float, derivative: int = 0) -> float:
+    """phi of the module docstring, or its derivative 1 or 2 in r, with
+    F = F(a, b; c; z) at z = -s r^2 and F' = (ab/c) F(a+1, b+1; c+1; z).
+    A shifted term whose Pochhammer factor is zero is left out: its series
+    need not terminate, and so4's z < -1 once r > 1."""
+    a, b, c = -nu + l + 1, -nu + 0.5, 1.5 + l
     u = r * r
-    sig = -0.5 - k
-    A = (1 - u) ** sig
+    g = 1 + sign * u
+    z = -sign * u
+    sig = -0.5 - nu
+    A = g**sig
     B = r ** (l + 1)
-    F0 = hyp2f1(a, b, c, u)
+    F0 = hyp2f1(a, b, c, z)
     if derivative == 0:
         return A * B * F0
-    dA = sig * (1 - u) ** (sig - 1) * (-2 * r)
+    dA = sig * g ** (sig - 1) * (2 * sign * r)
     dB = (l + 1) * r**l
-    F1 = a * b / c * hyp2f1(a + 1, b + 1, c + 1, u)
-    dC = F1 * 2 * r
+    F1 = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z) if a * b else 0.0
+    dC = F1 * (-2 * sign * r)
     if derivative == 1:
         return dA * B * F0 + A * dB * F0 + A * B * dC
-    d2A = sig * (sig - 1) * (1 - u) ** (sig - 2) * 4 * r * r + sig * (1 - u) ** (sig - 1) * (-2)
+    d2A = sig * (sig - 1) * g ** (sig - 2) * 4 * r * r + sig * g ** (sig - 1) * (2 * sign)
     d2B = (l + 1) * l * r ** (l - 1) if l >= 1 else 0.0
-    F2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * hyp2f1(a + 2, b + 2, c + 2, u)
-    d2C = F2 * 4 * r * r + 2 * F1
-    return (
-        d2A * B * F0
-        + 2 * dA * dB * F0
-        + 2 * dA * B * dC
-        + A * d2B * F0
-        + 2 * A * dB * dC
-        + A * B * d2C
-    )
+    f2 = a * (a + 1) * b * (b + 1)
+    F2 = f2 / (c * (c + 1)) * hyp2f1(a + 2, b + 2, c + 2, z) if f2 else 0.0
+    d2C = F2 * 4 * r * r + F1 * (-2 * sign)
+    return (d2A * B * F0 + 2 * dA * dB * F0 + 2 * dA * B * dC
+            + A * d2B * F0 + 2 * A * dB * dC + A * B * d2C)
 
 
 def closed_form_residual(sol: ClosedFormSolution, sample_points) -> float:
-    """max |L phi - Lambda phi| / max(1, |Lambda phi|) over the samples.
+    """max |L phi - Lambda phi| / max(1, |Lambda phi|) over the samples, and
+    nan when a sample's residual is nan.
 
     The so4 and so13 residuals apply the operator of _coefficients in
-    floats to phi, phi' and phi'' at each sample: so4 evaluates the kernel
-    expressions of so4_wavefunction_expr and its derivatives, so13 sums
-    their hypergeometric series."""
-    worst = 0.0
+    floats to phi, phi' and phi'' from _phi at each sample, with
+    Lambda = s (4 nu^2 + 1): 4n^2 + 1 for so4, Etilde + 4 for so13."""
     if sol.system in _SIGN:
-        if sol.system == "so4":
-            from .symkernel import diff, evaluate, kernel_scope
-
-            lam = 4 * sol.n**2 + 1
-            phi = so4_wavefunction_expr(sol.n, sol.l)
-            d1 = diff(phi, 1)
-            derivs = (phi, d1, diff(d1, 1))
-            # one scope: each expression normalizes once for all the samples
-            with kernel_scope:
-                values = [[evaluate(e, (r, 0.0, 0.0)) for e in derivs] for r in sample_points]
-        else:
-            # Etilde = -4k^2 - 5 and Lambda = Etilde + 4
-            lam = -4.0 * sol.k**2 - 1.0
-            if not all(0 < r < 1 for r in sample_points):
-                raise ValueError("samples must lie inside (0, 1)")
-            values = [[_so13_phi(sol, r, d) for d in (0, 1, 2)] for r in sample_points]
+        sign = _SIGN[sol.system]
+        if sign < 0 and not all(0 < r < 1 for r in sample_points):
+            raise ValueError("samples must lie inside (0, 1)")
+        nu = sol.n if sign > 0 else sol.k
+        lam = sign * (4 * nu**2 + 1)
         ll = sol.l * (sol.l + 1)
-        for r, (phi0, phi1, phi2) in zip(sample_points, values):
-            res = _radial_residual(_SIGN[sol.system], ll, lam, r, phi0, phi1, phi2)
-            worst = max(worst, abs(res) / max(1.0, abs(lam * phi0)))
-        return worst
+        res = []
+        for r in sample_points:
+            phi0, phi1, phi2 = (_phi(sign, nu, sol.l, r, d) for d in (0, 1, 2))
+            res.append(abs(_radial_residual(sign, ll, lam, r, phi0, phi1, phi2))
+                       / max(1.0, abs(lam * phi0)))
+        return _largest(res)
     # scale system: Phi = J_beta(omega rt)/rt against the cylindrical equation
     beta = math.sqrt(sol.kappa**2 + 1 - sol.etilde)
     w = sol.omega
     lam = sol.etilde - sol.kappa**2
+    res = []
     for t in sample_points:
         if t <= 0:
             raise ValueError("samples must be positive")
@@ -686,9 +688,14 @@ def closed_form_residual(sol: ClosedFormSolution, sample_points) -> float:
         phi1 = w * J1 / t - J0 / t**2
         phi2 = w * w * J2 / t - 2 * w * J1 / t**2 + 2 * J0 / t**3
         lphi = -t * t * (phi2 + w * w * phi0) - 3 * t * phi1
-        den = max(1.0, abs(lam * phi0))
-        worst = max(worst, abs(lphi - lam * phi0) / den)
-    return worst
+        res.append(abs(lphi - lam * phi0) / max(1.0, abs(lam * phi0)))
+    return _largest(res)
+
+
+def _largest(residuals) -> float:
+    """The largest residual, 0.0 for none, with nan above every number:
+    max() alone keeps or drops a nan by its position, and reads it a pass."""
+    return max(residuals, default=0.0, key=lambda x: (math.isnan(x), x))
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +724,7 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
     from scipy.integrate import quad
 
     if sol.system == "so4":
-        from .symkernel import evaluate, kernel_scope
-
-        phi = so4_wavefunction_expr(sol.n, sol.l)
-
-        def f(r):
-            return evaluate(phi, (r, 0.0, 0.0)) ** 2
-
-        # one scope: phi normalizes once for all the quadrature nodes
-        with kernel_scope:
-            val, _ = quad(f, 0.0, math.inf, limit=200)
+        val, _ = quad(lambda r: _phi(1, sol.n, sol.l, r) ** 2, 0.0, math.inf, limit=200)
         return NormalizationResult(value=val, finite=True, tail_exponent=-2 * sol.l - 4)
     if sol.system == "so13":
         cut = 1e-3
@@ -745,7 +743,7 @@ def normalization_integral(sol: ClosedFormSolution) -> NormalizationResult:
 
 def _so13_density(sol: ClosedFormSolution, r: float) -> float:
     """The so13 metric-weighted integrand phi^2 (r^2-1)^3."""
-    v = _so13_phi(sol, r, 0)
+    v = _phi(-1, sol.k, sol.l, r)
     return v * v * (r * r - 1) ** 3
 
 

@@ -260,6 +260,12 @@ class TestSeries:
                              (0.75, 0.25, 2.25, 0.61)]:
             assert abs(hyp2f1(a, b, c, z) - sp_hyp2f1(a, b, c, z)) < 1e-12
 
+    def test_divergent_series_raises(self):
+        # |z| > 1 and no term vanishes: the terms overflow, and an inf sum
+        # would pass the stop test inf <= inf
+        with pytest.raises(ArithmeticError):
+            hyp2f1(0.7, 0.2, 1.5, -4.0)
+
     def test_bessel_against_scipy(self):
         from scipy.special import jv
 
@@ -309,6 +315,17 @@ class TestClosedForms:
             sol = ClosedFormSolution(system="so4", n=n, l=l)
             assert closed_form_residual(sol, pts) > 1e-3
 
+    @pytest.mark.parametrize("system, pts", [("so4", np.linspace(0.1, 3.0, 25)),
+                                             ("so13", np.linspace(0.05, 0.85, 25))])
+    def test_nan_residual_shows(self, monkeypatch, system, pts):
+        # max(0.0, nan) is 0.0: one nan sample must not read as a pass
+        apply = spectral._radial_residual
+        monkeypatch.setattr(spectral, "_radial_residual",
+                            lambda sign, ll, lam, r, *rest:
+                            math.nan if r == pts[12] else apply(sign, ll, lam, r, *rest))
+        sol = ClosedFormSolution(system=system, n=2, l=1, k=0.25)
+        assert math.isnan(closed_form_residual(sol, pts))
+
     def test_lorentz_solutions(self):
         pts = np.linspace(0.05, 0.85, 25)
         for k in (0.25, 0.6):
@@ -324,6 +341,9 @@ class TestClosedForms:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             ClosedFormSolution(system="so4", n=1, l=1)  # needs l <= n-1
+        for n, l in ((1.5, 0), (2, 0.5), (2.0, 0)):
+            with pytest.raises(ValueError, match="integers"):
+                ClosedFormSolution(system="so4", n=n, l=l)
         with pytest.raises(ValueError):
             ClosedFormSolution(system="so13", k=1.5)
         with pytest.raises(ValueError):
@@ -333,15 +353,32 @@ class TestClosedForms:
 
     def test_fd_derivative_cross_check_so13(self):
         # independent check of the analytic derivative chain
-        from pdmlab.spectral import _so13_phi
+        self._fd_cross_check(-1, 0.4, 0, (0.3, 0.7))
 
-        sol = ClosedFormSolution(system="so13", k=0.4)
+    @pytest.mark.parametrize("n, l", [(1, 0), (2, 0), (2, 1), (3, 2)])
+    def test_fd_derivative_cross_check_so4(self, n, l):
+        # the same chain with z = -r^2, past r = 1 where z < -1
+        self._fd_cross_check(1, n, l, (0.3, 0.7, 2.0))
+
+    @staticmethod
+    def _fd_cross_check(sign, nu, l, radii):
+        def phi(r, d=0):
+            return spectral._phi(sign, nu, l, r, d)
+
         h = 1e-5
-        for r in (0.3, 0.7):
-            fd1 = (_so13_phi(sol, r + h) - _so13_phi(sol, r - h)) / (2 * h)
-            assert abs(fd1 - _so13_phi(sol, r, 1)) < 1e-7
-            fd2 = (_so13_phi(sol, r + h) - 2 * _so13_phi(sol, r) + _so13_phi(sol, r - h)) / h**2
-            assert abs(fd2 - _so13_phi(sol, r, 2)) < 1e-4
+        for r in radii:
+            fd1 = (phi(r + h) - phi(r - h)) / (2 * h)
+            assert abs(fd1 - phi(r, 1)) < 1e-7
+            fd2 = (phi(r + h) - 2 * phi(r) + phi(r - h)) / h**2
+            assert abs(fd2 - phi(r, 2)) < 1e-4
+
+    def test_float_so4_phi_matches_the_exact_expression(self):
+        # the sampled phi is the proved one, at criterion 7's points
+        for n, l in [(1, 0), (2, 0), (2, 1), (3, 2)]:
+            exact = so4_wavefunction_expr(n, l)
+            for r in np.linspace(0.1, 3.0, 25):
+                want = evaluate(exact, (r, 0.0, 0.0))
+                assert spectral._phi(1, n, l, r) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestNormalization:
@@ -385,6 +422,21 @@ def test_import_leaves_quadrature_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closed_form_numerics_load_no_kernel():
+    # phi, phi' and phi'' are floats from one series: only the symbolic
+    # proofs build kernel expressions
+    code = ("import sys\n"
+            "from pdmlab.spectral import ClosedFormSolution as S, closed_form_residual,"
+            " normalization_integral\n"
+            "print(closed_form_residual(S('so4', n=3, l=1), [0.5, 2.0]) < 1e-10,"
+            " closed_form_residual(S('so13', k=0.25), [0.5]) < 1e-10,"
+            " normalization_integral(S('so4', n=2, l=1)).value > 0,"
+            " 'pdmlab.symkernel' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", "False"]
 
 
 def test_solves_load_no_scipy_linalg_and_scale_loads_no_numpy(tmp_path):
