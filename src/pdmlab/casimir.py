@@ -34,7 +34,7 @@ from .diffop import (
 from .report import Check, VerificationReport, annotation
 from .symkernel import kernel_scope
 from .symkernel.ratform import RF_ONE, RF_ZERO
-from .symkernel.scalars import MINUS_ONE, ONE, GRat
+from .symkernel.scalars import ONE, GRat
 
 
 class CasimirPair(NamedTuple):
@@ -42,14 +42,13 @@ class CasimirPair(NamedTuple):
     C2: SecondOrderOp
 
 
+# The sign s of each realization: inverse mass (1 + s r^2)^2, boosts M^{4a}
+# (s = +1) or M^{0a} (s = -1), C1 = boosts^2 + s rots^2 and C1 == (H - 9s)/4.
+_SIGN = {"so4": 1, "so13": -1}
+
+
 def _realization(tag: str):
-    if tag == "so4":
-        # M^{4a} paired with the rotations
-        boosts = {a: generator(f"M4{a}") for a in (1, 2, 3)}
-    elif tag == "so13":
-        boosts = {a: generator(f"M0{a}") for a in (1, 2, 3)}
-    else:
-        raise ValueError(f"unknown realization {tag!r}")
+    boosts = {a: generator(f"M{4 if _SIGN[tag] > 0 else 0}{a}") for a in (1, 2, 3)}
     rots = {(a, b): generator(f"M{a}{b}") for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
     return boosts, rots
 
@@ -61,14 +60,11 @@ def build_casimirs(tag: str) -> CasimirPair:
         boosts, rots = ({k: _first_form(op) for k, op in ops.items()} for ops in _realization(tag))
         sq = [_product(rots[a, b], rots[a, b]) for a in (1, 2, 3) for b in range(a + 1, 4)]
         boost_sq = [_product(boosts[a], boosts[a]) for a in (1, 2, 3)]
-        if tag == "so4":
-            c1 = _form_sum((ONE, op) for op in sq + boost_sq)
-        else:
-            # realization-consistent orientation of the indefinite contraction:
-            # boost^2 - (1/2) rot^2; the commonly printed orientation is exactly
-            # the negative and cannot satisfy C1 == (H+9)/4 (annotated in
-            # verify_casimir_identity)
-            c1 = _form_sum([(ONE, op) for op in boost_sq] + [(MINUS_ONE, op) for op in sq])
+        # for so13 the realization-consistent orientation of the indefinite
+        # contraction, boost^2 - (1/2) rot^2; the commonly printed orientation
+        # is exactly the negative and cannot satisfy C1 == (H+9)/4 (annotated
+        # in verify_casimir_identity)
+        c1 = _form_sum([(ONE, op) for op in boost_sq] + [(GRat(_SIGN[tag]), op) for op in sq])
         c2 = _form_sum(
             (GRat(Fraction(eps(a, b, c), 2)), _product(boosts[a], rots[b, c]))
             for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3) if eps(a, b, c)
@@ -79,11 +75,7 @@ def build_casimirs(tag: str) -> CasimirPair:
 def reference_hamiltonian(tag: str) -> PDMHamiltonian:
     """The parameter-free shifted Hamiltonian of each realization
     (coupling divided out, additive constant dropped)."""
-    if tag == "so4":
-        return PDMHamiltonian((1 + R2) ** 2, 6 * R2)
-    if tag == "so13":
-        return PDMHamiltonian((1 - R2) ** 2, 6 * R2)
-    raise ValueError(f"unknown realization {tag!r}")
+    return PDMHamiltonian((1 + _SIGN[tag] * R2) ** 2, 6 * R2)
 
 
 def verify_casimir_identity(tag: str, mutated: bool = False) -> VerificationReport:
@@ -98,7 +90,7 @@ def verify_casimir_identity(tag: str, mutated: bool = False) -> VerificationRepo
     h = reference_hamiltonian(tag)
     if mutated:
         h = PDMHamiltonian(h.f, 5 * R2)
-    shift = -9 if tag == "so4" else 9
+    shift = -9 * _SIGN[tag]
     with kernel_scope:
         # C1 - (H + shift)/4
         delta = _form_sum([(ONE, _second_form(pair.C1)),
@@ -106,7 +98,7 @@ def verify_casimir_identity(tag: str, mutated: bool = False) -> VerificationRepo
                            (GRat(Fraction(-shift, 4)), {(): RF_ONE})])
         bad = [key for key, _ in pair.C1.slots() if not delta.get(key, RF_ZERO).is_zero()]
         c2_zero = _form_is_zero(_second_form(pair.C2))
-    name = f"C1 == (H {'-' if tag == 'so4' else '+'} 9)/4"
+    name = f"C1 == (H {'-' if shift < 0 else '+'} 9)/4"
     if not bad:
         rep.add(Check(name, "proved", "symbolic", "all 10 coefficient slots vanish"))
     else:

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     # transform.TRANSFORM_OPTIONS
     p_tr.add_argument("--nu", help="shift vector a,b,c (rationals)")
     p_tr.add_argument("--scale", help="dilatation factor (rational)")
-    p_tr.add_argument("--axis", type=int, help="rotation axis")
+    p_tr.add_argument("--axis", help="rotation axis: 1, 2 or 3")
     p_tr.add_argument("--cos", help="rotation cosine (rational)")
     p_tr.add_argument("--sin", help="rotation sine (rational)")
     p_tr.add_argument("--weight",

@@ -77,7 +77,7 @@ from .symkernel.scalars import I, MINUS_I, MINUS_ONE, ZERO, GRat
 
 if TYPE_CHECKING:
     from .report import VerificationReport
-    from .transform import TransformSpec
+    from .transform import ConformalMap
 
 PJDK = ("P1", "P2", "P3", "J1", "J2", "J3", "D", "K1", "K2", "K3")
 
@@ -583,15 +583,15 @@ def subalgebra_closure(spec: SubalgebraSpec) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
-    """Transformed (f', V') with the Hamiltonian renormalized into
-    p f' p - V' form; raises FormError when a first-order obstruction
-    remains."""
+def apply_transform(t: ConformalMap, h: PDMHamiltonian) -> PDMHamiltonian:
+    """(f', V') of h under the map t (a transform.ConformalMap), renormalized
+    into p f' p - V' form; raises FormError when t is an inversion and f or
+    V is not rational in x, or when a first-order obstruction remains."""
     from .transform import conjugate_second_order
 
-    if t.kind == "inversion_conjugation":
-        if not (is_rational_in_x(normalize(h.f)) and is_rational_in_x(normalize(h.V))):
-            raise FormError("inversion conjugation requires f and V rational in x")
+    if t.is_inversion and not (
+            is_rational_in_x(normalize(h.f)) and is_rational_in_x(normalize(h.V))):
+        raise FormError("inversion conjugation requires f and V rational in x")
     H2 = conjugate_second_order(hamiltonian_to_op(h), t)
     f2 = normalize(mul(-1, H2.A[0][0]))
     for a in range(3):
@@ -614,15 +614,12 @@ def apply_transform(t: TransformSpec, h: PDMHamiltonian) -> PDMHamiltonian:
 def find_inversion_weight(h: PDMHamiltonian):
     """Search the multiplier exponent w in [-3, 3] for which the inversion
     conjugation lands back in p f p - V form."""
-    from .transform import TransformSpec
+    from .transform import inversion
 
     last_error = None
     for w in range(-3, 4):
         try:
-            out = apply_transform(
-                TransformSpec(kind="inversion_conjugation", weight_exponent=w), h
-            )
-            return w, out
+            return w, apply_transform(inversion(w), h)
         except FormError as e:
             last_error = e
     raise FormError(

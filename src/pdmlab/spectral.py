@@ -564,7 +564,7 @@ def algebraic_spectrum_so4(n: int) -> So4Level:
 
 class ClosedFormSolution:
     """system 'so4': integer quantum numbers (n, l), terminating polynomial;
-    system 'so13': (k, l) with k in (0,1), infinite series inside r < 1;
+    system 'so13': k in (0,1) and integer l >= 0, infinite series inside r < 1;
     system 'scale': (kappa, etilde, omega) Bessel solution with index
     beta = sqrt(kappa^2 + 1 - etilde)."""
 
@@ -579,6 +579,8 @@ class ClosedFormSolution:
         elif system == "so13":
             if not 0 < k < 1:
                 raise ValueError("need 0 < k < 1")
+            if not (isinstance(l, int) and l >= 0):
+                raise ValueError("need an integer l >= 0")
         elif system == "scale":
             for label, v in (("Etilde", etilde), ("omega", omega)):
                 if not math.isfinite(v):
@@ -803,7 +805,11 @@ SPECTRUM_OPTIONS = {
 def _cmd_spectrum(args) -> int:
     from .cli import _take_options
 
+    # --dump-index names the level that --dump writes, and nothing without it
+    index_alone = args.dump_index is not None and not args.dump
     unread = _take_options(args, SPECTRUM_OPTIONS, args.system, "--system")
+    if not unread and index_alone:
+        unread = "--dump-index is read only with --dump"
     if unread:
         print(f"spectrum error: {unread}", file=sys.stderr)
         return 2

@@ -1,12 +1,13 @@
 """Equivalence transformations of a PDM Hamiltonian and the `transform`
 command.
 
-A transformation conjugates the second-order operator by a change of
-coordinates (shift, rotation, dilatation) or by the inversion x -> x/r^2
-with the multiplier |x|^w.  conformal.apply_transform renormalizes the
-result into p f p - V form; the `transform` command prints the new f and V
-of a catalog row.  Only `transform` and the callers of apply_transform load
-this module.
+A transformation is its map, a ConformalMap record that one constructor per
+kind builds: shift, rotation and dilatation change coordinates, and
+inversion is x -> x/r^2 with the multiplier r^w.  conjugate_second_order
+and conjugate_first_order conjugate an operator by it;
+conformal.apply_transform renormalizes the result into p f p - V form, and
+the `transform` command prints the new f and V of a catalog row.  Only
+`transform` and the callers of apply_transform load this module.
 """
 
 from __future__ import annotations
@@ -20,34 +21,62 @@ from .symkernel import as_expr, diff, is_provably_zero, mul, normalize, subst, t
 from .symkernel.expr import NUM_ZERO, add
 
 
-class TransformSpec:
-    """shift(nu), rotation(R), dilatation(scale), or inversion_conjugation
-    (weight_exponent w, multiplier |x|^w with the substitution x -> x/r^2)."""
+_ZERO3 = (NUM_ZERO,) * 3
 
-    __slots__ = ("kind", "nu", "rotation", "scale", "weight_exponent")
+
+class ConformalMap:
+    """An equivalence transformation: the substitution sigma applied inside
+    wavefunctions, its inverse, and the multiplier m through grad m / m and
+    (d_a d_b m) / m.  shift, rotation, dilatation and inversion build it;
+    is_inversion, which only inversion sets, makes apply_transform require
+    f and V rational in x."""
+
+    __slots__ = ("sigma", "sigma_inv", "m_grad", "m_hess", "is_inversion")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, kind: str, nu: tuple = (0, 0, 0), rotation: tuple = (), scale=1,
-                 weight_exponent: int = 0):
-        if kind not in ("shift", "rotation", "dilatation", "inversion_conjugation"):
-            raise ValueError(f"unknown transform kind {kind!r}")
-        if kind == "dilatation" and scale == 0:
-            raise ValueError("dilatation scale must be nonzero")
-        if kind == "rotation":
-            rotation = tuple(tuple(as_expr(v) for v in row) for row in rotation)
-            if len(rotation) != 3 or any(len(r) != 3 for r in rotation):
-                raise ValueError("rotation needs a 3x3 matrix")
-            for i in range(3):
-                for j in range(3):
-                    dot = add(*(mul(rotation[k][i], rotation[k][j]) for k in range(3)))
-                    want = 1 if i == j else 0
-                    if not is_provably_zero(dot - want):
-                        raise ValueError("rotation matrix is not exactly orthogonal")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "weight_exponent", weight_exponent)
+    def __init__(self, sigma: tuple, sigma_inv: tuple, m_grad: tuple = _ZERO3,
+                 m_hess: tuple = (_ZERO3,) * 3, is_inversion: bool = False):
+        for name, value in zip(self.__slots__, (sigma, sigma_inv, m_grad, m_hess, is_inversion)):
+            object.__setattr__(self, name, value)
+
+
+def shift(nu) -> ConformalMap:
+    """x -> x - nu."""
+    nu = tuple(as_expr(v) for v in nu)
+    return ConformalMap(tuple(X[a] - nu[a] for a in range(3)),
+                        tuple(X[a] + nu[a] for a in range(3)))
+
+
+def rotation(R) -> ConformalMap:
+    """x -> R^T x for an exactly orthogonal 3x3 matrix R."""
+    R = tuple(tuple(as_expr(v) for v in row) for row in R)
+    if len(R) != 3 or any(len(r) != 3 for r in R):
+        raise ValueError("rotation needs a 3x3 matrix")
+    if any(not is_provably_zero(add(*(mul(R[k][i], R[k][j]) for k in range(3))) - int(i == j))
+           for i in range(3) for j in range(3)):
+        raise ValueError("rotation matrix is not exactly orthogonal")
+    return ConformalMap(
+        tuple(add(*(mul(R[b][a], X[b]) for b in range(3))) for a in range(3)),  # R^T x
+        tuple(add(*(mul(R[a][b], X[b]) for b in range(3))) for a in range(3)),  # R y
+    )
+
+
+def dilatation(scale) -> ConformalMap:
+    """x -> scale x."""
+    if scale == 0:
+        raise ValueError("dilatation scale must be nonzero")
+    s = as_expr(scale)
+    return ConformalMap(tuple(mul(s, X[a]) for a in range(3)), tuple(X[a] / s for a in range(3)))
+
+
+def inversion(w: int) -> ConformalMap:
+    """x -> x/r^2, its own inverse, with the multiplier m = r^w."""
+    r2 = x1**2 + x2**2 + x3**2
+    sigma = tuple(X[a] / r2 for a in range(3))
+    m_grad = tuple(mul(w, X[a]) / r2 for a in range(3))
+    m_hess = tuple(tuple(mul(w, as_expr(int(a == b))) / r2 + mul(w * (w - 2), X[a] * X[b]) / r2**2
+                         for b in range(3)) for a in range(3))
+    return ConformalMap(sigma, sigma, m_grad, m_hess, is_inversion=True)
 
 
 def axis_rotation(axis: int, cos_t, sin_t):
@@ -65,49 +94,10 @@ def axis_rotation(axis: int, cos_t, sin_t):
     raise ValueError("axis must be 1, 2 or 3")
 
 
-def _transform_data(t: TransformSpec):
-    """Returns (sigma, sigma_inv, m_grad_ratio, m_hess_ratio) where sigma is
-    the substitution map applied inside wavefunctions and m the multiplier."""
-    zero3 = (NUM_ZERO, NUM_ZERO, NUM_ZERO)
-    zero33 = tuple((NUM_ZERO,) * 3 for _ in range(3))
-    if t.kind == "shift":
-        nu = tuple(as_expr(v) for v in t.nu)
-        sigma = tuple(X[a] - nu[a] for a in range(3))
-        sigma_inv = tuple(X[a] + nu[a] for a in range(3))
-        return sigma, sigma_inv, zero3, zero33
-    if t.kind == "rotation":
-        R = t.rotation
-        sigma = tuple(add(*(mul(R[b][a], X[b]) for b in range(3))) for a in range(3))  # R^T x
-        sigma_inv = tuple(add(*(mul(R[a][b], X[b]) for b in range(3))) for a in range(3))  # R y
-        return sigma, sigma_inv, zero3, zero33
-    if t.kind == "dilatation":
-        s = as_expr(t.scale)
-        sigma = tuple(mul(s, X[a]) for a in range(3))
-        sigma_inv = tuple(X[a] / s for a in range(3))
-        return sigma, sigma_inv, zero3, zero33
-    # inversion: sigma = sigma_inv = x / r^2, multiplier m = r^w
-    r2 = x1**2 + x2**2 + x3**2
-    sigma = tuple(X[a] / r2 for a in range(3))
-    w = t.weight_exponent
-    m_grad = tuple(mul(w, X[a]) / r2 for a in range(3))
-    m_hess = tuple(
-        tuple(
-            (mul(w, as_expr(1 if a == b else 0)) / r2)
-            + mul(w * (w - 2), X[a] * X[b]) / r2**2
-            for b in range(3)
-        )
-        for a in range(3)
-    )
-    return sigma, sigma, m_grad, m_hess
-
-
-def conjugate_second_order(H: SecondOrderOp, t: TransformSpec) -> SecondOrderOp:
-    sigma, sigma_inv, m_grad, m_hess = _transform_data(t)
-    sub = {X[a]: sigma_inv[a] for a in range(3)}
-    dsig = [[diff(sigma[i], a + 1) for a in range(3)] for i in range(3)]
-    d2sig = [
-        [[diff(dsig[i][a], b + 1) for b in range(3)] for a in range(3)] for i in range(3)
-    ]
+def conjugate_second_order(H: SecondOrderOp, t: ConformalMap) -> SecondOrderOp:
+    sub = {X[a]: t.sigma_inv[a] for a in range(3)}
+    dsig = [[diff(t.sigma[i], a + 1) for a in range(3)] for i in range(3)]
+    d2sig = [[[diff(dsig[i][a], b + 1) for b in range(3)] for a in range(3)] for i in range(3)]
     A2 = [[NUM_ZERO] * 3 for _ in range(3)]
     B2 = [NUM_ZERO] * 3
     C2 = NUM_ZERO
@@ -119,15 +109,14 @@ def conjugate_second_order(H: SecondOrderOp, t: TransformSpec) -> SecondOrderOp:
             for i in range(3):
                 for j in range(3):
                     A2[i][j] = A2[i][j] + Aab * dsig[i][a] * dsig[j][b]
-                B2[i] = B2[i] + Aab * (
-                    m_grad[a] * dsig[i][b] + m_grad[b] * dsig[i][a] + d2sig[i][a][b]
-                )
-            C2 = C2 + Aab * m_hess[a][b]
+                B2[i] = B2[i] + Aab * (t.m_grad[a] * dsig[i][b] + t.m_grad[b] * dsig[i][a]
+                                       + d2sig[i][a][b])
+            C2 = C2 + Aab * t.m_hess[a][b]
         Ba = H.B[a]
         if Ba != NUM_ZERO:
             for i in range(3):
                 B2[i] = B2[i] + Ba * dsig[i][a]
-            C2 = C2 + Ba * m_grad[a]
+            C2 = C2 + Ba * t.m_grad[a]
     C2 = C2 + H.C
     A2 = tuple(tuple(normalize(subst(v, sub)) for v in row) for row in A2)
     B2 = tuple(normalize(subst(v, sub)) for v in B2)
@@ -135,17 +124,12 @@ def conjugate_second_order(H: SecondOrderOp, t: TransformSpec) -> SecondOrderOp:
     return SecondOrderOp(A2, B2, C2)
 
 
-def conjugate_first_order(q: FirstOrderOp, t: TransformSpec) -> FirstOrderOp:
-    sigma, sigma_inv, m_grad, _ = _transform_data(t)
-    sub = {X[a]: sigma_inv[a] for a in range(3)}
-    xi2 = []
-    for i in range(3):
-        acc = add(*(mul(q.xi[a], diff(sigma[i], a + 1)) for a in range(3)))
-        xi2.append(normalize(subst(acc, sub)))
-    eta2 = normalize(
-        subst(add(*(mul(q.xi[a], m_grad[a]) for a in range(3))) + q.eta, sub)
-    )
-    return FirstOrderOp(tuple(xi2), eta2)
+def conjugate_first_order(q: FirstOrderOp, t: ConformalMap) -> FirstOrderOp:
+    sub = {X[a]: t.sigma_inv[a] for a in range(3)}
+    xi2 = tuple(normalize(subst(add(*(mul(q.xi[a], diff(s, a + 1)) for a in range(3))), sub))
+                for s in t.sigma)
+    eta2 = normalize(subst(add(*(mul(q.xi[a], t.m_grad[a]) for a in range(3))) + q.eta, sub))
+    return FirstOrderOp(xi2, eta2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +140,7 @@ def conjugate_first_order(q: FirstOrderOp, t: TransformSpec) -> FirstOrderOp:
 TRANSFORM_OPTIONS = {
     "shift": {"nu": "0,0,0"},
     "dilatation": {"scale": "2"},
-    "rotation": {"axis": 3, "cos": "3/5", "sin": "4/5"},
+    "rotation": {"axis": "3", "cos": "3/5", "sin": "4/5"},
     "inversion": {"weight": "auto"},
 }
 
@@ -175,6 +159,14 @@ def _rational(option: str, text: str):
         raise ValueError(f"{option} has a zero denominator: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """int(text) of [+-]digits (ASCII digits, no spaces or underscores),
+    failing with ValueError otherwise."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _cmd_transform(args) -> int:
     # apply_transform and find_inversion_weight are read from conformal,
     # where the benchmark's tracer wraps them, when the command runs
@@ -189,29 +181,25 @@ def _cmd_transform(args) -> int:
     row = catalog.entry(args.entry)
     h = PDMHamiltonian(row.f, row.V)
     try:
-        if args.kind == "shift":
-            nu = tuple(_rational("--nu", s) for s in args.nu.split(","))
-            if len(nu) != 3:
-                raise ValueError("--nu needs three comma-separated rationals")
-            out = apply_transform(TransformSpec(kind="shift", nu=nu), h)
-            w = None
-        elif args.kind == "dilatation":
-            out = apply_transform(
-                TransformSpec(kind="dilatation", scale=_rational("--scale", args.scale)), h
-            )
-            w = None
-        elif args.kind == "rotation":
-            R = axis_rotation(args.axis, _rational("--cos", args.cos), _rational("--sin", args.sin))
-            out = apply_transform(TransformSpec(kind="rotation", rotation=R), h)
-            w = None
-        else:  # inversion
-            if args.weight == "auto":
-                w, out = find_inversion_weight(h)
-            else:
-                w = int(args.weight)
-                out = apply_transform(
-                    TransformSpec(kind="inversion_conjugation", weight_exponent=w), h
-                )
+        w = None
+        if args.kind == "inversion" and args.weight == "auto":
+            w, out = find_inversion_weight(h)
+        else:
+            if args.kind == "shift":
+                nu = tuple(_rational("--nu", s) for s in args.nu.split(","))
+                if len(nu) != 3:
+                    raise ValueError("--nu needs three comma-separated rationals")
+                t = shift(nu)
+            elif args.kind == "dilatation":
+                t = dilatation(_rational("--scale", args.scale))
+            elif args.kind == "rotation":
+                t = rotation(axis_rotation(_integer(args.axis),
+                                           _rational("--cos", args.cos),
+                                           _rational("--sin", args.sin)))
+            else:  # inversion
+                w = _integer(args.weight)
+                t = inversion(w)
+            out = apply_transform(t, h)
     except FormError as e:
         print(f"form error: {e}")
         if e.obstruction is not None:

@@ -196,7 +196,7 @@ def test_criterion_8_equivalence_transforms():
     from pdmlab.conformal import apply_transform, find_inversion_weight
     from pdmlab.diffop import PDMHamiltonian
     from pdmlab.symkernel import AbstractFn, is_provably_zero, param, x1, x2, x3
-    from pdmlab.transform import TransformSpec, axis_rotation
+    from pdmlab.transform import axis_rotation, dilatation, rotation, shift
 
     mu, nu = param("mu"), param("nu")
     r2 = x1**2 + x2**2 + x3**2
@@ -204,19 +204,16 @@ def test_criterion_8_equivalence_transforms():
     # shift on the x3-profile family
     F = AbstractFn("F", 1)
     row10 = entry(10)
-    out = apply_transform(TransformSpec(kind="shift", nu=(0, 0, 1)),
-                          PDMHamiltonian(row10.f, row10.V))
+    out = apply_transform(shift((0, 0, 1)), PDMHamiltonian(row10.f, row10.V))
     ok = ok and is_provably_zero(out.f - F(x3 + 1))
     # dilatation fixes the homogeneous quadratic family
     row14 = entry(14)
-    out = apply_transform(TransformSpec(kind="dilatation", scale=Fraction(5, 2)),
-                          PDMHamiltonian(row14.f, row14.V))
+    out = apply_transform(dilatation(Fraction(5, 2)), PDMHamiltonian(row14.f, row14.V))
     ok = ok and is_provably_zero(out.f - mu * r2) and is_provably_zero(out.V - nu)
     # rational rotation fixes the cylindrical family
     row12 = entry(12)
     R = axis_rotation(3, Fraction(3, 5), Fraction(4, 5))
-    out = apply_transform(TransformSpec(kind="rotation", rotation=R),
-                          PDMHamiltonian(row12.f, row12.V))
+    out = apply_transform(rotation(R), PDMHamiltonian(row12.f, row12.V))
     ok = ok and is_provably_zero(out.f - row12.f)
     # inversion on the quartic row
     row18 = entry(18)

@@ -199,6 +199,38 @@ class TestCasimirCommand:
         assert "window derivations" in out
 
 
+# Option texts of `transform`: well formed, zero, negative, huge (past
+# int()'s 4300-digit limit too), malformed, non-ASCII digits and padded.
+_INTEGER_TEXTS = ["1", "2", "3", "0", "-3", "+2", "4", "9" * 40, "1" * 5000, "\u0663", " 3",
+                  "-3 ", "1_0", "3.0", "3/1", "x", ""]
+_RATIONAL_TEXTS = ["0", "1/2", "-3/5", "3/5", "4/5", "+5/2", "7" * 60 + "/3", "1/0", "1.5",
+                   "1e9", "\u0664/5", " 1", "a", ""]
+_ENTRY_TEXTS = [str(n) for n in range(1, 19)] + ["0", "19", "-1", "x"]
+
+
+@st.composite
+def _transform_argv(draw):
+    """A `transform` argv: a kind, an entry and some of that kind's options."""
+    kind = draw(st.sampled_from(["shift", "rotation", "dilatation", "inversion"]))
+    argv = ["transform", "--kind", kind, "--entry", draw(st.sampled_from(_ENTRY_TEXTS))]
+    for name in {"shift": ["nu"], "rotation": ["axis", "cos", "sin"],
+                 "dilatation": ["scale"], "inversion": ["weight"]}[kind]:
+        if not draw(st.booleans()):
+            continue
+        if name == "nu":
+            text = ",".join(draw(st.lists(st.sampled_from(_RATIONAL_TEXTS), min_size=1,
+                                          max_size=4)))
+        elif name == "axis":
+            text = draw(st.sampled_from(_INTEGER_TEXTS))
+        elif name == "weight":
+            text = draw(st.sampled_from(["auto"] + _INTEGER_TEXTS))
+        else:
+            text = draw(st.sampled_from(_RATIONAL_TEXTS))
+        # --name=text, so that a text that starts with "-" stays a value
+        argv.append(f"--{name}={text}")
+    return argv
+
+
 class TestTransformCommand:
     def test_inversion_entry_18(self, capsys):
         code, out = run_cli(["transform", "--kind", "inversion", "--entry", "18"], capsys)
@@ -241,8 +273,24 @@ class TestTransformCommand:
          "error: Invalid literal for Fraction: ' 1'"),
         (["--kind", "rotation", "--cos", "3/5", "--sin", "\u0664/5", "--entry", "10"],
          "error: Invalid literal for Fraction: '\u0664/5'"),
+        # --axis and --weight read [+-]digits alone, where int() also takes
+        # other scripts' digits, padding and underscores
+        (["--kind", "inversion", "--weight", "\u0663", "--entry", "18"],
+         "error: invalid literal for int() with base 10: '\u0663'"),
+        (["--kind", "inversion", "--weight= -3 ", "--entry", "18"],
+         "error: invalid literal for int() with base 10: ' -3 '"),
+        (["--kind", "inversion", "--weight", "1_0", "--entry", "18"],
+         "error: invalid literal for int() with base 10: '1_0'"),
+        (["--kind", "rotation", "--axis", "\u0663", "--entry", "10"],
+         "error: invalid literal for int() with base 10: '\u0663'"),
+        (["--kind", "rotation", "--axis", " 3", "--entry", "10"],
+         "error: invalid literal for int() with base 10: ' 3'"),
+        (["--kind", "rotation", "--axis", "0_3", "--entry", "10"],
+         "error: invalid literal for int() with base 10: '0_3'"),
     ], ids=["scale-0", "scale-1/0", "nu-1/0", "cos-1/0", "nu-letters", "scale-exponent",
-            "scale-decimal", "nu-space", "sin-arabic-indic"])
+            "scale-decimal", "nu-space", "sin-arabic-indic", "weight-arabic-indic",
+            "weight-padded", "weight-underscore", "axis-arabic-indic", "axis-space",
+            "axis-underscore"])
     def test_bad_rational_is_bad_input(self, args, error, capsys):
         assert main(["transform", *args]) == 2
         assert capsys.readouterr() == ("", error + "\n")
@@ -252,6 +300,20 @@ class TestTransformCommand:
         assert main(["transform", "--kind", "dilatation", f"--scale={scale}", "--entry", "14"]) == 0
         out, err = capsys.readouterr()
         assert out and not err
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_transform_argv())
+    def test_exit_code_contract(self, argv):
+        # no SIGALRM here: conftest's wall budget owns ITIMER_REAL
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse's own rejection
+                code = stop.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", argv
 
 
 class TestExprCommand:
@@ -578,6 +640,9 @@ _OTHER_CHOICE = [
      "spectrum error: --grid is not read by --system scale"),
     (["transform", "--kind", "rotation", "--entry", "10", "--nu", "x", "--weight", "5"],
      "transform error: --nu is not read by --kind rotation"),
+    # --dump-index names the level that --dump writes
+    (["spectrum", "--system", "so4", "--dump-index", "3"],
+     "spectrum error: --dump-index is read only with --dump"),
 ]
 
 

@@ -42,7 +42,14 @@ from pdmlab.symkernel import (
     x3,
 )
 from pdmlab.symkernel.ratform import rf_canon, rf_to_expr
-from pdmlab.transform import TransformSpec, axis_rotation, conjugate_first_order
+from pdmlab.transform import (
+    axis_rotation,
+    conjugate_first_order,
+    dilatation,
+    inversion,
+    rotation,
+    shift,
+)
 
 R2 = x1**2 + x2**2 + x3**2
 MU, NU = param("mu"), param("nu")
@@ -224,25 +231,28 @@ class TestTransforms:
     def test_shift_moves_abstract_argument(self):
         F, Ft = AbstractFn("F", 1), AbstractFn("Ft", 1)
         h = PDMHamiltonian(F(x3), Ft(x3))
-        out = apply_transform(TransformSpec(kind="shift", nu=(0, 0, 1)), h)
+        out = apply_transform(shift((0, 0, 1)), h)
         assert is_provably_zero(out.f - F(x3 + 1))
         assert is_provably_zero(out.V - Ft(x3 + 1))
 
     def test_dilatation_fixes_quadratic_family(self):
         h = PDMHamiltonian(MU * R2, NU)
-        out = apply_transform(TransformSpec(kind="dilatation", scale=Fraction(3, 2)), h)
+        out = apply_transform(dilatation(Fraction(3, 2)), h)
         assert is_provably_zero(out.f - MU * R2)
         assert is_provably_zero(out.V - NU)
 
     def test_rational_rotation(self):
         R = axis_rotation(3, Fraction(3, 5), Fraction(4, 5))
         h = PDMHamiltonian(MU * (x1**2 + x2**2), NU)
-        out = apply_transform(TransformSpec(kind="rotation", rotation=R), h)
+        out = apply_transform(rotation(R), h)
         assert is_provably_zero(out.f - h.f)
 
     def test_rotation_must_be_orthogonal(self):
-        with pytest.raises(ValueError):
-            TransformSpec(kind="rotation", rotation=((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="^rotation matrix is not exactly orthogonal$"):
+            rotation(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        for bad in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0))):
+            with pytest.raises(ValueError, match="^rotation needs a 3x3 matrix$"):
+                rotation(bad)
         with pytest.raises(ValueError):
             axis_rotation(3, Fraction(1, 2), Fraction(1, 2))
 
@@ -256,24 +266,19 @@ class TestTransforms:
     def test_inversion_wrong_weight_raises(self):
         h = PDMHamiltonian(MU * R2**2, 6 * MU * R2 + NU)
         with pytest.raises(FormError):
-            apply_transform(
-                TransformSpec(kind="inversion_conjugation", weight_exponent=0), h
-            )
+            apply_transform(inversion(0), h)
 
     def test_inversion_rejects_transcendental(self):
         from pdmlab.symkernel import exp
 
         with pytest.raises(FormError):
-            apply_transform(
-                TransformSpec(kind="inversion_conjugation", weight_exponent=-3),
-                PDMHamiltonian(exp(x1), as_expr(0)),
-            )
+            apply_transform(inversion(-3), PDMHamiltonian(exp(x1), as_expr(0)))
 
     def test_transforms_preserve_integrals(self):
         # every rational catalog row: conjugated integrals still commute
         from pdmlab.catalog import entry
 
-        t = TransformSpec(kind="shift", nu=(0, Fraction(1, 2), 0))
+        t = shift((0, Fraction(1, 2), 0))
         for eid in range(12, 19):
             row = entry(eid)
             if row.variant_integrals is not None:
@@ -286,6 +291,6 @@ class TestTransforms:
             assert commute_hq(h2, q2).is_zero(), eid
         # inversion case on the quartic row
         h = PDMHamiltonian(MU * R2**2, 6 * MU * R2 + NU)
-        t_inv = TransformSpec(kind="inversion_conjugation", weight_exponent=-3)
+        t_inv = inversion(-3)
         q = combo_to_op("M21")
         assert commute_hq(apply_transform(t_inv, h), conjugate_first_order(q, t_inv)).is_zero()

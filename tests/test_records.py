@@ -10,7 +10,7 @@ import pytest
 from pdmlab.diffop import FirstOrderOp, PDMHamiltonian, SecondOrderOp
 from pdmlab.spectral import ClosedFormSolution, RadialProblem
 from pdmlab.symkernel import Inconclusive, NonZero, NumericZero, ProvedZero, x1
-from pdmlab.transform import TransformSpec
+from pdmlab.transform import shift
 
 
 def _verdicts():
@@ -53,7 +53,7 @@ def _records():
         PDMHamiltonian(1, x1),
         RadialProblem(),
         ClosedFormSolution(system="so4", n=1),
-        TransformSpec(kind="shift", nu=(0, 0, 1)),
+        shift((0, 0, 1)),
     ] + _verdicts()
 
 

@@ -346,6 +346,10 @@ class TestClosedForms:
                 ClosedFormSolution(system="so4", n=n, l=l)
         with pytest.raises(ValueError):
             ClosedFormSolution(system="so13", k=1.5)
+        # phi's second derivative and the normalization need an integer l >= 0
+        for l in (0.5, -2, 1.0):
+            with pytest.raises(ValueError, match="integer l"):
+                ClosedFormSolution(system="so13", k=0.5, l=l)
         with pytest.raises(ValueError):
             ClosedFormSolution(system="scale", kappa=0, etilde=3.0)
         with pytest.raises(ValueError):
