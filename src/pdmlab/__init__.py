@@ -4,7 +4,17 @@ Schrodinger operators, their first-order integrals of motion and spectra."""
 __version__ = "0.1.0"
 
 
-def read_only(self, name, *value):
-    """__setattr__ and __delattr__ of a read-only record: its __init__ sets
-    each slot once with object.__setattr__."""
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+class Record:
+    """Base of the read-only records: __init__ sets each slot once, in
+    __slots__ order, and setattr and delattr then raise."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

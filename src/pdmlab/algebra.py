@@ -20,9 +20,8 @@ from .conformal import (
     _same_column,
     generator,
     load_subalgebras,
+    metric_basis,
     metric_table,
-    so4_basis,
-    so13_basis,
     subalgebra_closure,
     verify_structure,
 )
@@ -92,10 +91,6 @@ def expected_c3(a: str, b: str):
 SO14_METRIC = {0: 1, 1: -1, 2: -1, 3: -1, 4: -1}
 
 
-def so14_basis():
-    return ["M01", "M02", "M03", "M04", "M12", "M13", "M14", "M23", "M24", "M34"]
-
-
 # ---------------------------------------------------------------------------
 # structure reports
 # ---------------------------------------------------------------------------
@@ -116,17 +111,17 @@ def verify_c3() -> VerificationReport:
 def verify_so14() -> VerificationReport:
     # so(1,4) brackets have the so(4) pattern with the opposite sign: its table under -g
     so14 = metric_table({i: -g for i, g in SO14_METRIC.items()})
-    return verify_structure(so14_basis(), so14, "algebra.so14",
+    return verify_structure(metric_basis(SO14_METRIC), so14, "algebra.so14",
                             "rank-2 tensor basis with metric diag(1,-1,-1,-1,-1)")
 
 
 def verify_so4() -> VerificationReport:
-    return verify_structure(so4_basis(), metric_table(SO4_METRIC), "algebra.so4",
+    return verify_structure(metric_basis(SO4_METRIC), metric_table(SO4_METRIC), "algebra.so4",
                             "six integrals of the compact realization vs Kronecker table")
 
 
 def verify_so13() -> VerificationReport:
-    rep = verify_structure(so13_basis(), metric_table(SO13_METRIC), "algebra.so13",
+    rep = verify_structure(metric_basis(SO13_METRIC), metric_table(SO13_METRIC), "algebra.so13",
                            "six integrals of the Lorentz realization vs metric table")
     rep.add(annotation(
         "metric table reading",

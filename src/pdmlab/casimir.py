@@ -16,7 +16,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conformal import combo_to_op, generator, so4_basis, so13_basis
+from .conformal import SO4_METRIC, SO13_METRIC, combo_to_op, generator, metric_basis
 from .diffop import (
     PDMHamiltonian,
     R2,
@@ -168,7 +168,7 @@ def verify_casimir_centrality(tag: str) -> VerificationReport:
     rep = VerificationReport(f"casimir.{tag}.central",
                              "C1 commutes with every basis integral")
     pair = build_casimirs(tag)
-    basis = so4_basis() if tag == "so4" else so13_basis()
+    basis = metric_basis(SO4_METRIC if tag == "so4" else SO13_METRIC)
     with kernel_scope:
         c1 = _second_form(pair.C1)
         for gid in basis:

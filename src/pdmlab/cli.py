@@ -10,9 +10,9 @@ Any other option is bad input.
 
 Exit codes: 0 all checks passed (annotations do not fail a run), 1 at least
 one check failed or stdout was closed before the output was written, 2 bad
-arguments or input: among them a --points below 1, a --tol or a spectrum
---rel-tol outside (0, 1) and a --json path that cannot be opened for
-writing.  Reruns with the same seed and inputs produce byte-identical
+arguments or input: among them a numeric option not written in ASCII
+digits, a --points below 1, a --tol or a spectrum --rel-tol outside (0, 1)
+and a --json path that cannot be opened for writing.  Reruns with the same seed and inputs produce byte-identical
 output.
 
 `catalog verify --all` shares its rows and worked families with one forked
@@ -165,12 +165,27 @@ def _cmd_expr(args) -> int:
     return 0
 
 
+# The numeric options' forms, compiled on first use: int() and float() also
+# read other scripts' digits, padding and underscores.
+INTEGER = r"[+-]?[0-9]+"
+_FLOAT = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
+
+
 def _number(kind, text: str):
-    """kind(text), failing with argparse's own message for a bad number."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+    """kind(text) of [+-]digits (int), or of an ASCII decimal, inf or nan
+    (float), failing with argparse's own message for a bad number."""
+    if re.fullmatch(INTEGER if kind is int else _FLOAT, text):
+        with contextlib.suppress(ValueError):  # an int past the digit limit of int()
+            return kind(text)
+    raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+
+
+def _int(text: str) -> int:
+    return _number(int, text)
+
+
+def _float(text: str) -> float:
+    return _number(float, text)
 
 
 def _points(text: str) -> int:
@@ -202,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the seed that a report records.  --seed, --points and --tol default
     # to None, which _policy reads as the zero test's default.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, help="seed for the numeric zero-test tier")
+    seeded.add_argument("--seed", type=_int, help="seed for the numeric zero-test tier")
     reported = argparse.ArgumentParser(add_help=False, parents=[seeded])
     reported.add_argument("--json", metavar="PATH", help="write the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_catalog_list)
     p_ver = cat_sub.add_parser("verify", parents=[reported], help="verify rows")
     group = p_ver.add_mutually_exclusive_group(required=True)
-    group.add_argument("--entry", type=int, choices=range(1, 19), metavar="N",
+    group.add_argument("--entry", type=_int, choices=range(1, 19), metavar="N",
                        help="verify a single row (1..18)")
     group.add_argument("--all", action="store_true", help="verify every row")
     p_ver.add_argument("--worked", action="store_true",
@@ -236,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--system", choices=["so4", "scale"], required=True)
     # so4 reads --l ... --dump-index, scale reads --kappa, --etilde, --omega;
     # the defaults are in spectral.SPECTRUM_OPTIONS
-    p_spec.add_argument("--l", type=int)
-    p_spec.add_argument("--count", type=int)
-    p_spec.add_argument("--grid", type=int)
+    p_spec.add_argument("--l", type=_int)
+    p_spec.add_argument("--count", type=_int)
+    p_spec.add_argument("--grid", type=_int)
     p_spec.add_argument("--rel-tol", type=_tol,
                         help="bound on each level's relative error, in (0, 1)")
     p_spec.add_argument("--dump", metavar="PATH",
                         help="write a two-column (r, phi) eigenfunction dump")
-    p_spec.add_argument("--dump-index", type=int)
-    p_spec.add_argument("--kappa", type=int)
-    p_spec.add_argument("--etilde", type=float)
-    p_spec.add_argument("--omega", type=float)
+    p_spec.add_argument("--dump-index", type=_int)
+    p_spec.add_argument("--kappa", type=_int)
+    p_spec.add_argument("--etilde", type=_float)
+    p_spec.add_argument("--omega", type=_float)
     p_spec.set_defaults(func=_handler("spectral", "_cmd_spectrum"))
 
     p_cas = sub.add_parser("casimir", parents=[reported],
@@ -258,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="equivalence transformations of catalog rows")
     p_tr.add_argument("--kind", choices=["shift", "rotation", "dilatation", "inversion"],
                       required=True)
-    p_tr.add_argument("--entry", type=int, choices=range(1, 19), metavar="N",
+    p_tr.add_argument("--entry", type=_int, choices=range(1, 19), metavar="N",
                       required=True)
     # each kind reads its own options; the defaults are in
     # transform.TRANSFORM_OPTIONS

@@ -134,7 +134,7 @@ def _parse_coeff(text: str) -> Expr:
     if m:
         inner = param(m.group(2))
         return cos(inner) if m.group(1) == "cos" else sin(inner)
-    if re.match(r"^-?\d+(/\d+)?$", text):
+    if re.match(r"^-?[0-9]+(/[0-9]+)?$", text):
         return as_expr(Fraction(text))
     if text.isidentifier():
         return param(text)
@@ -463,12 +463,10 @@ def metric_table(metric):
     return lambda a, b: expected_metric_bracket(_pair_of(a), _pair_of(b), metric)
 
 
-def so4_basis():
-    return ["M12", "M13", "M14", "M23", "M24", "M34"]
-
-
-def so13_basis():
-    return ["M01", "M02", "M03", "M12", "M13", "M23"]
+def metric_basis(metric):
+    """The M(mu,nu) ids, mu < nu, of a diagonal metric's index pairs, in
+    order: M12 .. M34 of so(4), M01 .. M23 of so(1,3)."""
+    return [f"M{mu}{nu}" for mu, nu in itertools.combinations(sorted(metric), 2)]
 
 
 def _pair_of(gid: str):

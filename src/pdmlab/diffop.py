@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import read_only
+from . import Record
 from .symkernel import (
     Expr,
     IMAG,
@@ -74,15 +74,13 @@ def _e3(x):
     return tuple(as_expr(v) for v in x)
 
 
-class FirstOrderOp:
+class FirstOrderOp(Record):
     """Q = -i(xi^a d_a + eta)."""
 
     __slots__ = ("xi", "eta")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, xi: tuple, eta):
-        object.__setattr__(self, "xi", _e3(xi))
-        object.__setattr__(self, "eta", as_expr(eta))
+        super().__init__(_e3(xi), as_expr(eta))
 
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
         return FirstOrderOp(
@@ -100,17 +98,14 @@ class FirstOrderOp:
         return all(is_provably_zero(x) for x in self.xi) and is_provably_zero(self.eta)
 
 
-class SecondOrderOp:
+class SecondOrderOp(Record):
     """A^{ab} d_a d_b + B^a d_a + C with A stored symmetric."""
 
     __slots__ = ("A", "B", "C")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, A: tuple, B: tuple, C):
         # A: 3x3 nested tuple, A[a][b] == A[b][a]
-        object.__setattr__(self, "A", tuple(_e3(row) for row in A))
-        object.__setattr__(self, "B", _e3(B))
-        object.__setattr__(self, "C", as_expr(C))
+        super().__init__(tuple(_e3(row) for row in A), _e3(B), as_expr(C))
 
     def slots(self):
         """The ten coefficient slots: 6 upper-triangle A, 3 B, 1 C."""
@@ -121,15 +116,13 @@ class SecondOrderOp:
         return all(is_provably_zero(v) for _, v in self.slots())
 
 
-class PDMHamiltonian:
+class PDMHamiltonian(Record):
     """H = p_a f p_a - V with f = 1/(2m) the inverse-mass profile."""
 
     __slots__ = ("f", "V")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, f, V):
-        object.__setattr__(self, "f", as_expr(f))
-        object.__setattr__(self, "V", as_expr(V))
+        super().__init__(as_expr(f), as_expr(V))
 
 
 _EPS = {}

@@ -51,7 +51,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import read_only
+from . import Record
 
 # A Ritz pair has converged when its residual in (T - sigma)^-1 is at most
 # RITZ_TOL times its Ritz value.
@@ -71,7 +71,7 @@ class EigensolveError(ArithmeticError):
     within its step bound, or the Sturm count disagrees with the index."""
 
 
-class RadialProblem:
+class RadialProblem(Record):
     """The radial problem of system 'so4' (compact) on the whole half-line
     r > 0, or of 'so13' (lorentz) on a subdomain (r_min, r_max) of (0, 1),
     discretized at grid_points interior points of the Liouville variable t.
@@ -81,7 +81,6 @@ class RadialProblem:
     """
 
     __slots__ = ("system", "l", "r_min", "r_max", "grid_points")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, system: str = "so4", l: int = 0, r_min: float | None = None,
                  r_max: float | None = None, grid_points: int = 4000):
@@ -99,11 +98,7 @@ class RadialProblem:
                 r_min is not None and r_max is not None and 0 < r_min < r_max < 1):
             raise ValueError("the lorentz radial problem lives on a subdomain"
                              " (r_min, r_max) of (0,1)")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "r_min", r_min)
-        object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "grid_points", grid_points)
+        super().__init__(system, l, r_min, r_max, grid_points)
 
     def with_grid(self, grid_points: int) -> "RadialProblem":
         return RadialProblem(self.system, self.l, self.r_min, self.r_max, grid_points)
@@ -562,14 +557,13 @@ def algebraic_spectrum_so4(n: int) -> So4Level:
 # ---------------------------------------------------------------------------
 
 
-class ClosedFormSolution:
+class ClosedFormSolution(Record):
     """system 'so4': integer quantum numbers (n, l), terminating polynomial;
     system 'so13': k in (0,1) and integer l >= 0, infinite series inside r < 1;
     system 'scale': (kappa, etilde, omega) Bessel solution with index
     beta = sqrt(kappa^2 + 1 - etilde)."""
 
     __slots__ = ("system", "n", "l", "k", "kappa", "etilde", "omega")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, system: str, n: int = 0, l: int = 0, k: float = 0.0, kappa: int = 0,
                  etilde: float = 0.0, omega: float = 1.0):
@@ -591,13 +585,7 @@ class ClosedFormSolution:
                 raise ValueError("need omega > 0 (J_beta is evaluated at omega t, t > 0)")
         else:
             raise ValueError(f"unknown system {system!r}")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "etilde", etilde)
-        object.__setattr__(self, "omega", omega)
+        super().__init__(system, n, l, k, kappa, etilde, omega)
 
 
 def so4_wavefunction_expr(n: int, l: int):

@@ -13,7 +13,8 @@ cancellation); the full gcd/content/unit canonicalization runs once per
 normalize() call.
 
 Nearly every numerator/denominator gcd is 1, so `p_gcd` first tries to prove
-that with univariate images modulo a prime (`_coprime_certified`) and runs
+that with univariate images modulo a prime (`_coprime_certified`), asks
+again of the primitive parts once the contents are divided out, and runs
 the pseudo-remainder sequence only when the images cannot decide.  The proof
 is exact, not probabilistic; it is spelled out in `_coprime_certified`.
 
@@ -79,7 +80,6 @@ _NORM_CACHE: dict = {}
 _RF_CACHE: dict = {}
 _MKEY: dict = {}  # monomial -> m_key
 _MFACTORS: dict = {}  # monomial -> its printed factors, in atom-key order
-_POINTS: dict = {}  # atom support -> field -> value, for _coprime_certified
 _ROOT_BASE: dict = {}  # field of a root atom -> (q, base polynomial)
 _DIFF: dict = {}  # (field of an atom, variable) -> the atom's derivative
 # the atom table, a field named by its bit offset: atom -> field, and
@@ -115,7 +115,6 @@ class _KernelScope:
             _RF_CACHE.clear()
             _MKEY.clear()
             _MFACTORS.clear()
-            _POINTS.clear()
             _ROOT_BASE.clear()
             _DIFF.clear()
             _SHIFT.clear()
@@ -625,11 +624,8 @@ def _coprime_certified(a: dict, b: dict) -> bool:
     """
     atoms_a = _support(p_atoms(a))
     atoms_b = _support(p_atoms(b))
-    union = atoms_a | atoms_b
-    point = _POINTS.get(union)
-    if point is None:
-        ordered = sorted(_support_fields(union), key=_atom_key)
-        point = _POINTS[union] = {s: _point_value(r) for r, s in enumerate(ordered)}
+    ordered = sorted(_support_fields(atoms_a | atoms_b), key=_atom_key)
+    point = {s: _point_value(r) for r, s in enumerate(ordered)}
     _, ca = content_normalize(list(a.values()))
     _, cb = content_normalize(list(b.values()))
     a = dict(zip(a, ca))
@@ -649,9 +645,11 @@ def p_gcd(a: dict, b: dict) -> dict:
     """Canonical gcd over Q(i); atoms are treated as independent variables.
 
     `_p_gcd_core` first asks `_coprime_certified` whether univariate images
-    mod p prove the gcd constant; when they do not (a common factor, or an
-    unlucky prime or point), the pseudo-remainder sequence decides, as the
-    single fallback."""
+    mod p prove the gcd constant, and then whether they prove the primitive
+    parts in the main atom coprime, when the gcd is that of the contents
+    (Gauss's lemma); when they do not (a common factor, or an unlucky prime
+    or point), the pseudo-remainder sequence decides, as the single
+    fallback."""
     if not a:
         return p_canonical(b)
     if not b:
@@ -692,6 +690,8 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
     cb = _u_content(ub)
     pa = _u_primitive(ua, ca)
     pb = _u_primitive(ub, cb)
+    if _coprime_certified(_from_univ(pa, main), _from_univ(pb, main)):
+        return p_gcd(ca, cb)  # Gauss's lemma: the gcd is the contents' gcd
     if len(pa) < len(pb):
         pa, pb = pb, pa
     # Brown's primitive PRS: every remainder loses its content, so the

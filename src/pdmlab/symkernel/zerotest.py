@@ -41,7 +41,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .. import read_only
+from .. import Record
 from . import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from .expr import (
     AbsApp,
@@ -126,13 +126,12 @@ def _hashable(v):
     return v
 
 
-class ZeroStatus:
+class ZeroStatus(Record):
     """A zero-test verdict.  Read-only; equal only to a verdict of the same
     type with equal fields, so ProvedZero() is not (); printed as
     Type(field=value, ...), a text that callers hash."""
 
     __slots__ = ()
-    __setattr__ = __delattr__ = read_only
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -162,8 +161,7 @@ class NumericZero(ZeroStatus):
     is_zero = True
 
     def __init__(self, points_tested: int, max_residual: float):
-        object.__setattr__(self, "points_tested", points_tested)
-        object.__setattr__(self, "max_residual", max_residual)
+        super().__init__(points_tested, max_residual)
 
 
 class NonZero(ZeroStatus):
@@ -172,8 +170,7 @@ class NonZero(ZeroStatus):
     is_zero = False
 
     def __init__(self, witness: dict, value: complex):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "value", value)
+        super().__init__(witness, value)
 
 
 class Inconclusive(ZeroStatus):
@@ -182,7 +179,7 @@ class Inconclusive(ZeroStatus):
     is_zero = False
 
     def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
+        super().__init__(reason)
 
 
 # -- evaluation ---------------------------------------------------------------

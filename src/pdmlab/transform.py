@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 import sys
 
-from . import read_only
+from . import Record
 from .diffop import FirstOrderOp, PDMHamiltonian, SecondOrderOp, X
 from .symkernel import as_expr, diff, is_provably_zero, mul, normalize, subst, to_sexpr, x1, x2, x3
 from .symkernel.expr import NUM_ZERO, add
@@ -24,7 +24,7 @@ from .symkernel.expr import NUM_ZERO, add
 _ZERO3 = (NUM_ZERO,) * 3
 
 
-class ConformalMap:
+class ConformalMap(Record):
     """An equivalence transformation: the substitution sigma applied inside
     wavefunctions, its inverse, and the multiplier m through grad m / m and
     (d_a d_b m) / m.  shift, rotation, dilatation and inversion build it;
@@ -32,12 +32,10 @@ class ConformalMap:
     f and V rational in x."""
 
     __slots__ = ("sigma", "sigma_inv", "m_grad", "m_hess", "is_inversion")
-    __setattr__ = __delattr__ = read_only
 
     def __init__(self, sigma: tuple, sigma_inv: tuple, m_grad: tuple = _ZERO3,
                  m_hess: tuple = (_ZERO3,) * 3, is_inversion: bool = False):
-        for name, value in zip(self.__slots__, (sigma, sigma_inv, m_grad, m_hess, is_inversion)):
-            object.__setattr__(self, name, value)
+        super().__init__(sigma, sigma_inv, m_grad, m_hess, is_inversion)
 
 
 def shift(nu) -> ConformalMap:
@@ -160,9 +158,11 @@ def _rational(option: str, text: str):
 
 
 def _integer(text: str) -> int:
-    """int(text) of [+-]digits (ASCII digits, no spaces or underscores),
-    failing with ValueError otherwise."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    """int(text) of [+-]digits (ASCII digits, no spaces or underscores: the
+    form of the CLI's integer options), failing with ValueError otherwise."""
+    from .cli import INTEGER
+
+    if not re.fullmatch(INTEGER, text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
 

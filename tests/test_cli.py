@@ -596,6 +596,18 @@ _BAD_VALUES = [
     *((_COMMANDS.get(name, ["catalog", "verify", "--entry", "1"]) + ["--json", "/nonexistent/x.json"],
        f"{name.split()[0]} error: [Errno 2] No such file or directory: '/nonexistent/x.json'")
       for name in ("catalog verify", "algebra", "casimir")),
+    # a numeric option reads ASCII digits: int() and float() also read other
+    # scripts' digits, padding and underscores
+    *(([*prog.split(), *given, option, value],
+       f"pdmlab {prog}: error: argument {option}: invalid {kind} value: {value!r}")
+      for prog, given, option, value, kind in (
+          ("catalog verify", [], "--entry", "\u0661", "int"),
+          ("catalog verify", ["--entry", "1"], "--points", "\u0663", "int"),
+          ("spectrum", ["--system", "so4"], "--l", "\u0661", "int"),
+          ("spectrum", ["--system", "scale"], "--omega", "\u0662", "float"),
+          ("transform", ["--kind", "shift", "--nu", "0,0,1"], "--entry", "\u0661\u0660", "int"),
+          ("spectrum", ["--system", "so4"], "--count", " 2", "int"),
+          ("catalog verify", ["--entry", "1"], "--seed", "1_0", "int"))),
 ]
 
 

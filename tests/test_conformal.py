@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pdmlab.algebra import (
-    so14_basis,
+    SO14_METRIC,
     verify_c3,
     verify_iso_roundtrip,
     verify_killing_table,
@@ -16,6 +16,8 @@ from pdmlab.algebra import (
 )
 from pdmlab.conformal import (
     PJDK,
+    SO4_METRIC,
+    SO13_METRIC,
     DecompositionFailure,
     FormError,
     _generator_column,
@@ -26,6 +28,7 @@ from pdmlab.conformal import (
     find_inversion_weight,
     generator,
     load_subalgebras,
+    metric_basis,
     op_coordinates,
     parse_combo,
     subalgebra_closure,
@@ -93,7 +96,7 @@ class TestGenerators:
 
         conformal._generator.cache_clear()
         monkeypatch.setattr(conformal, "killing_to_op", counting)
-        ids = conformal.PJDK + tuple(so14_basis())
+        ids = conformal.PJDK + tuple(metric_basis(SO14_METRIC))
         for gid in ids:
             generator(gid)
         assert len(calls) == len(ids)
@@ -114,6 +117,12 @@ class TestGenerators:
 
 
 class TestStructure:
+    def test_metric_basis_is_the_index_pairs_in_order(self):
+        assert metric_basis(SO4_METRIC) == ["M12", "M13", "M14", "M23", "M24", "M34"]
+        assert metric_basis(SO13_METRIC) == ["M01", "M02", "M03", "M12", "M13", "M23"]
+        assert metric_basis(SO14_METRIC) == [
+            "M01", "M02", "M03", "M04", "M12", "M13", "M14", "M23", "M24", "M34"]
+
     def test_c3_all_pairs(self):
         rep = verify_c3()
         assert rep.passed

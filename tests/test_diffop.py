@@ -343,11 +343,11 @@ def _catalog_cases():
 
 def _casimir_cases():
     from pdmlab.casimir import build_casimirs
-    from pdmlab.conformal import generator, so4_basis, so13_basis
+    from pdmlab.conformal import SO4_METRIC, SO13_METRIC, generator, metric_basis
 
-    for tag, basis in (("so4", so4_basis()), ("so13", so13_basis())):
+    for tag, metric in (("so4", SO4_METRIC), ("so13", SO13_METRIC)):
         c1 = build_casimirs(tag).C1
-        for gid in basis:
+        for gid in metric_basis(metric):
             yield c1, generator(gid)
 
 
@@ -408,7 +408,7 @@ class TestExprReference:
 
 def _memo_sizes() -> list:
     return [len(getattr(ratform, name)) for name in
-            ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_POINTS", "_ROOT_BASE",
+            ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_ROOT_BASE",
              "_DIFF", "_SHIFT", "_ATOMS")] + [ratform._GUARDS]
 
 

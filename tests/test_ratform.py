@@ -9,6 +9,7 @@ inside one scope."""
 import hashlib
 import heapq
 import random
+import time
 from datetime import timedelta
 from fractions import Fraction
 from unittest import mock
@@ -162,6 +163,17 @@ class TestCoprimeCertified:
                 assert p_is_const(_prs_gcd(a, b))
         assert bits and max(bits) <= 4096
 
+    def test_shared_primitive_factor_reaches_the_prs(self):
+        # the gcd x1 + x2 lies in the primitive parts, and neither polynomial
+        # divides the other: the pseudo-remainder sequence finds it
+        with kernel_scope:
+            g = to_rf(x1 + x2).num
+            a = p_mul_raw(g, to_rf(x1 - x2 + 1).num)
+            b = p_mul_raw(g, to_rf(x1 + 2 * x2 + 3).num)
+            with mock.patch.object(ratform, "_u_prem", wraps=ratform._u_prem) as prem:
+                assert p_gcd(a, b) == p_canonical(g)
+        assert prem.call_count
+
     def test_vanishing_leading_coefficient_falls_through(self):
         # x1 and x2 take the fixed values v1 and v2, so g's leading
         # coefficients x2 - v2 (in x1) and x1 - v1 (in x2) vanish and both
@@ -210,9 +222,32 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The canonical text of d/dx1 of (sin(x1 x2)^2 + sqrt(x1^2 + 1))^-2, as the PRS
+# computed it
+_CONTENT_GCD_DERIVATIVE = (
+    "(* (+ (* -4 (cos (* x1 x2)) (^ (sin (* x1 x2)) 7) (^ x1 2) x2) (* 12 (^ (+ (^ x1 2) 1)"
+    " 1/2) (cos (* x1 x2)) (^ (sin (* x1 x2)) 5) (^ x1 2) x2) (* -12 (cos (* x1 x2)) (^"
+    " (sin (* x1 x2)) 3) (^ x1 4) x2) (* -4 (cos (* x1 x2)) (^ (sin (* x1 x2)) 7) x2) (* 4"
+    " (^ (+ (^ x1 2) 1) 1/2) (cos (* x1 x2)) (sin (* x1 x2)) (^ x1 4) x2) (* 12 (^ (+ (^ x1"
+    " 2) 1) 1/2) (cos (* x1 x2)) (^ (sin (* x1 x2)) 5) x2) (* -2 (^ (+ (^ x1 2) 1) 1/2) (^"
+    " (sin (* x1 x2)) 6) x1) (* -24 (cos (* x1 x2)) (^ (sin (* x1 x2)) 3) (^ x1 2) x2) (* 6"
+    " (^ (sin (* x1 x2)) 4) (^ x1 3)) (* 8 (^ (+ (^ x1 2) 1) 1/2) (cos (* x1 x2)) (sin (*"
+    " x1 x2)) (^ x1 2) x2) (* -6 (^ (+ (^ x1 2) 1) 1/2) (^ (sin (* x1 x2)) 2) (^ x1 3)) (*"
+    " -12 (cos (* x1 x2)) (^ (sin (* x1 x2)) 3) x2) (* 2 (^ x1 5)) (* 6 (^ (sin (* x1 x2))"
+    " 4) x1) (* 4 (^ (+ (^ x1 2) 1) 1/2) (cos (* x1 x2)) (sin (* x1 x2)) x2) (* -6 (^ (+ (^"
+    " x1 2) 1) 1/2) (^ (sin (* x1 x2)) 2) x1) (* 4 (^ x1 3)) (* 2 x1)) (^ (+ (* (^ (sin (*"
+    " x1 x2)) 12) (^ x1 2)) (* -3 (^ (sin (* x1 x2)) 8) (^ x1 4)) (^ (sin (* x1 x2)) 12) (*"
+    " 3 (^ (sin (* x1 x2)) 4) (^ x1 6)) (* -6 (^ (sin (* x1 x2)) 8) (^ x1 2)) (* -1 (^ x1"
+    " 8)) (* 9 (^ (sin (* x1 x2)) 4) (^ x1 4)) (* -3 (^ (sin (* x1 x2)) 8)) (* -4 (^ x1 6))"
+    " (* 9 (^ (sin (* x1 x2)) 4) (^ x1 2)) (* -6 (^ x1 4)) (* 3 (^ (sin (* x1 x2)) 4)) (*"
+    " -4 (^ x1 2)) -1) -1))"
+)
+
+
 class TestDecidedWithoutPrs:
-    """Inputs whose gcd is 1 normalize to the text the PRS gave, without a
-    single pseudo-remainder."""
+    """Inputs whose gcd is 1, or the gcd of the contents of primitive parts
+    that the modular check proves coprime, normalize to the text the PRS
+    gave, without a single pseudo-remainder."""
 
     @pytest.fixture(autouse=True)
     def _no_prs(self, monkeypatch):
@@ -238,6 +273,16 @@ class TestDecidedWithoutPrs:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c940fdf1ea065a22da19c0d6371ef07b5ec6c68c8420c15fbfbd3026f781c095")
 
+    def test_gcd_in_the_contents(self):
+        # a draw of test_rf_diff_matches_the_expr_derivative: the gcd
+        # x1^2 + 1 lies in the contents, and the PRS on the coprime
+        # primitive parts took about a minute; Gauss's lemma gives it at once
+        e = pow_(sin(x1 * x2) ** 2 + sqrt(x1**2 + 1), -2)
+        start = time.perf_counter()
+        text = to_sexpr(normalize(diff_wrt(e, x1)))
+        assert time.perf_counter() - start < 1.0
+        assert text == _CONTENT_GCD_DERIVATIVE
+
     def test_monomial_content_leaves_no_gaussian_factor(self):
         # the PRS ended x2 + i against x2 + 1 on the constant i - 1, and the
         # gcd (1 - i)*x1 left a factor 1 + i in both parts of the result
@@ -256,8 +301,9 @@ class TestGaussianContent:
     the PRS leaves with a constant such as 1 - i still gives the canonical
     form."""
 
-    def test_prs_decided_pair(self):
-        # the gcd x3 + 1 is decided by the PRS; the parts used to keep a
+    def test_contents_decided_pair(self):
+        # the gcd x3 + 1 is the gcd of the contents in x2, whose primitive
+        # parts x2 + i and x2 + 1 are coprime; the parts used to keep a
         # common factor 1 + i
         e = parse_sexpr("(* (+ (* x2 x3) x2 (* i x3) i) (^ (+ (* x2 x3) x2 x3 1) -1))")
         same = parse_sexpr("(* (+ x2 i) (^ (+ x2 1) -1))")
@@ -741,7 +787,7 @@ def test_a_common_atom_power_stays_out_of_the_division_loop():
 
 def _memo_sizes() -> dict:
     sizes = {name: len(getattr(ratform, name))
-             for name in ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS", "_POINTS",
+             for name in ("_NORM_CACHE", "_RF_CACHE", "_MKEY", "_MFACTORS",
                           "_ROOT_BASE", "_DIFF", "_SHIFT", "_ATOMS")}
     sizes["_GUARDS"] = ratform._GUARDS.bit_count()
     return sizes

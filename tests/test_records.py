@@ -1,12 +1,14 @@
 """Read-only records and the zero-test verdicts' identity.
 
 The verdicts' repr is the text whose sha256 the kernel-stream benchmark
-digests, and equal verdicts must hash alike; every record refuses setattr
-and delattr with read_only's message.
+digests, and equal verdicts must hash alike.  Every record derives from
+pdmlab.Record, whose __init__ sets each slot once, and refuses setattr and
+delattr with its one message.
 """
 
 import pytest
 
+from pdmlab import Record
 from pdmlab.diffop import FirstOrderOp, PDMHamiltonian, SecondOrderOp
 from pdmlab.spectral import ClosedFormSolution, RadialProblem
 from pdmlab.symkernel import Inconclusive, NonZero, NumericZero, ProvedZero, x1
@@ -59,6 +61,7 @@ def _records():
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_are_read_only(record):
+    assert isinstance(record, Record)
     name = type(record).__name__
     field = (record.__slots__ or ("tier",))[0]
     before = repr(record)
@@ -69,3 +72,14 @@ def test_records_are_read_only(record):
         assert str(err.value).startswith(f"{name} is read-only: cannot set or delete ")
     assert str(err.value) == f"{name} is read-only: cannot set or delete 'extra'"
     assert repr(record) == before
+
+
+def test_record_sets_each_slot_once_in_slot_order():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+    pair = Pair(1, 2)
+    assert (pair.first, pair.second) == (1, 2)
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)

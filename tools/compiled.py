@@ -14,11 +14,14 @@ Per command the tool prints one line per pdmlab module that the command
 imported: the AST nodes of its source (ast.walk over the parsed file), and
 those of them that lie in top-level definitions (functions and classes)
 that the command never entered.  A class counts as entered when one of its
-methods ran; its own body runs at import.  Then it prints the command's
-totals, and at the end the totals of the pass, followed by each top-level
-definition (module, kind, name, first and last line) that no command
-entered.  A class whose methods never ran is listed even where commands
-use it, as records and exceptions with no methods are.
+methods ran; its own body runs at import.  A class that defines no method
+(a NamedTuple record, an exception, a verdict type) is never entered
+even where commands build or raise it, since a call trace cannot see a
+class being named: its nodes are left out of the never-entered count and
+counted apart.  Then it prints the command's totals, and at the end the
+totals of the pass, followed by each top-level definition (module, kind,
+name, first and last line) that no command entered, and by each class that
+defines no method in a module that some command loaded.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ with open(out_path, "w") as fh:
     json.dump(mods, fh)
 """
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
 
 
 def cli_commands(root: Path) -> list:
@@ -82,27 +86,33 @@ def _size(node) -> int:
 
 def module_nodes(path: str, entered: list) -> tuple:
     """(nodes of the source, nodes of its top-level definitions that no
-    entered code object (first line, name) lies in, and those definitions
-    as a frozenset of (first line, last line, kind, name))."""
+    entered code object (first line, name) lies in, those definitions as a
+    frozenset of (first line, last line, kind, name), the nodes of its
+    top-level classes that define no method, and those classes as a
+    frozenset of (first line, last line, name))."""
     tree = ast.parse(Path(path).read_text(), path)
-    never = 0
+    never = methodless = 0
     never_defs = set()
+    methodless_defs = set()
     for stmt in tree.body:
         if not isinstance(stmt, _DEFS):
             continue
         start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+        if isinstance(stmt, ast.ClassDef) and not any(isinstance(s, _FUNCS) for s in stmt.body):
+            methodless += _size(stmt)
+            methodless_defs.add((start, stmt.end_lineno, stmt.name))
+            continue
         body_of_class = (start, stmt.name) if isinstance(stmt, ast.ClassDef) else None
         if not any(start <= line <= stmt.end_lineno and (line, name) != body_of_class
                    for line, name in entered):
             never += _size(stmt)
             kind = "class" if isinstance(stmt, ast.ClassDef) else "def"
             never_defs.add((start, stmt.end_lineno, kind, stmt.name))
-    return _size(tree), never, frozenset(never_defs)
+    return _size(tree), never, frozenset(never_defs), methodless, frozenset(methodless_defs)
 
 
 def run_command(root: Path, args: list, work: Path) -> dict:
-    """{module: (nodes, never-entered nodes, never-entered definitions)} of
-    one command's process."""
+    """{module: module_nodes(...)} of one command's process."""
     out_path = work / "modules.json"
     args = [a if a != "--json" else f"--json={work / 'report.json'}" for a in args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
@@ -121,28 +131,37 @@ def run_command(root: Path, args: list, work: Path) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else DEFAULT_ROOT
-    total = never_total = 0
+    total = never_total = methodless_total = 0
     # per module, the definitions that no command so far entered: the
     # intersection of the never-entered sets of the commands that loaded it
     unused: dict = {}
+    methodless_defs: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         for args in cli_commands(root):
             counts = run_command(root, args, Path(tmp))
-            nodes = sum(n for n, _, _ in counts.values())
-            never = sum(u for _, u, _ in counts.values())
+            nodes = sum(c[0] for c in counts.values())
+            never = sum(c[1] for c in counts.values())
+            methodless = sum(c[3] for c in counts.values())
             total += nodes
             never_total += never
+            methodless_total += methodless
             print(f"{' '.join(args)}")
-            for name, (n, u, defs) in counts.items():
-                print(f"    {name:<28} {n:>7,} nodes {u:>7,} never entered")
+            for name, (n, u, defs, m, classes) in counts.items():
+                print(f"    {name:<28} {n:>7,} nodes {u:>7,} never entered {m:>5,} methodless")
                 unused[name] = unused.get(name, defs) & defs
-            print(f"    {len(counts)} modules, {nodes:,} nodes, {never:,} never entered")
+                methodless_defs[name] = classes
+            print(f"    {len(counts)} modules, {nodes:,} nodes, {never:,} never entered, "
+                  f"{methodless:,} in classes that define no method")
     print(f"pass: {total:,} nodes, {never_total:,} in top-level definitions never entered "
-          f"({never_total / total:.1%})")
+          f"({never_total / total:.1%}), {methodless_total:,} in classes that define no method")
     rows = [(name, *d) for name, defs in sorted(unused.items()) for d in sorted(defs)]
     print(f"top-level definitions that no command entered: {len(rows)}")
     for name, first, last, kind, fn in rows:
         print(f"    {name:<28} {kind:<5} {fn:<32} lines {first}-{last}")
+    rows = [(name, *d) for name, defs in sorted(methodless_defs.items()) for d in sorted(defs)]
+    print(f"classes that define no method (a call trace cannot see them used): {len(rows)}")
+    for name, first, last, cls in rows:
+        print(f"    {name:<28} class {cls:<32} lines {first}-{last}")
     return 0
 
 
