@@ -31,16 +31,19 @@ _phi sums phi, phi' and phi'' in floats for closed_form_residual and the
 normalization integrals; so4_residual_expr proves the so4 eigenfunctions on
 the exact kernel expression so4_wavefunction_expr.  The compact map takes
 the whole half-line onto a finite interval whose ends take exact Dirichlet
-conditions, so the lowest levels come from one symmetric tridiagonal solve
-on a uniform t-grid.  That solve is spectral-transformation Lanczos
-(Ericsson & Ruhe, Math. Comp. 35, 1980) on (T - sigma)^-1, whose products
-are odd-even cyclic reduction solves.  Each level is the Rayleigh quotient
-of its Ritz vector in difference form, which never subtracts the 2/h^2
-diagonal, so the printed digits are those of the matrix, not rounding of
-eps ||T||; a Sturm count (Barth, Martin & Wilkinson 1967) certifies the
-level index.  numpy is imported by the functions that solve: the scale
-system's commands load none of it.  Since dt = sqrt(w/p) dr, the l2 norm of
-u in t is the weighted norm of phi in r.
+conditions, so the lowest levels come from one symmetric tridiagonal matrix
+on a uniform t-grid.  Its Q and grid are symmetric about t = pi/4, so at an
+even number of points the matrix splits into a mirror-even and a
+mirror-odd block of half the size, solved one after the other.  Each block
+is solved by spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp.
+35, 1980) on (T - sigma)^-1, whose products are odd-even cyclic reduction
+solves.  Each level is the Rayleigh quotient of its Ritz vector in
+difference form, which never subtracts the 2/h^2 diagonal, so the printed
+digits are those of the matrix, not rounding of eps ||T||; a Sturm count of
+the whole matrix (Barth, Martin & Wilkinson 1967) certifies the level
+index.  numpy is imported by the functions that solve: the scale system's
+commands load none of it.  Since dt = sqrt(w/p) dr, the l2 norm of u in t
+is the weighted norm of phi in r.
 """
 
 from __future__ import annotations
@@ -57,8 +60,12 @@ from . import Record
 # RITZ_TOL times its Ritz value.
 RITZ_TOL = 1e-10
 # A solve of count levels on n points keeps one vector of n values per
-# Lanczos step and takes at most min(n, 3 count + 24) steps (measured: 30-40
-# for 10 levels, 104 for 40 levels at l = 200).  Steps times points may not
+# Lanczos step and takes at most min(n, 3 count + 24) steps.  A compact
+# solve at even n runs two blocks of n/2 points, one after the other, each
+# with its own bound (measured at 100,000 points: 19-23 steps for 5 + 1
+# levels at l = 0 to 20, where one block of 100,000 points took 30-35 for
+# 10 + 1; at 20,000 points and l = 200, 61 for 20 + 1, where one block took
+# 106 for 40 + 1).  min(n, 3 count + 24) x n of the whole problem may not
 # pass MAX_BASIS_VALUES, 64 MB of float64: a bound on count x grid alone
 # would let one level of a few million points fill gigabytes.
 MAX_BASIS_VALUES = 8_000_000
@@ -182,13 +189,20 @@ def _t_grid(prob: RadialProblem):
 def _potential(prob: RadialProblem):
     """(h, q): the step in t and Q at the interior points, so that the FD
     matrix of -u'' + Q u with u = 0 at both ends is
-    tridiag(-1, 2, -1)/h^2 + diag(q)."""
+    tridiag(-1, 2, -1)/h^2 + diag(q).
+
+    The compact Q and its grid are symmetric about t = pi/4: Q is evaluated
+    on the first ceil(n/2) points and mirrored, so q is an exact palindrome,
+    which eigh_tridiagonal splits on, and no sin(pi - 2t) near t = pi/2
+    loses digits of its argument."""
     import numpy as np
 
     h, t = _t_grid(prob)
     ll = prob.l * (prob.l + 1)
     if prob.system == "so4":
-        return h, 4.0 * ll / np.sin(2.0 * t) ** 2 + 1.0
+        n = len(t)
+        left = 4.0 * ll / np.sin(2.0 * t[:(n + 1) // 2]) ** 2 + 1.0
+        return h, np.concatenate((left, left[:n // 2][::-1]))
     return h, 4.0 * ll / np.sinh(2.0 * t) ** 2 - 1.0
 
 
@@ -240,29 +254,85 @@ def eigh_tridiagonal(q, h, count, vectors=False):
     grid point.  The eigenvalues come ascending; the eigenvectors, with
     vectors=True, are the unit columns of an array, and otherwise None.
 
-    1. sigma = min(q) - 1 lies below the spectrum, so T - sigma is positive
-       definite and odd-even cyclic reduction factors it stably.
-    2. Lanczos with full reorthogonalization runs on (T - sigma)^-1 from a
-       deterministic start vector until count + 1 Ritz pairs have
-       converged (RITZ_TOL), within min(n, 3 count + 24) steps.
-    3. Each eigenvalue is the Rayleigh quotient of its Ritz vector in
-       difference form, (sum (u[i+1] - u[i])^2 / h^2 + sum q u^2) / sum u^2
-       with u = 0 past both ends.  It never subtracts the 2/h^2 diagonal
-       (8e9 at 100,000 points), so its digits are the matrix's own.
-    4. The Sturm count at the midpoint of levels count - 1 and count must
-       be count.
+    When n is even and q is a palindrome, T commutes with the reversal J
+    and splits exactly into two blocks of n/2 points (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976): on the vectors [u, Ju]/sqrt(2) T acts as
+    its first half with last diagonal 1/h^2 + q, on [u, -Ju]/sqrt(2) as the
+    same with 3/h^2 + q, and the eigenvectors come back in those forms.
+    Level k of a tridiagonal with negative off-diagonal has k sign changes,
+    so the even block holds levels 0, 2, 4, ... and the odd block levels
+    1, 3, ....  Any other q is one block.  _solve_block solves each block in
+    turn, and level count, which certifies the table, is the next Ritz
+    value of the block of parity count % 2.
 
-    EigensolveError is raised when step 2 does not converge or step 4
-    fails: no level is returned whose index is not certified.
+    The Sturm count of T at the midpoint of the largest level and level
+    count must be count.  The largest level, not the last, is taken so that
+    a block that skips a level fails the count even when its later levels
+    pass the other block's; and T's own count, not the sum of the blocks',
+    since a block's last diagonal (2 -+ 1)/h^2 + q rounds to 2/h^2 + q once
+    q passes about 2^53/h^2.
+
+    EigensolveError is raised when a block does not converge or the
+    certificate fails: no level is returned whose index is not certified.
     """
     import numpy as np
 
     n = len(q)
-    want = min(count + 1, n)
+    if n % 2 == 0 and np.array_equal(q, q[::-1]):
+        blocks = ((q[:n // 2], 0.0, "even-parity "), (q[:n // 2], 2.0, "odd-parity "))
+    else:
+        blocks = ((q, 1.0, ""),)
+    parts = len(blocks)
+    vals = np.empty(count)
+    vecs = np.empty((n, count)) if vectors else None
+    for k, (qb, end, label) in enumerate(blocks):
+        levels = len(range(k, count, parts))
+        has_next = count % parts == k
+        vals[k::parts], u, above = _solve_block(
+            qb, h, end, levels, min(levels + has_next, len(qb)), vectors, label)
+        if has_next:
+            next_level = above
+        if vectors and parts == 1:
+            vecs[:] = u
+        elif vectors:
+            u *= math.sqrt(0.5)
+            vecs[:n // 2, k::parts] = u
+            vecs[n // 2:, k::parts] = u[::-1] if k == 0 else -u[::-1]
+    if count < n:
+        mid = 0.5 * (vals.max() + next_level)
+        below = _sturm_count(q, h, mid)
+        if below != count:
+            raise EigensolveError(f"{below} eigenvalues lie below {mid:.10g}, between the"
+                                  f" Ritz values of levels {count - 1} and {count}")
+    return vals, vecs
+
+
+def _solve_block(q, h, end, levels, want, vectors, label):
+    """(values, vectors or None, next value) of the lowest levels of one
+    block: tridiag(-1, 2, -1)/h^2 + diag(q), with last diagonal
+    (1 + end)/h^2 + q[-1].  The next value is the Ritz value of level
+    levels when want passes levels, else None.
+
+    1. sigma = min(q) - 1 lies below the block's spectrum, so T - sigma is
+       positive definite and odd-even cyclic reduction factors it stably.
+    2. Lanczos with full reorthogonalization runs on (T - sigma)^-1 from a
+       deterministic start vector until want Ritz pairs have converged
+       (RITZ_TOL), within min(n, 3 (want - 1) + 24) steps.
+    3. Each value is the Rayleigh quotient of its Ritz vector in difference
+       form, (sum (u[i+1] - u[i])^2 + u[0]^2 + end u[-1]^2) / h^2 plus
+       sum q u^2, over sum u^2.  It never subtracts the 2/h^2 diagonal (8e9
+       at 100,000 points), so its digits are the matrix's own.
+    """
+    import numpy as np
+
+    n = len(q)
     sigma = float(q.min()) - 1.0
-    factor = _cr_factor(2.0 / h**2 + (q - sigma), np.full(n - 1, -1.0 / h**2))
+    d = 2.0 / h**2 + (q - sigma)
+    d[-1] = (1.0 + end) / h**2 + (q[-1] - sigma)
+    factor = _cr_factor(d, np.full(n - 1, -1.0 / h**2))
+    del d
     # Only the rows that Lanczos writes are ever touched, and resident.
-    basis = np.empty((_max_steps(count, n), n))
+    basis = np.empty((_max_steps(want - 1, n), n))
     # One solve first: the start vector's components along the top of the
     # spectrum shrink by (T - sigma)^-1, and no Ritz vector carries them.
     v = basis[0]
@@ -294,34 +364,28 @@ def eigh_tridiagonal(q, h, count, vectors=False):
             if m + 1 == n or np.all(b * abs(y[-1]) <= RITZ_TOL * theta):
                 break
         if m + 1 == len(basis):
-            raise EigensolveError(f"Lanczos did not converge to {want} levels in {m + 1} steps")
+            raise EigensolveError(f"Lanczos did not converge to {want} {label}levels"
+                                  f" in {m + 1} steps")
         beta.append(b)
         v = basis[m + 1]
         np.divide(w, b, out=v)
         del w   # before the next solve allocates its own
     # The basis is at its largest from here on: each del below keeps at most
-    # two vectors of n values beside it, and the count x n Ritz matrix is
+    # two vectors of n values beside it, and the levels x n Ritz matrix is
     # formed only when the vectors are returned.
     del w, factor
-    vals = np.empty(count)
-    vecs = np.empty((n, count)) if vectors else None
-    for j in range(count):
+    vals = np.empty(levels)
+    vecs = np.empty((n, levels)) if vectors else None
+    for j in range(levels):
         u = y[:, j] @ done
         if vectors:
             vecs[:, j] = u
         du = np.diff(u)
-        kinetic = (du @ du + u[0] ** 2 + u[-1] ** 2) / h**2
+        kinetic = (du @ du + u[0] ** 2 + end * u[-1] ** 2) / h**2
         del du
         vals[j] = (kinetic + (q * u) @ u) / (u @ u)
         del u
-    del basis, done
-    if count < n:
-        mid = 0.5 * (vals[-1] + sigma + 1.0 / theta[count])
-        below = _sturm_count(q, h, mid)
-        if below != count:
-            raise EigensolveError(f"{below} eigenvalues lie below {mid:.10g}, between the"
-                                  f" Ritz values of levels {count - 1} and {count}")
-    return vals, vecs
+    return vals, vecs, sigma + 1.0 / theta[levels] if want > levels else None
 
 
 def _start_vector(n: int):
@@ -384,12 +448,12 @@ def _sturm_count(q, h, x: float) -> int:
     e2 = (1.0 / h**2) ** 2
     pivmin = sys.float_info.min * max(1.0, e2)
     below, p = 0, math.inf
-    for di in (2.0 / h**2 + q).tolist():
-        p = di - x - e2 / p
-        if abs(p) < pivmin:
-            p = -pivmin
-        if p < 0.0:
+    for d in (2.0 / h**2 + q - x).tolist():
+        p = d - e2 / p
+        if p < pivmin:
             below += 1
+            if p > -pivmin:
+                p = -pivmin
     return below
 
 
@@ -528,8 +592,8 @@ def besselj(beta: float, s: float, derivative: int = 0) -> float:
 class So4Level(NamedTuple):
     n: int
     etilde: int                      # 4 n^2 + 5, the coefficient of mu in E
-    allowed_l: tuple
-    degeneracy: int                  # sum of 2l+1 over allowed l
+    allowed_l: range
+    degeneracy: int                  # sum of 2l+1 over allowed l, n^2
 
     @property
     def energy(self):
@@ -546,10 +610,7 @@ def algebraic_spectrum_so4(n: int) -> So4Level:
     rescaled energy 4n^2 + 5; angular momentum runs over l <= n - 1."""
     if n < 1:
         raise ValueError("level index must be a positive integer")
-    etilde = 4 * n * n + 5
-    allowed = tuple(range(0, n))
-    return So4Level(n=n, etilde=etilde, allowed_l=allowed,
-                    degeneracy=sum(2 * l + 1 for l in allowed))
+    return So4Level(n=n, etilde=4 * n * n + 5, allowed_l=range(n), degeneracy=n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -680,9 +680,20 @@ def _p_gcd_core(a: dict, b: dict) -> dict:
         return b
     if p_divexact(b, a) is not None:
         return a
-    atoms = _support(p_atoms(a)) & _support(p_atoms(b))
+    atoms_a = _support(p_atoms(a))
+    atoms_b = _support(p_atoms(b))
+    atoms = atoms_a & atoms_b
     if not atoms:
         return P_ONE
+    if atoms_a != atoms_b:
+        # the gcd divides the polynomial that lacks an atom of the other, so
+        # it is the gcd of that polynomial and the other's coefficients in
+        # the atom: smaller problems than a PRS that carries the atom in its
+        # coefficients, where they swell
+        x = min(_support_fields(atoms_a ^ atoms_b), key=_atom_key)
+        if (p_atoms(b) >> x) & _FIELD:
+            a, b = b, a
+        return _u_content([b, *_to_univ(a, x)])
     main = min(_support_fields(atoms), key=_atom_key)
     ua = _to_univ(a, main)
     ub = _to_univ(b, main)

@@ -68,7 +68,7 @@ class TestSpectrum:
         assert algebraic_spectrum_so4(2).etilde == 21
         lv = algebraic_spectrum_so4(3)
         assert lv.etilde == 41
-        assert lv.allowed_l == (0, 1, 2)
+        assert tuple(lv.allowed_l) == (0, 1, 2)
         assert lv.degeneracy == 9
 
     def test_energy_form(self):

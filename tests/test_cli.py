@@ -184,7 +184,19 @@ class TestSpectrumCommand:
         monkeypatch.setattr(spectral, "_max_steps", lambda count, n: 12)
         assert main(["spectrum", "--system", "so4", "--count", "10", "--grid", "2000"]) == 1
         assert capsys.readouterr() == (
-            "", "spectrum error: Lanczos did not converge to 11 levels in 12 steps\n")
+            "", "spectrum error: Lanczos did not converge to 6 even-parity levels in 12"
+            " steps\n")
+
+    def test_large_l_prints_its_table(self, capsys):
+        # level n = l + 1 has n^2 states over l < n: the table's algebraic
+        # levels are closed forms, where a tuple of the two billion allowed
+        # l ended the command in a MemoryError traceback
+        code = main(["spectrum", "--system", "so4", "--l", "2000000000", "--count", "1",
+                     "--grid", "20"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1) and err == ""
+        assert out.splitlines()[1].startswith("so4,2000000000,0,")
+        assert out.splitlines()[-1] == "2000000001,16000000016000000009,16000000016000000009,1"
 
 
 class TestCasimirCommand:

@@ -23,6 +23,7 @@ from pdmlab.symkernel import (
     ExprError,
     ProvedZero,
     diff_wrt,
+    evaluate,
     exp,
     ln,
     is_provably_zero,
@@ -471,6 +472,26 @@ def test_rf_diff_matches_the_expr_derivative(e, v):
         assume(False)
     with kernel_scope:
         assert rf_to_expr(rf_canon(rf_diff(to_rf(e), v))) == want
+
+
+def test_rf_diff_gcd_with_an_atom_that_one_side_lacks():
+    # a draw of the property above that ran past the 300 s test budget: the
+    # rationalized denominator lacks the numerator's root sqrt(x2 + a), and
+    # the PRS in a carried the root in its coefficients, which swelled; the
+    # gcd through the numerator's coefficients in the root takes
+    # milliseconds and cancels the same factor
+    root = sqrt(x2 + _A)
+    e = pow_(_A * root + root + 2, -2)
+    start = time.perf_counter()
+    with kernel_scope:
+        got = rf_to_expr(rf_canon(rf_diff(to_rf(e), _A)))
+    assert time.perf_counter() - start < 1.0
+    assert got == normalize(diff_wrt(e, _A))
+    # it is the derivative: a central difference in a at x2 = 0.7, a = 0.3
+    step = 1e-6
+    value = [evaluate(e, (0.0, 0.7, 0.0), {"a": 0.3 + d}) for d in (step, -step)]
+    want = (value[0] - value[1]) / (2 * step)
+    assert abs(evaluate(got, (0.0, 0.7, 0.0), {"a": 0.3}) - want) <= 1e-8
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=10))

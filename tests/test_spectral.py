@@ -213,15 +213,17 @@ class TestEigensolver:
             assert np.sum(exact < x - slack) <= below <= np.sum(exact <= x + slack), x
 
     def test_planted_start_vector_raises(self, monkeypatch):
-        # level 10 certifies a table of ten: with its eigenvector
-        # sin(11 pi i/(n+1)) planted out of the start vector, Lanczos
-        # converges to levels 0-9 and 11, and the Sturm count finds eleven
-        # eigenvalues below their midpoint
+        # level 10 certifies a table of ten: its eigenvector
+        # sin(11 pi i/(n+1)) is mirror-symmetric, and with its first half
+        # planted out of the even block's start vector, Lanczos converges to
+        # levels 0-9 and 12, and the Sturm count finds eleven eigenvalues
+        # below the midpoint of levels 9 and 12
         n = 4000
         start = spectral._start_vector
-        level10 = np.sin(11 * np.pi * np.arange(1, n + 1) / (n + 1))
+        level10 = np.sin(11 * np.pi * np.arange(1, n // 2 + 1) / (n + 1))
 
         def planted(size):
+            assert size == n // 2
             v = start(size)
             return v - (v @ level10) / (level10 @ level10) * level10
 
@@ -232,8 +234,73 @@ class TestEigensolver:
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_max_steps", lambda count, n: 12)
         with pytest.raises(spectral.EigensolveError,
-                           match="^Lanczos did not converge to 11 levels in 12 steps$"):
+                           match="^Lanczos did not converge to 6 even-parity levels in 12"
+                                 " steps$"):
             fd_eigenvalues(RadialProblem(grid_points=2000), 10)
+        # one block of 2001 points: the table's eleven levels
+        with pytest.raises(spectral.EigensolveError,
+                           match="^Lanczos did not converge to 11 levels in 12 steps$"):
+            fd_eigenvalues(RadialProblem(grid_points=2001), 10)
+
+    @pytest.mark.parametrize("n", [16, 17, 4000, 4001, 100000])
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_compact_potential_is_a_palindrome(self, l, n):
+        # Q is evaluated on the left half and mirrored; the right half's
+        # direct sin(pi - 2t) differs only in the rounding of its argument
+        h, q = spectral._potential(RadialProblem(l=l, grid_points=n))
+        assert np.array_equal(q, q[::-1])
+        t = h * np.arange(1, n + 1)
+        direct = 4.0 * l * (l + 1) / np.sin(2.0 * t) ** 2 + 1.0
+        assert np.max(np.abs(q - direct) / direct) <= 1e-10
+
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_split_vectors_match_dense_eigh(self, l, monkeypatch):
+        # at even n the columns come from the two mirror blocks: each is
+        # mirror-symmetric (even levels) or antisymmetric (odd levels), and
+        # they are the dense solver's unit eigenvectors up to sign
+        n, count = 40, 10
+        prob = RadialProblem(l=l, grid_points=n)
+        blocks = []
+        solve_block = spectral._solve_block
+
+        def spy(q, h, end, *rest):
+            blocks.append((len(q), end))
+            return solve_block(q, h, end, *rest)
+
+        monkeypatch.setattr(spectral, "_solve_block", spy)
+        vals, r, phi = fd_eigensystem(prob, count)
+        assert blocks == [(n // 2, 0.0), (n // 2, 2.0)]
+        h = spectral._potential(prob)[0]
+        u = phi * np.sqrt(h * (1.0 + r * r))[:, None]
+        assert np.max(np.abs(u.T @ u - np.eye(count))) <= 1e-12
+        # u is the solver's column up to the rounding of phi = u/sqrt(h (1 + r^2))
+        for j in range(count):
+            mirror = u[::-1, j] if j % 2 == 0 else -u[::-1, j]
+            assert np.max(np.abs(mirror - u[:, j])) <= 1e-14
+        exact_vals, exact = np.linalg.eigh(_dense(prob)[0])
+        signs = np.sign(np.sum(u * exact[:, :count], axis=0))
+        assert np.max(np.abs(u * signs - exact[:, :count])) <= 1e-9
+        assert np.max(np.abs(vals - exact_vals[:count]) / exact_vals[:count]) <= 1e-12
+
+    @pytest.mark.parametrize("count", [1, 16])
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_split_takes_one_level_and_every_level(self, l, count, monkeypatch):
+        # count = 1 runs the odd block for level 1 alone, which certifies the
+        # table; count = n leaves no level to certify with
+        prob = RadialProblem(l=l, grid_points=16)
+        blocks = []
+        solve_block = spectral._solve_block
+
+        def spy(q, h, end, levels, want, *rest):
+            blocks.append((len(q), end, levels, want))
+            return solve_block(q, h, end, levels, want, *rest)
+
+        monkeypatch.setattr(spectral, "_solve_block", spy)
+        dense, norm = _dense(prob)
+        vals = np.array(fd_eigenvalues(prob, count))
+        assert blocks == ([(8, 0.0, 1, 1), (8, 2.0, 0, 1)] if count == 1
+                          else [(8, 0.0, 8, 8), (8, 2.0, 8, 8)])
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(dense)[:count])) <= 1e-12 * norm
 
     def test_memory_bound(self):
         # min(grid, 3 count + 24) x grid may not pass 8,000,000 values (64 MB):

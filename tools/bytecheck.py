@@ -154,9 +154,14 @@ EXPR_INPUTS = (
 # 8,000,000; a revision without the bound solves them.  The seven scale
 # inputs after --omega 0 are non-finite or overflow a float in the Bessel
 # residual, which a revision without those checks ends with a traceback.
-# The last three are good input and print their line: --kappa 100, and
+# The next three are good input and print their line: --kappa 100, and
 # --omega 6 and 10, where a float sum of the Bessel series lost its
-# digits and failed the residual with rc 1.
+# digits and failed the residual with rc 1.  Last, good so4 tables: at an
+# even grid the solver splits the matrix into two mirror blocks, and at an
+# odd grid it solves one block, so both paths print the revision's bytes.
+# They take one level, three, ten and every level of 16 points.  The
+# --dump file is not compared: its phi values are Ritz vectors, which
+# another Krylov space moves in the tenth significant digit.
 SPECTRUM_INPUTS = (
     ("--system", "so4", "--grid", "8"),
     ("--system", "so4", "--l", "-1"),
@@ -178,6 +183,13 @@ SPECTRUM_INPUTS = (
     ("--system", "scale", "--kappa", "100"),
     ("--system", "scale", "--omega", "6"),
     ("--system", "scale", "--omega", "10"),
+    *(("--system", "so4", "--l", l, "--count", "10", "--grid", grid)
+      for l in ("1", "3", "20") for grid in ("4000", "100000")),
+    ("--system", "so4", "--count", "10", "--grid", "17"),
+    ("--system", "so4", "--l", "3", "--count", "10", "--grid", "4001"),
+    ("--system", "so4", "--count", "1"),
+    ("--system", "so4", "--count", "3"),
+    ("--system", "so4", "--count", "16", "--grid", "16"),
 )
 
 # Options that a subcommand, or the chosen --system or --kind, does not read,
